@@ -1,10 +1,22 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are built eagerly: every operation returns a ``Node`` holding the
-forward value, a gradient buffer of the same shape, and a closure that
-propagates upstream gradients to its parents. ``backward`` on a scalar root
-fills ``.grad`` on every reachable node. Gradients accumulate, so shared
-subexpressions are handled correctly.
+forward value and a closure that propagates upstream gradients to its
+parents. ``backward`` on a scalar root accumulates into ``.grad`` on every
+reachable node that tracks gradients, so shared subexpressions are handled
+correctly.
+
+Gradient rule: a node tracks gradients (``requires_grad``) when it is a
+trainable ``Parameter``, a leaf built directly with ``Node(...)``, or has a
+parent that tracks them. Constants (arrays that ``as_node`` wraps, and
+``detach`` results) and frozen parameters (``trainable=False``) never hold a
+gradient buffer, and ops skip their backward contribution to them.
+Parameters and leaves hold a zeroed ``.grad`` from construction; every other
+node's ``.grad`` is ``None`` until the first gradient is accumulated into it,
+so a forward pass that never calls ``backward`` allocates no gradient buffer.
+A node that does not track gradients keeps neither its parents nor a backward
+closure. Inside ``no_grad`` no op result tracks gradients, so an evaluation
+pass releases each intermediate value as soon as nothing else holds it.
 
 Everything is float64 and single-threaded per graph; there is no broadcasting
 machinery beyond what the ops here need (matrix/vector shapes, row-wise
@@ -13,10 +25,14 @@ reductions, bias rows).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 from scipy.special import expit
 
 LOG_FLOOR = 1e-12  # probabilities are clipped to [LOG_FLOOR, 1] before log
+
+_grad_enabled = True  # False inside ``no_grad``
 
 
 class ShapeMismatch(ValueError):
@@ -32,16 +48,30 @@ def tensor(data, ctx: str = "tensor") -> np.ndarray:
 
 
 class Node:
-    """A value in the computation graph together with its gradient buffer."""
+    """A value in the computation graph and, when it tracks gradients, its
+    gradient buffer.
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    ``requires_grad`` is honoured for leaves only; a node with parents tracks
+    gradients exactly when one of its parents does and it is built outside
+    ``no_grad``, and keeps its parents only then.
+    """
 
-    def __init__(self, value, op: str = "leaf", parents: tuple = ()):
+    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "_backward")
+
+    def __init__(self, value, op: str = "leaf", parents: tuple = (),
+                 requires_grad: bool = True):
         self.value = tensor(value, ctx=op)
-        self.grad = np.zeros_like(self.value)
         self.op = op
-        self.parents = parents
         self._backward = None
+        if parents:
+            self.requires_grad = _grad_enabled and any(
+                p.requires_grad for p in parents)
+            self.parents = parents if self.requires_grad else ()
+            self.grad = None  # allocated by the first accumulation
+        else:
+            self.requires_grad = requires_grad
+            self.parents = ()
+            self.grad = np.zeros_like(self.value) if requires_grad else None
 
     @property
     def shape(self):
@@ -49,7 +79,7 @@ class Node:
 
     def detach(self) -> "Node":
         """A new leaf with a copy of this value; gradients stop here."""
-        return Node(self.value.copy(), op="detach")
+        return Node(self.value.copy(), op="detach", requires_grad=False)
 
     def __add__(self, other):
         return add(self, other)
@@ -75,21 +105,60 @@ class Node:
 
 
 class Parameter(Node):
-    """A named leaf that an optimizer may update in place."""
+    """A named leaf that an optimizer may update in place.
 
-    __slots__ = ("name", "trainable")
+    A frozen parameter (``trainable=False``) is a constant to ``backward``.
+    """
+
+    __slots__ = ("name",)
 
     def __init__(self, value, name: str, trainable: bool = True):
-        super().__init__(value, op="param")
+        super().__init__(value, op="param", requires_grad=trainable)
         self.name = name
-        self.trainable = trainable
+
+    @property
+    def trainable(self) -> bool:
+        return self.requires_grad
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Nodes that ops build inside the block track no gradients, whatever
+    their parents; leaves and parameters are unaffected. For evaluation."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def as_node(x) -> Node:
-    return x if isinstance(x, Node) else Node(x, op="const")
+    """``x`` itself if it is a node, else a constant wrapping it."""
+    return x if isinstance(x, Node) else Node(x, op="const", requires_grad=False)
+
+
+def _link(out: Node, backward) -> Node:
+    """Attach ``backward`` to ``out`` if it tracks gradients; otherwise the
+    closure, and the parents it holds, are dropped."""
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
+def _grad_buffer(node: Node) -> np.ndarray:
+    """``node.grad``, allocated zeroed on first use."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    return node.grad
+
+
+def _accumulate(node: Node, grad) -> None:
+    buffer = _grad_buffer(node)
+    buffer += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -111,11 +180,12 @@ def add(a, b) -> Node:
     out = Node(a.value + b.value, op="add", parents=(a, b))
 
     def _bw(up):
-        a.grad += _unbroadcast(up, a.value.shape)
-        b.grad += _unbroadcast(up, b.value.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(up, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(up, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def sub(a, b) -> Node:
@@ -123,11 +193,13 @@ def sub(a, b) -> Node:
     out = Node(a.value - b.value, op="sub", parents=(a, b))
 
     def _bw(up):
-        a.grad += _unbroadcast(up, a.value.shape)
-        b.grad -= _unbroadcast(up, b.value.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(up, a.value.shape))
+        if b.requires_grad:
+            buffer = _grad_buffer(b)
+            buffer -= _unbroadcast(up, b.value.shape)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def mul(a, b) -> Node:
@@ -135,11 +207,12 @@ def mul(a, b) -> Node:
     out = Node(a.value * b.value, op="mul", parents=(a, b))
 
     def _bw(up):
-        a.grad += _unbroadcast(b.value * up, a.value.shape)
-        b.grad += _unbroadcast(a.value * up, b.value.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(b.value * up, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(a.value * up, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def scale(a, c: float) -> Node:
@@ -147,10 +220,9 @@ def scale(a, c: float) -> Node:
     out = Node(a.value * c, op="scale", parents=(a,))
 
     def _bw(up):
-        a.grad += c * up
+        _accumulate(a, c * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def square(a) -> Node:
@@ -158,10 +230,9 @@ def square(a) -> Node:
     out = Node(a.value * a.value, op="square", parents=(a,))
 
     def _bw(up):
-        a.grad += 2.0 * a.value * up
+        _accumulate(a, 2.0 * a.value * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def absolute(a) -> Node:
@@ -169,10 +240,9 @@ def absolute(a) -> Node:
     out = Node(np.abs(a.value), op="abs", parents=(a,))
 
     def _bw(up):
-        a.grad += np.sign(a.value) * up
+        _accumulate(a, np.sign(a.value) * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def matmul(a, b) -> Node:
@@ -184,11 +254,12 @@ def matmul(a, b) -> Node:
     out = Node(a.value @ b.value, op="matmul", parents=(a, b))
 
     def _bw(up):
-        a.grad += up @ b.value.T
-        b.grad += a.value.T @ up
+        if a.requires_grad:
+            _accumulate(a, up @ b.value.T)
+        if b.requires_grad:
+            _accumulate(b, a.value.T @ up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def sum_rows(a) -> Node:
@@ -197,10 +268,9 @@ def sum_rows(a) -> Node:
     out = Node(a.value.sum(axis=1), op="sum_rows", parents=(a,))
 
     def _bw(up):
-        a.grad += up[:, None]
+        _accumulate(a, up[:, None])
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def mean_all(a) -> Node:
@@ -209,10 +279,9 @@ def mean_all(a) -> Node:
     out = Node(a.value.mean(), op="mean", parents=(a,))
 
     def _bw(up):
-        a.grad += up / a.value.size
+        _accumulate(a, up / a.value.size)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def column(a, j: int) -> Node:
@@ -221,10 +290,9 @@ def column(a, j: int) -> Node:
     out = Node(a.value[:, j], op="column", parents=(a,))
 
     def _bw(up):
-        a.grad[:, j] += up
+        _grad_buffer(a)[:, j] += up
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def concat_columns(parts) -> Node:
@@ -237,11 +305,11 @@ def concat_columns(parts) -> Node:
     def _bw(up):
         start = 0
         for p, w in zip(parts, widths):
-            p.grad += up[:, start:start + w]
+            if p.requires_grad:
+                _accumulate(p, up[:, start:start + w])
             start += w
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def log_clipped(a, lo: float = LOG_FLOOR, hi: float = 1.0) -> Node:
@@ -252,10 +320,9 @@ def log_clipped(a, lo: float = LOG_FLOOR, hi: float = 1.0) -> Node:
     inside = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
 
     def _bw(up):
-        a.grad += inside * up / clipped
+        _accumulate(a, inside * up / clipped)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +340,19 @@ def dense(x, weight: Parameter, bias: Parameter) -> Node:
         raise ShapeMismatch(
             f"dense: bias {bias.value.shape} does not match weight {weight.value.shape}"
         )
-    out = Node(x.value @ weight.value + bias.value, op="dense",
-               parents=(x, weight, bias))
+    value = x.value @ weight.value
+    value += bias.value  # in place: no second n x d_out temporary
+    out = Node(value, op="dense", parents=(x, weight, bias))
 
     def _bw(up):
-        x.grad += up @ weight.value.T
-        weight.grad += x.value.T @ up
-        bias.grad += up.sum(axis=0)
+        if x.requires_grad:
+            _accumulate(x, up @ weight.value.T)
+        if weight.requires_grad:
+            _accumulate(weight, x.value.T @ up)
+        if bias.requires_grad:
+            _accumulate(bias, up.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 _ACTIVATIONS = {
@@ -302,10 +372,9 @@ def activation(x, kind: str) -> Node:
     out = Node(fwd(x.value), op=kind, parents=(x,))
 
     def _bw(up):
-        x.grad += deriv(x.value, out.value) * up
+        _accumulate(x, deriv(x.value, out.value) * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def relu(x):
@@ -336,10 +405,9 @@ def softmax(x) -> Node:
 
     def _bw(up):
         inner = (up * p).sum(axis=1, keepdims=True)
-        x.grad += p * (up - inner)
+        _accumulate(x, p * (up - inner))
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def gradient_reversal(x, lam: float) -> Node:
@@ -350,10 +418,9 @@ def gradient_reversal(x, lam: float) -> Node:
     out = Node(x.value, op="grad_reverse", parents=(x,))
 
     def _bw(up):
-        x.grad += -lam * up
+        _accumulate(x, -lam * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def reparameterize(mu, sigma, epsilon) -> Node:
@@ -371,11 +438,12 @@ def reparameterize(mu, sigma, epsilon) -> Node:
                parents=(mu, sigma))
 
     def _bw(up):
-        mu.grad += up
-        sigma.grad += eps * up
+        if mu.requires_grad:
+            _accumulate(mu, up)
+        if sigma.requires_grad:
+            _accumulate(sigma, eps * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node:
@@ -395,10 +463,9 @@ def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node
     out = Node(x.value * keep, op="dropout", parents=(x,))
 
     def _bw(up):
-        x.grad += keep * up
+        _accumulate(x, keep * up)
 
-    out._backward = _bw
-    return out
+    return _link(out, _bw)
 
 
 def abs_row_cosine(a, b) -> tuple[Node, int]:
@@ -427,11 +494,12 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
         sa = (s / denom)[:, None]
         ca = (s * cos / np.where(ok, na * na, 1.0))[:, None]
         cb = (s * cos / np.where(ok, nb * nb, 1.0))[:, None]
-        a.grad += sa * b.value - ca * a.value
-        b.grad += sa * a.value - cb * b.value
+        if a.requires_grad:
+            _accumulate(a, sa * b.value - ca * a.value)
+        if b.requires_grad:
+            _accumulate(b, sa * a.value - cb * b.value)
 
-    out._backward = _bw
-    return out, zero_rows
+    return _link(out, _bw), zero_rows
 
 
 # ---------------------------------------------------------------------------
@@ -439,11 +507,14 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
 
 
 def backward(root: Node) -> None:
-    """Reverse-mode sweep from a scalar root; accumulates into ``.grad``."""
+    """Reverse-mode sweep from a scalar root; accumulates into ``.grad`` of
+    every reachable node that tracks gradients."""
     if root.value.size != 1:
         raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
+    if not root.requires_grad:
+        return  # built from constants only: no gradient can flow
     order = _topological_order(root)
-    root.grad += np.ones_like(root.value)
+    _accumulate(root, np.ones_like(root.value))
     for node in order:
         if node._backward is not None:
             node._backward(node.grad)

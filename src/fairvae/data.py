@@ -342,6 +342,12 @@ def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
     val_index = np.sort(perm[:n_val])
     rest = perm[n_val:]
     n_lab = int(math.floor(label_ratio * len(rest)))
+    if n_lab == 0:
+        raise ConfigError(
+            f"label_ratio {label_ratio} of {len(rest)} training rows (after "
+            f"{n_val} validation rows of {n}) keeps 0 labeled rows; the method "
+            f"needs at least 1"
+        )
     lab_index = np.sort(rest[:n_lab])
     unl_index = np.sort(rest[n_lab:])
     return DatasetSplit(

@@ -113,25 +113,31 @@ def output_root(cfg: ExperimentConfig) -> str:
     return path
 
 
-# per-process cache of preprocessed datasets, keyed by paths + flags
+# per-process cache of preprocessed datasets, keyed by paths + flags; each
+# entry keeps the files' (size, mtime) so a file rewritten in place is reloaded
 _DATA_CACHE: dict = {}
 
 
 def load_dataset(cfg: ExperimentConfig):
     key = (cfg.train_path, cfg.test_path, cfg.include_sensitive_feature)
-    if key not in _DATA_CACHE:
-        for path in (cfg.train_path, cfg.test_path):
-            if not os.path.exists(path):
-                raise FileNotFoundError(
-                    f"dataset file not found: {path}; {DOWNLOAD_HINT}"
-                )
+    stamp = []
+    for path in (cfg.train_path, cfg.test_path):
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            raise FileNotFoundError(
+                f"dataset file not found: {path}; {DOWNLOAD_HINT}"
+            ) from None
+        stamp.append((st.st_size, st.st_mtime_ns))
+    cached = _DATA_CACHE.get(key)
+    if cached is None or cached[0] != stamp:
         train_records, test_records = D.load_adult(cfg.train_path, cfg.test_path)
         train_samples, stats = D.preprocess(
             train_records, include_sensitive=cfg.include_sensitive_feature)
         test_samples, _ = D.preprocess(
             test_records, stats, include_sensitive=cfg.include_sensitive_feature)
-        _DATA_CACHE[key] = (train_samples, test_samples, stats)
-    return _DATA_CACHE[key]
+        _DATA_CACHE[key] = (stamp, (train_samples, test_samples, stats))
+    return _DATA_CACHE[key][1]
 
 
 def _cell_name(backbone, method, ratio, seed, **extra):
@@ -192,10 +198,9 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
             f"{name}: training read {report.shadow_reads_during_training} "
             f"shadow attribute values"
         )
-    probs = T.predict_probs(bundle, split.test_x)
-    labels = probs.argmax(axis=1)
-    r_f, _, _ = M.encode(bundle, split.test_x, training=False)
-    fairness = MX.fairness_report(split.test_y, labels, probs[:, 1],
+    r_f, probs = M.bias_free_forward(bundle, split.test_x)
+    labels = probs.value.argmax(axis=1)
+    fairness = MX.fairness_report(split.test_y, labels, probs.value[:, 1],
                                   split.test_z, r_f.value, seed=seed)
     if cfg.save_checkpoints:
         os.makedirs(os.path.join(root, "checkpoints"), exist_ok=True)
@@ -468,10 +473,10 @@ def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.Fairnes
     """Load a checkpoint and produce a FairnessReport on an Adult-format file."""
     bundle, header = M.load_bundle(checkpoint_path)
     x, y, z = _load_test_set(header, test_path)
-    probs = T.predict_probs(bundle, x)
-    labels = probs.argmax(axis=1)
-    r_f, _, _ = M.encode(bundle, x, training=False)
-    return MX.fairness_report(y, labels, probs[:, 1], z, r_f.value, seed=seed)
+    r_f, probs = M.bias_free_forward(bundle, x)
+    labels = probs.value.argmax(axis=1)
+    return MX.fairness_report(y, labels, probs.value[:, 1], z, r_f.value,
+                              seed=seed)
 
 
 def export_embeddings(checkpoint_path, test_path, out_path) -> int:
@@ -479,8 +484,8 @@ def export_embeddings(checkpoint_path, test_path, out_path) -> int:
     true attribute, true label, predicted label. Returns the row count."""
     bundle, header = M.load_bundle(checkpoint_path)
     x, y, z = _load_test_set(header, test_path)
-    r_f, _, _ = M.encode(bundle, x, training=False)
-    labels = T.predict_probs(bundle, x).argmax(axis=1)
+    r_f, probs = M.bias_free_forward(bundle, x)
+    labels = probs.value.argmax(axis=1)
     dim = r_f.value.shape[1]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={header['config_hash']} seed={header['seed']}\n")

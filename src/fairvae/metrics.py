@@ -33,10 +33,6 @@ class FairnessReport:
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @staticmethod
-    def csv_columns() -> list[str]:
-        return [f.name for f in fields(FairnessReport)]
-
 
 def accuracy(y_true, y_pred) -> float:
     y_true = np.asarray(y_true)
@@ -124,14 +120,15 @@ def leakage_probe(representations, z, seed: int, train_frac: float = 0.7,
     limit = np.sqrt(6.0 / (d + 2))
     weight = ad.Parameter(rng.uniform(-limit, limit, (d, 2)), "probe.weight")
     bias = ad.Parameter(np.zeros(2), "probe.bias")
-    target = np.zeros((len(tr), 2))
-    target[np.arange(len(tr)), z[tr]] = 1.0
+    onehot = np.zeros((len(tr), 2))
+    onehot[np.arange(len(tr)), z[tr]] = 1.0
     opt = Adam([weight, bias], lr=lr)
-    x_train = reps[tr]
+    # constants built once: no gradient flows into the inputs or the labels
+    x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
     for _ in range(epochs):
-        probs = ad.softmax(ad.dense(ad.Node(x_train), weight, bias))
+        probs = ad.softmax(ad.dense(x_train, weight, bias))
         loss = ad.mean_all(ad.scale(
-            ad.sum_rows(ad.mul(ad.Node(target), ad.log_clipped(probs))), -1.0))
+            ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0))
         opt.zero_grad()
         ad.backward(loss)
         opt.step(context="leakage probe")

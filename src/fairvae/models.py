@@ -257,10 +257,18 @@ def task_logits(bundle: ModelBundle, rep) -> ad.Node:
     return bundle.task_head.logits(rep)
 
 
+def bias_free_forward(bundle: ModelBundle, x) -> tuple[ad.Node, ad.Node]:
+    """The deployment path in eval mode, one pass of the bias-free encoder:
+    returns its representation and the task head's probabilities on it, as
+    nodes that track no gradients."""
+    with ad.no_grad():
+        r_f = bundle.bias_free.forward(x)
+        return r_f, ad.softmax(task_logits(bundle, r_f))
+
+
 def predict_test(bundle: ModelBundle, x) -> ad.Node:
     """Deployment-path prediction: task head on the bias-free representation only."""
-    r_f, _, _ = encode(bundle, x, training=False)
-    return ad.softmax(task_logits(bundle, r_f))
+    return bias_free_forward(bundle, x)[1]
 
 
 def vae_forward(bundle: ModelBundle, x, z_tilde_in, z_hat_in, epsilon):
@@ -302,19 +310,35 @@ def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, path, size: int, what: str) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
+                         f"bytes, the file holds {len(buf)}")
+    return buf
+
+
 def load_bundle(path) -> tuple[ModelBundle, dict]:
+    """Read a checkpoint; a truncated file or bytes past the last parameter
+    raise ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
+        (hlen,) = struct.unpack("<I", _read_exact(fh, path, 4, "the header length"))
+        header = json.loads(_read_exact(fh, path, hlen, "the header").decode())
         bundle = ModelBundle(BundleConfig(**header["config"]))
         state = {}
         for meta in header["params"]:
             shape = tuple(meta["shape"])
             count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
+            buf = _read_exact(fh, path, 8 * count, f"parameter {meta['name']}")
             state[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        leftover = len(fh.read())
+        if leftover:
+            raise ValueError(
+                f"{path}: {leftover} bytes follow the last parameter "
+                f"{header['params'][-1]['name']}; the header accounts for "
+                f"{fh.tell() - leftover} bytes, the file holds {fh.tell()}")
     bundle.load_state_arrays(state)
     return bundle, header

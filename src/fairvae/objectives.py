@@ -133,7 +133,7 @@ def _kl_rows(mu, sigma) -> ad.Node:
     inner = ad.sub(
         ad.add(ad.square(mu), ad.square(sigma)),
         ad.add(ad.log_clipped(ad.square(sigma), hi=np.inf),
-               ad.Node(np.ones((n, k)))),
+               np.ones((n, k))),
     )
     return ad.scale(ad.sum_rows(inner), 0.5)
 
@@ -155,7 +155,7 @@ def elbo_term(x, z_slot, z_tilde_slot, bundle: M.ModelBundle, epsilon) -> ad.Nod
     x_hat, mu, sigma = M.vae_forward(bundle, x, z_tilde_slot, z_slot, epsilon)
     return ad.add(
         ad.add(reconstruction_loss(x, x_hat), kl_to_standard_normal(mu, sigma)),
-        ad.Node(LOG2),
+        ad.Node(LOG2, requires_grad=False),
     )
 
 
@@ -195,7 +195,7 @@ def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     x_hat, mu, sigma = M.vae_forward(bundle, batch.x, zt_slot, z_slot, epsilon)
     recon_s = reconstruction_loss(batch.x, x_hat)
     kl_s = kl_to_standard_normal(mu, sigma)
-    prior_s = ad.Node(LOG2)
+    prior_s = ad.as_node(LOG2)
 
     total = _sum_nodes([attr_s, adv_s, orth_s, task_s, recon_s, kl_s, prior_s])
     breakdown = LossBreakdown(
@@ -231,7 +231,7 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     h = ad.reparameterize(mu, sigma, epsilon)
     kl_rows = _kl_rows(mu, sigma)
     zt_slot = z_tilde.detach() if config.use_ztilde_in_decoder \
-        else ad.Node(np.zeros((n, k)))
+        else ad.as_node(np.zeros((n, k)))
 
     recon_parts, kl_parts, prior_parts = [], [], []
     for c in range(k):
@@ -243,7 +243,7 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
         x_hat_c = bundle.vae.decode(zt_slot, slot, h)
         recon_parts.append(ad.mul(weight, _recon_rows(batch.x, x_hat_c)))
         kl_parts.append(ad.mul(weight, kl_rows))
-        prior_parts.append(ad.mul(weight, ad.Node(np.full(n, LOG2))))
+        prior_parts.append(ad.mul(weight, np.full(n, LOG2)))
     recon_s = ad.mean_all(_sum_nodes(recon_parts))
     kl_s = ad.mean_all(_sum_nodes(kl_parts))
     prior_s = ad.mean_all(_sum_nodes(prior_parts))

@@ -142,12 +142,8 @@ def _build_bundle(spec: MethodSpec, input_dim: int) -> M.ModelBundle:
     return M.ModelBundle(cfg)
 
 
-def predict_probs(bundle: M.ModelBundle, x) -> np.ndarray:
-    return M.predict_test(bundle, x).value
-
-
 def predict_labels(bundle: M.ModelBundle, x) -> np.ndarray:
-    return predict_probs(bundle, x).argmax(axis=1)
+    return M.predict_test(bundle, x).value.argmax(axis=1)
 
 
 def _supervised_step(bundle, lab: Batch, unl: Batch, decomposed: bool,
@@ -201,7 +197,7 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
           log_writer=None) -> tuple[M.ModelBundle, TrainReport]:
     """Train one method on one split; returns the best-validation-epoch model."""
     if spec.method.endswith("_st"):
-        return self_train(spec, split, epochs)
+        return self_train(spec, split, epochs, log_writer=log_writer)
     epochs = spec.epochs if epochs is None else epochs
     bundle = _build_bundle(spec, split.feature_dim)
     opt = Adam(bundle.trainable_parameters(), lr=spec.lr)
@@ -298,10 +294,11 @@ def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
     return bundle
 
 
-def self_train(spec: MethodSpec, split: DatasetSplit,
-               epochs: int | None = None) -> tuple[M.ModelBundle, TrainReport]:
+def self_train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
+               log_writer=None) -> tuple[M.ModelBundle, TrainReport]:
     """Two rounds: pseudo-label confident unlabeled samples, retrain the base
-    method treating them as attribute-labeled."""
+    method treating them as attribute-labeled. ``log_writer`` receives the
+    step records of the second round."""
     if not spec.method.endswith("_st"):
         raise ValueError(f"self_train expects an _st method, got {spec.method!r}")
     epochs = spec.epochs if epochs is None else epochs
@@ -327,7 +324,8 @@ def self_train(spec: MethodSpec, split: DatasetSplit,
         )
         aug_split = split
 
-    bundle, report = train(replace(spec, method=base_method), aug_split, epochs)
+    bundle, report = train(replace(spec, method=base_method), aug_split, epochs,
+                           log_writer=log_writer)
     report.method = spec.method
     # diagnostic only, computed after the optimization phase
     if confident.any():

@@ -39,3 +39,14 @@ def check_grads(build, params, rtol=1e-5, atol=1e-7, eps=1e-6):
             a, n, rtol=rtol, atol=atol,
             err_msg=f"gradient mismatch for {getattr(p, 'name', p.op)}",
         )
+
+
+def graph_nodes(root):
+    """Every node reachable from root through parents."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())

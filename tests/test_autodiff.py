@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fairvae import autodiff as ad
-from gradcheck import check_grads, fd_grads
+from gradcheck import check_grads, fd_grads, graph_nodes
 
 
 class TestDense:
@@ -301,3 +301,63 @@ def test_abs_row_cosine_zero_rows_contribute_zero():
     np.testing.assert_allclose(out.value, [0.0, 1 / math.sqrt(2)])
     out._backward(np.ones_like(out.value))
     np.testing.assert_array_equal(a.grad[0], [0.0, 0.0])
+
+
+class TestGradientTracking:
+    def test_which_nodes_track_gradients(self):
+        assert ad.Node([1.0]).requires_grad
+        assert ad.Parameter([1.0], "p").requires_grad
+        assert not ad.Parameter([1.0], "frozen", trainable=False).requires_grad
+        assert not ad.as_node(np.ones(2)).requires_grad
+        assert not ad.Node([1.0]).detach().requires_grad
+        const = ad.as_node(np.ones((2, 2)))
+        assert not ad.square(const).requires_grad
+        assert ad.add(const, ad.Node(np.ones((2, 2)))).requires_grad
+
+    def test_forward_allocates_no_gradient_buffer(self):
+        w = ad.Parameter(np.ones((3, 2)), "w")
+        b = ad.Parameter(np.zeros(2), "b")
+        out = ad.softmax(ad.tanh(ad.dense(np.ones((4, 3)), w, b)))
+        for node in graph_nodes(out):
+            if not isinstance(node, ad.Parameter):
+                assert node.grad is None, node
+
+    def test_constants_and_frozen_parameters_get_no_gradient(self):
+        rng = np.random.default_rng(4)
+        x_value = rng.uniform(-1, 1, (5, 3))
+        w = ad.Parameter(rng.uniform(-1, 1, (3, 4)), "w")
+        b = ad.Parameter(np.zeros(4), "b")
+        frozen = ad.Parameter(rng.uniform(-1, 1, (4, 2)), "frozen", trainable=False)
+
+        def weight_grad(x):
+            ad.zero_grads([w, b])
+            root = ad.mean_all(ad.square(ad.matmul(ad.dense(x, w, b), frozen)))
+            ad.backward(root)
+            return w.grad.copy()
+
+        const = ad.as_node(x_value)
+        tracked = ad.Node(x_value)
+        g_const = weight_grad(const)
+        assert const.grad is None and frozen.grad is None
+        # skipping the input's gradient leaves the weight's bit-identical
+        assert np.array_equal(g_const, weight_grad(tracked))
+        assert tracked.grad is not None and frozen.grad is None
+
+    def test_backward_of_constants_is_a_no_op(self):
+        c = ad.as_node(np.ones(3))
+        root = ad.mean_all(c)
+        ad.backward(root)
+        assert c.grad is None and root.grad is None
+
+    def test_no_grad_builds_untracked_nodes_and_restores(self):
+        w = ad.Parameter(np.ones((3, 2)), "w")
+        b = ad.Parameter(np.zeros(2), "b")
+        x = np.ones((4, 3))
+        with ad.no_grad():
+            out = ad.relu(ad.dense(x, w, b))
+            assert ad.Node([1.0]).requires_grad  # leaves are unaffected
+        assert not out.requires_grad and out.parents == () and out.grad is None
+        np.testing.assert_array_equal(out.value, ad.relu(ad.dense(x, w, b)).value)
+        with pytest.raises(RuntimeError), ad.no_grad():
+            raise RuntimeError
+        assert ad.dense(x, w, b).requires_grad

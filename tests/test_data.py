@@ -178,6 +178,14 @@ class TestSplitAndMask:
         with pytest.raises(D.ConfigError, match="label_ratio"):
             D.split_and_mask(samples, 0.1, 0.0, seed=0)
 
+    def test_ratio_flooring_to_zero_labeled_rows_rejected(self):
+        samples = [D.Sample(x=np.zeros(3), y=i % 2, z=i % 2) for i in range(300)]
+        with pytest.raises(D.ConfigError,
+                           match=r"label_ratio 0\.001 of 270 training rows .*"
+                                 r"30 validation rows of 300.* 0 labeled rows"):
+            D.split_and_mask(samples, 0.1, 0.001, seed=0)
+        assert D.split_and_mask(samples, 0.1, 1 / 270, seed=0).n_labeled == 1
+
     def test_training_view_hides_shadow_attributes(self, split):
         view = split.training_view()
         assert "z" not in view["unlabeled"]

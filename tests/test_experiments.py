@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,16 @@ class TestConfig:
         b = tiny_config(dataset, tmp_path, epochs=4)
         assert X.config_hash(a) == X.config_hash(tiny_config(dataset, tmp_path))
         assert X.config_hash(a) != X.config_hash(b)
+
+    def test_dataset_rewritten_in_place_is_reloaded(self, tmp_path):
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_adult_like(train, test, n_train=100, n_test=60, seed=1)
+        cfg = X.ExperimentConfig(train_path=str(train), test_path=str(test))
+        first = X.load_dataset(cfg)
+        assert X.load_dataset(cfg) is first
+        assert len(first[0]) == 100
+        write_adult_like(train, test, n_train=120, n_test=60, seed=2)
+        assert len(X.load_dataset(cfg)[0]) == 120
 
     def test_missing_dataset_actionable(self, tmp_path):
         cfg = X.ExperimentConfig(train_path=str(tmp_path / "nope.data"),
@@ -102,6 +113,17 @@ class TestRunExperiments:
                                                row["cell"] + ".ckpt"))
             assert os.path.exists(os.path.join(out, "logs",
                                                row["cell"] + ".jsonl"))
+
+    def test_self_training_log_holds_its_steps(self, dataset, tmp_path):
+        cfg = tiny_config(dataset, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no confident pseudo-labels
+            row = X.run_cell(cfg, "lr", "adv_st", 0.5, 0)
+        with open(tmp_path / "logs" / f"{row['cell']}.jsonl") as fh:
+            records = [json.loads(line) for line in fh][1:]
+        # 240 rows: 24 validation, 108 labeled + pseudo-labeled, 108 - those
+        n_lab = 108 + row["pseudo_label_count"]
+        assert [r["step"] for r in records] == list(range(3 * -(-n_lab // 64)))
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path_factory, result):
         cfg_a, _, out_a = result

@@ -1,8 +1,14 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
 from fairvae import autodiff as ad
 from fairvae import models as M
+from fairvae import objectives as O
+from fairvae.data import Batch
+from gradcheck import graph_nodes
 from toys import tiny_config, toy_batch, adversarial_wiring_outcome
 
 
@@ -171,6 +177,79 @@ class TestPredictTest:
         assert not np.allclose(y_test.value, y_train.value)
 
 
+    def test_runs_only_the_bias_free_encoder(self, monkeypatch):
+        bundle = M.ModelBundle(tiny_config())
+        x, _, _ = toy_batch()
+        expected = M.predict_test(bundle, x).value.copy()
+
+        def refuse(x):
+            raise AssertionError("bias-aware backbone called")
+
+        monkeypatch.setattr(bundle.bias_aware, "forward", refuse)
+        np.testing.assert_array_equal(M.predict_test(bundle, x).value, expected)
+        rep, probs = M.bias_free_forward(bundle, x)
+        np.testing.assert_array_equal(probs.value, expected)
+        np.testing.assert_array_equal(rep.value, bundle.bias_free.forward(x).value)
+
+
+class TestEvalAllocatesNoGradients:
+    @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
+    def test_no_gradient_buffer_outside_parameters(self, backbone):
+        bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.3))
+        x, _, _ = toy_batch()
+        probs = M.predict_test(bundle, x)
+        # no graph is kept, so intermediates are freed as the pass goes
+        assert not probs.requires_grad and probs.parents == ()
+        for root in [probs, *M.encode(bundle, x, training=False)]:
+            for node in graph_nodes(root):
+                if not isinstance(node, ad.Parameter):
+                    assert node.grad is None, (backbone, node)
+
+
+def _joint_loss_gradients(backbone):
+    """One backward of the fairvae objective on labeled + unlabeled toy
+    batches, with dropout on."""
+    bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
+    rng = np.random.default_rng(3)
+    lab = Batch(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6),
+                rng.integers(0, 2, 6))
+    unl = Batch(rng.uniform(-2, 2, (5, 6)), rng.integers(0, 2, 5), None)
+    total, _ = O.joint_loss(lab, unl, bundle, O.ObjectiveConfig(),
+                            rng.standard_normal((6, 3)),
+                            rng.standard_normal((5, 3)), training=True, rng=rng)
+    ad.backward(total)
+    return bundle, total
+
+
+# sha256 over (name, float64 gradient bytes) of every trainable parameter,
+# recorded when every node still carried a gradient buffer
+GOLDEN_GRADIENT_DIGESTS = {
+    "lr": "b1b9af6478be83599401975b4d35b8cc509ee78ed4389d0df0bde332df5d398a",
+    "dnn": "f625a101d1f86e4bd31d597cc9ae9ad2f2f5166011fd5b8c4ac836f57e474065",
+    "fm": "6bf7434232d1a4c92eed29b75e16efda293e12b0d173b02f09b6576a261f27c4",
+}
+
+
+class TestGradientsAfterBackward:
+    @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
+    def test_trainable_gradients_match_golden_digest(self, backbone):
+        bundle, _ = _joint_loss_gradients(backbone)
+        digest = hashlib.sha256()
+        for p in bundle.trainable_parameters():
+            digest.update(p.name.encode())
+            digest.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
+        assert digest.hexdigest() == GOLDEN_GRADIENT_DIGESTS[backbone]
+
+    def test_constants_and_frozen_projection_hold_no_gradient(self):
+        bundle, total = _joint_loss_gradients("lr")
+        assert bundle.bias_free.proj.grad is None
+        assert bundle.bias_aware.proj.grad is None
+        consts = [n for n in graph_nodes(total) if n.op in ("const", "detach")]
+        assert consts  # inputs, one-hot targets, decoder slots
+        assert all(n.grad is None for n in consts)
+        assert all(p.grad is not None for p in bundle.trainable_parameters())
+
+
 class TestTaskHeadLinearity:
     def test_logits_decompose_affinely(self):
         bundle = M.ModelBundle(tiny_config())
@@ -253,6 +332,36 @@ class TestSerialization:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="checkpoint"):
             M.load_bundle(path)
+
+    @pytest.fixture
+    def tiny_checkpoint(self, tmp_path):
+        bundle = M.ModelBundle(tiny_config(
+            input_dim=2, hidden_dim=2, backbone="lr", with_bias_aware=False,
+            with_discriminator=False, with_vae=False))
+        path = tmp_path / "tiny.ckpt"
+        M.save_bundle(bundle, path)
+        return path, path.read_bytes()
+
+    def test_truncation_at_every_byte_rejected(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        for size in range(len(blob)):
+            path.write_bytes(blob[:size])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                M.load_bundle(path)
+        path.write_bytes(blob[:-3])
+        with pytest.raises(ValueError, match=r"parameter task_head\.out\.weight "
+                           r"needs 32 bytes, the file holds 29"):
+            M.load_bundle(path)
+
+    def test_trailing_byte_rejected(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(ValueError, match=rf"1 bytes follow the last parameter "
+                           rf"task_head\.out\.weight; the header accounts for "
+                           rf"{len(blob)} bytes, the file holds {len(blob) + 1}"):
+            M.load_bundle(path)
+        path.write_bytes(blob)
+        M.load_bundle(path)
 
 
 class TestInitialization:
