@@ -81,25 +81,6 @@ class Node:
         """A new leaf with a copy of this value; gradients stop here."""
         return Node(self.value.copy(), op="detach", requires_grad=False)
 
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
@@ -231,16 +212,6 @@ def square(a) -> Node:
 
     def _bw(up):
         _accumulate(a, 2.0 * a.value * up)
-
-    return _link(out, _bw)
-
-
-def absolute(a) -> Node:
-    a = as_node(a)
-    out = Node(np.abs(a.value), op="abs", parents=(a,))
-
-    def _bw(up):
-        _accumulate(a, np.sign(a.value) * up)
 
     return _link(out, _bw)
 

@@ -9,8 +9,6 @@ samples are retained in a shadow field that only evaluation code should touch
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -124,19 +122,6 @@ class Stats:
         for name, kind in self.feature_columns:
             dim += 1 if kind == NUMERIC else len(self.cat_vocab[name])
         return dim
-
-    def schema_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "vocab": self.cat_vocab,
-                "mode": self.cat_mode,
-                "mean": self.num_mean,
-                "std": self.num_std,
-                "include_sensitive": self.include_sensitive,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -258,14 +243,6 @@ class DatasetSplit:
         """True attributes of masked samples; for evaluation only (reads counted)."""
         self.shadow_reads += 1
         return self._shadow_unl_z.copy()
-
-    def training_view(self) -> dict:
-        """Everything training is allowed to see."""
-        return {
-            "labeled": {"x": self.lab_x, "y": self.lab_y, "z": self.lab_z},
-            "unlabeled": {"x": self.unl_x, "y": self.unl_y},
-            "validation": {"x": self.val_x, "y": self.val_y, "z": self.val_z},
-        }
 
     def all_train_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Labeled + unlabeled features/labels in original dataset order.
@@ -415,38 +392,3 @@ def single_stream_batches(x: np.ndarray, y: np.ndarray, batch_size: int,
     for i in range(-(-len(y) // batch_size)):
         idx = perm[i * batch_size:(i + 1) * batch_size]
         yield Batch(x[idx], y[idx], None)
-
-
-def save_cache(path, samples, stats: Stats) -> None:
-    """Binary cache of preprocessed samples keyed by the schema hash."""
-    x = np.stack([s.x for s in samples]) if samples else np.zeros((0, stats.feature_dim))
-    y = np.array([s.y for s in samples], dtype=int)
-    z = np.array([s.z for s in samples], dtype=int)
-    meta = json.dumps({
-        "schema_hash": stats.schema_hash(),
-        "stats": {
-            "cat_vocab": stats.cat_vocab,
-            "cat_mode": stats.cat_mode,
-            "num_mean": stats.num_mean,
-            "num_std": stats.num_std,
-            "include_sensitive": stats.include_sensitive,
-        },
-    })
-    np.savez(path, x=x, y=y, z=z, meta=np.frombuffer(meta.encode(), dtype=np.uint8))
-
-
-def load_cache(path, expect_schema_hash: str | None = None):
-    """Load a preprocessing cache; returns (samples, stats)."""
-    archive = np.load(path)
-    meta = json.loads(archive["meta"].tobytes().decode())
-    if expect_schema_hash is not None and meta["schema_hash"] != expect_schema_hash:
-        raise ConfigError(
-            f"cache schema hash {meta['schema_hash'][:12]} does not match "
-            f"expected {expect_schema_hash[:12]}"
-        )
-    st = meta["stats"]
-    stats = Stats(st["cat_vocab"], st["cat_mode"], st["num_mean"], st["num_std"],
-                  st["include_sensitive"])
-    samples = [Sample(x=x, y=int(y), z=int(z))
-               for x, y, z in zip(archive["x"], archive["y"], archive["z"])]
-    return samples, stats

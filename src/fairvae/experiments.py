@@ -8,6 +8,7 @@ a failing cell is recorded as FAILED and the run continues.
 
 from __future__ import annotations
 
+import csv
 import json
 import hashlib
 import os
@@ -207,7 +208,7 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
         M.save_bundle(
             bundle, os.path.join(root, "checkpoints", f"{name}.ckpt"),
             config_hash=config_hash(cfg), seed=seed,
-            extra={"cell": name, "stats": _stats_payload(stats),
+            extra={"cell": name, "stats": asdict(stats),
                    "method": method, "label_ratio": ratio},
         )
     row = {
@@ -222,20 +223,6 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
     if report.pseudo_label_count is not None:
         row["pseudo_label_count"] = report.pseudo_label_count
     return row
-
-
-def _stats_payload(stats: D.Stats) -> dict:
-    return {
-        "cat_vocab": stats.cat_vocab, "cat_mode": stats.cat_mode,
-        "num_mean": stats.num_mean, "num_std": stats.num_std,
-        "include_sensitive": stats.include_sensitive,
-    }
-
-
-def _stats_from_payload(payload: dict) -> D.Stats:
-    return D.Stats(payload["cat_vocab"], payload["cat_mode"],
-                   payload["num_mean"], payload["num_std"],
-                   payload["include_sensitive"])
 
 
 def _run_cell_task(args):
@@ -349,17 +336,15 @@ def _write_csv(path, rows: list[dict], header_comment: str) -> None:
         for key in row:
             if key not in columns and key != "traceback":
                 columns.append(key)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header_comment + "\n")
-        fh.write(",".join(columns) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
         for row in rows:
-            cells = []
-            for col in columns:
-                value = row.get(col, "")
-                # round-trip repr of a builtin float keeps reruns byte-identical
-                cells.append(repr(float(value)) if isinstance(value, float)
-                             else str(value))
-            fh.write(",".join(cells) + "\n")
+            # round-trip repr of a builtin float keeps reruns byte-identical
+            values = [row.get(col, "") for col in columns]
+            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
+                             for v in values])
 
 
 def _emit(cfg: ExperimentConfig, table: ResultsTable, stem: str) -> ResultsTable:
@@ -459,7 +444,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> ResultsTable:
 
 
 def _load_test_set(checkpoint_header: dict, test_path):
-    stats = _stats_from_payload(checkpoint_header["extra"]["stats"])
+    stats = D.Stats(**checkpoint_header["extra"]["stats"])
     records = D._read_adult_file(test_path)
     samples, _ = D.preprocess(records, stats,
                               include_sensitive=stats.include_sensitive)

@@ -318,27 +318,41 @@ def _read_exact(fh, path, size: int, what: str) -> bytes:
     return buf
 
 
+def _parse_header(path, blob: bytes) -> tuple[dict, ModelBundle, list]:
+    """Decode the JSON header, build its bundle and list its (name, shape)
+    pairs; any failure is reported as a damaged header naming the file."""
+    try:
+        header = json.loads(blob.decode())
+        bundle = ModelBundle(BundleConfig(**header["config"]))
+        listed = [(meta["name"], tuple(meta["shape"])) for meta in header["params"]]
+        if listed != [(p.name, p.value.shape) for p in bundle.parameters()]:
+            raise ValueError("its parameter list does not match its config")
+    except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode/JSON errors
+        raise ValueError(f"{path}: the checkpoint header is damaged: "
+                         f"{type(exc).__name__}: {exc}") from None
+    return header, bundle, listed
+
+
 def load_bundle(path) -> tuple[ModelBundle, dict]:
-    """Read a checkpoint; a truncated file or bytes past the last parameter
-    raise ``ValueError`` naming the file."""
+    """Read a checkpoint; a damaged header, a truncated file or bytes past the
+    last parameter raise ``ValueError`` naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint")
         (hlen,) = struct.unpack("<I", _read_exact(fh, path, 4, "the header length"))
-        header = json.loads(_read_exact(fh, path, hlen, "the header").decode())
-        bundle = ModelBundle(BundleConfig(**header["config"]))
+        header, bundle, listed = _parse_header(
+            path, _read_exact(fh, path, hlen, "the header"))
         state = {}
-        for meta in header["params"]:
-            shape = tuple(meta["shape"])
+        for name, shape in listed:
             count = int(np.prod(shape)) if shape else 1
-            buf = _read_exact(fh, path, 8 * count, f"parameter {meta['name']}")
-            state[meta["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            buf = _read_exact(fh, path, 8 * count, f"parameter {name}")
+            state[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         leftover = len(fh.read())
         if leftover:
             raise ValueError(
                 f"{path}: {leftover} bytes follow the last parameter "
-                f"{header['params'][-1]['name']}; the header accounts for "
+                f"{listed[-1][0]}; the header accounts for "
                 f"{fh.tell() - leftover} bytes, the file holds {fh.tell()}")
     bundle.load_state_arrays(state)
     return bundle, header

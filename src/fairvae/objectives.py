@@ -1,5 +1,13 @@
 """Loss terms and their labeled/unlabeled/joint compositions.
 
+One composition serves the whole method ladder: ``labeled_loss`` and
+``unlabeled_loss`` take their terms from the parts the bundle has (the task
+term always; the adversarial term with a discriminator, on labeled batches;
+attr_pred on labeled batches and orthogonality on both with a bias-aware
+encoder; with a VAE, the labeled ELBO, the marginalized unlabeled ELBO and
+the entropies), and ``joint_loss`` adds the two sides. Heads that no term
+reads are not run.
+
 Sign conventions: the adversarial term is recorded raw; its minus-lambda
 weighting is realized structurally by the gradient-reversal layer inside the
 discriminator path, so the scalar being minimized contains +adversarial while
@@ -160,7 +168,8 @@ def elbo_term(x, z_slot, z_tilde_slot, bundle: M.ModelBundle, epsilon) -> ad.Nod
 
 
 # ---------------------------------------------------------------------------
-# labeled / unlabeled / joint compositions
+# labeled / unlabeled / joint compositions: one per batch side, each reading
+# its terms off the parts the bundle has
 
 
 def _sum_nodes(nodes):
@@ -170,11 +179,34 @@ def _sum_nodes(nodes):
     return total
 
 
+def _compose(summands: dict, order, **raw) -> tuple[ad.Node, LossBreakdown]:
+    """Sum the present summands in ``order``; the breakdown records each
+    summand's value unless ``raw`` gives the unsigned one."""
+    total = _sum_nodes([summands[name] for name in order if name in summands])
+    values = {name: float(node.value) for name, node in summands.items()}
+    values.update(raw)
+    return total, LossBreakdown(**values, total=float(total.value))
+
+
+# The order of a sum decides the order in which the backward pass accumulates
+# into the shared representations, so each keeps the order the method's
+# parameters were first pinned with.
+_LABELED_ORDER = ("task", "adversarial", "attr_pred", "orthogonality")
+_LABELED_VAE_ORDER = ("attr_pred", "adversarial", "orthogonality", "task",
+                      "reconstruction", "kl", "log_prior")
+_UNLABELED_ORDER = ("orthogonality", "task", "reconstruction", "kl",
+                    "log_prior", "entropy_attr", "entropy_adv")
+
+
 def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
                  epsilon, training: bool = False, rng=None):
-    """Supervised composition: the decoder sees the true attribute one-hot in
+    """Supervised composition: the task term, plus the adversarial term with
+    a discriminator, attr_pred and orthogonality with a bias-aware encoder,
+    and with a VAE the ELBO, whose decoder sees the true attribute one-hot in
     the bias-aware slot and a uniform vector in the discriminator slot."""
-    if batch.z is None:
+    uses_z = any(part is not None
+                 for part in (bundle.disc_head, bundle.attr_head, bundle.vae))
+    if uses_z and batch.z is None:
         raise ValueError("labeled loss requires observed attributes")
     if len(batch) == 0:
         raise ValueError("labeled loss got an empty batch")
@@ -183,37 +215,36 @@ def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
     z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 
-    z1 = one_hot(batch.z, k)
-    attr_s = attribute_prediction_loss(z1, z_hat)
-    adv_s = adversarial_loss(z1, z_tilde)
-    orth_s = orthogonality_loss(r_f, r_b)
-    task_s = task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)
+    s = {"task": task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)}
+    z1 = one_hot(batch.z, k) if uses_z else None
+    if z_tilde is not None:
+        s["adversarial"] = adversarial_loss(z1, z_tilde)
+    if z_hat is not None:
+        s["attr_pred"] = attribute_prediction_loss(z1, z_hat)
+        s["orthogonality"] = orthogonality_loss(r_f, r_b)
+    if bundle.vae is None:
+        return _compose(s, _LABELED_ORDER)
 
     z_slot = z1 if config.use_zhat_in_decoder else np.zeros((n, k))
     zt_slot = np.full((n, k), 1.0 / k) if config.use_ztilde_in_decoder \
         else np.zeros((n, k))
     x_hat, mu, sigma = M.vae_forward(bundle, batch.x, zt_slot, z_slot, epsilon)
-    recon_s = reconstruction_loss(batch.x, x_hat)
-    kl_s = kl_to_standard_normal(mu, sigma)
-    prior_s = ad.as_node(LOG2)
-
-    total = _sum_nodes([attr_s, adv_s, orth_s, task_s, recon_s, kl_s, prior_s])
-    breakdown = LossBreakdown(
-        attr_pred=float(attr_s.value), adversarial=float(adv_s.value),
-        orthogonality=float(orth_s.value), task=float(task_s.value),
-        reconstruction=float(recon_s.value), kl=float(kl_s.value),
-        log_prior=LOG2, total=float(total.value),
-    )
-    return total, breakdown
+    s["reconstruction"] = reconstruction_loss(batch.x, x_hat)
+    s["kl"] = kl_to_standard_normal(mu, sigma)
+    s["log_prior"] = ad.as_node(LOG2)
+    return _compose(s, _LABELED_VAE_ORDER)
 
 
 def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
                    epsilon, training: bool = False, rng=None):
-    """Marginalized composition over the enumerable attribute classes.
+    """Unsupervised composition: the task term, plus orthogonality with a
+    bias-aware encoder, and with a VAE the ELBO marginalized over the
+    enumerable attribute classes and both entropy terms.
 
     Branch weights are the bias-aware predictor's class probabilities and stay
     differentiable; the discriminator's soft labels are detached before they
     enter the decoder. Both entropy terms are subtracted from the total.
+    Without a VAE no term reads the attribute heads, so they are not run.
     """
     if batch.z is not None:
         raise ValueError("unlabeled loss got observed attributes")
@@ -222,10 +253,16 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     n = len(batch)
     k = config.attr_classes
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
-    z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
+    if bundle.vae is None:
+        y_hat = ad.softmax(M.task_logits(bundle, r))
+    else:
+        z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 
-    orth_s = orthogonality_loss(r_f, r_b)
-    task_s = task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)
+    s = {"task": task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)}
+    if r_b is not None:
+        s["orthogonality"] = orthogonality_loss(r_f, r_b)
+    if bundle.vae is None:
+        return _compose(s, _UNLABELED_ORDER)
 
     mu, sigma = bundle.vae.latent(batch.x)
     h = ad.reparameterize(mu, sigma, epsilon)
@@ -236,59 +273,45 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     recon_parts, kl_parts, prior_parts = [], [], []
     for c in range(k):
         weight = ad.column(z_hat, c)
-        if config.use_zhat_in_decoder:
-            slot = one_hot(np.full(n, c), k)
-        else:
-            slot = np.zeros((n, k))
+        slot = one_hot(np.full(n, c), k) if config.use_zhat_in_decoder \
+            else np.zeros((n, k))
         x_hat_c = bundle.vae.decode(zt_slot, slot, h)
         recon_parts.append(ad.mul(weight, _recon_rows(batch.x, x_hat_c)))
         kl_parts.append(ad.mul(weight, kl_rows))
         prior_parts.append(ad.mul(weight, np.full(n, LOG2)))
-    recon_s = ad.mean_all(_sum_nodes(recon_parts))
-    kl_s = ad.mean_all(_sum_nodes(kl_parts))
-    prior_s = ad.mean_all(_sum_nodes(prior_parts))
+    s["reconstruction"] = ad.mean_all(_sum_nodes(recon_parts))
+    s["kl"] = ad.mean_all(_sum_nodes(kl_parts))
+    s["log_prior"] = ad.mean_all(_sum_nodes(prior_parts))
 
-    parts = [orth_s, task_s, recon_s, kl_s, prior_s]
-    ent_attr_value = ent_adv_value = 0.0
+    raw = {}
     if config.use_entropy_zhat:
         ent_attr = entropy(z_hat)
-        ent_attr_value = float(ent_attr.value)
+        raw["entropy_attr"] = float(ent_attr.value)
         sign = 1.0 if config.negate_entropy_zhat else -1.0
-        parts.append(ad.scale(ent_attr, sign))
+        s["entropy_attr"] = ad.scale(ent_attr, sign)
     if config.use_entropy_ztilde:
         ent_adv = entropy(z_tilde)
-        ent_adv_value = float(ent_adv.value)
-        parts.append(ad.scale(ent_adv, -1.0))
-
-    total = _sum_nodes(parts)
-    breakdown = LossBreakdown(
-        orthogonality=float(orth_s.value), task=float(task_s.value),
-        reconstruction=float(recon_s.value), kl=float(kl_s.value),
-        entropy_attr=ent_attr_value, entropy_adv=ent_adv_value,
-        log_prior=float(prior_s.value), total=float(total.value),
-    )
-    return total, breakdown
+        raw["entropy_adv"] = float(ent_adv.value)
+        s["entropy_adv"] = ad.scale(ent_adv, -1.0)
+    return _compose(s, _UNLABELED_ORDER, **raw)
 
 
 def joint_loss(labeled_batch, unlabeled_batch, bundle: M.ModelBundle,
                config: ObjectiveConfig, labeled_epsilon, unlabeled_epsilon,
                training: bool = False, rng=None):
     """Sum of the labeled and unlabeled compositions; either side may be empty."""
-    n_lab = len(labeled_batch) if labeled_batch is not None else 0
-    n_unl = len(unlabeled_batch) if unlabeled_batch is not None else 0
-    if n_lab == 0 and n_unl == 0:
+    sides = []
+    if labeled_batch is not None and len(labeled_batch):
+        sides.append(labeled_loss(labeled_batch, bundle, config, labeled_epsilon,
+                                  training=training, rng=rng))
+    if unlabeled_batch is not None and len(unlabeled_batch):
+        sides.append(unlabeled_loss(unlabeled_batch, bundle, config,
+                                    unlabeled_epsilon, training=training, rng=rng))
+    if not sides:
         raise ValueError("joint loss needs at least one non-empty batch")
-    if n_unl == 0:
-        return labeled_loss(labeled_batch, bundle, config, labeled_epsilon,
-                            training=training, rng=rng)
-    if n_lab == 0:
-        return unlabeled_loss(unlabeled_batch, bundle, config, unlabeled_epsilon,
-                              training=training, rng=rng)
-    lab_total, lab_break = labeled_loss(labeled_batch, bundle, config,
-                                        labeled_epsilon, training=training, rng=rng)
-    unl_total, unl_break = unlabeled_loss(unlabeled_batch, bundle, config,
-                                          unlabeled_epsilon, training=training,
-                                          rng=rng)
+    if len(sides) == 1:
+        return sides[0]
+    (lab_total, lab_break), (unl_total, unl_break) = sides
     combined = lab_break + unl_break
     total = ad.add(lab_total, unl_total)
     combined.total = float(total.value)

@@ -1,18 +1,25 @@
 """Optimization: Adam, the training loop for every method, self-training.
 
-Method ladder:
+Method ladder, each a set of loss terms read off the bundle's parts:
 
-plain    one encoder, task loss only (attribute labels never touched, so
-         results are invariant to the masking ratio by construction);
-adv      adversarial learning: a reversed discriminator on the single shared
-         representation, plus the task loss;
-dadv     decomposed adversarial learning: dual encoders, attribute predictor,
-         reversed discriminator, orthogonality and task losses;
-fairvae  dadv fused with the semi-supervised VAE objective on both labeled
-         and unlabeled batches;
+plain    one encoder, task loss only, over one stream of all training rows
+         (attribute labels never touched, so results are invariant to the
+         masking ratio by construction);
+adv      + a reversed discriminator on the shared representation: the
+         adversarial term on labeled batches;
+dadv     + a bias-aware encoder and attribute predictor: attr_pred on labeled
+         batches, orthogonality on both;
+fairvae  + the semi-supervised VAE: the labeled ELBO, the class-marginalized
+         unlabeled ELBO and both entropy terms;
 adv_st / dadv_st
          two-round self-training: fit an attribute predictor on the labeled
          subset, adopt confident pseudo-labels, retrain the base method.
+
+Every step of plain, adv, dadv and fairvae is one ``objectives.joint_loss``
+call; only the batch stream (plain's single stream) and the VAE noise differ
+by method. The self-training predictor keeps its own loop: it trains the
+bias-aware encoder and attribute head alone, with its own batch seed and
+selection rule.
 
 Model selection: the restored checkpoint maximizes validation accuracy minus
 the validation demographic-parity gap, compared over the second half of the
@@ -33,7 +40,7 @@ from . import autodiff as ad
 from . import metrics as MX
 from . import models as M
 from . import objectives as O
-from .data import Batch, DatasetSplit, batches, single_stream_batches
+from .data import DatasetSplit, batches, single_stream_batches
 
 METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
 
@@ -146,40 +153,11 @@ def predict_labels(bundle: M.ModelBundle, x) -> np.ndarray:
     return M.predict_test(bundle, x).value.argmax(axis=1)
 
 
-def _supervised_step(bundle, lab: Batch, unl: Batch, decomposed: bool,
-                     rng_drop) -> tuple[ad.Node, O.LossBreakdown]:
-    """adv / dadv per-step loss: adversarial terms on the labeled batch only,
-    task (and orthogonality for dadv) on both batches."""
-    parts = []
-    br = O.LossBreakdown()
-    r_f, r_b, r = M.encode(bundle, lab.x, training=True, rng=rng_drop)
-    z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
-    task_l = O.task_loss(O.one_hot(lab.y, 2), y_hat)
-    adv_l = O.adversarial_loss(O.one_hot(lab.z, 2), z_tilde)
-    parts += [task_l, adv_l]
-    br.task += float(task_l.value)
-    br.adversarial += float(adv_l.value)
-    if decomposed:
-        attr_l = O.attribute_prediction_loss(O.one_hot(lab.z, 2), z_hat)
-        orth_l = O.orthogonality_loss(r_f, r_b)
-        parts += [attr_l, orth_l]
-        br.attr_pred += float(attr_l.value)
-        br.orthogonality += float(orth_l.value)
-    if len(unl):
-        r_fu, r_bu, ru = M.encode(bundle, unl.x, training=True, rng=rng_drop)
-        y_hat_u = ad.softmax(M.task_logits(bundle, ru))
-        task_u = O.task_loss(O.one_hot(unl.y, 2), y_hat_u)
-        parts.append(task_u)
-        br.task += float(task_u.value)
-        if decomposed:
-            orth_u = O.orthogonality_loss(r_fu, r_bu)
-            parts.append(orth_u)
-            br.orthogonality += float(orth_u.value)
-    total = parts[0]
-    for node in parts[1:]:
-        total = ad.add(total, node)
-    br.total = float(total.value)
-    return total, br
+def _epsilon(bundle, rng, batch, latent_dim: int):
+    """Reparameterization noise for one batch side; None if nothing uses it."""
+    if bundle.vae is None or batch is None or not len(batch):
+        return None
+    return rng.standard_normal((len(batch), latent_dim))
 
 
 def _validation_criterion(bundle, split: DatasetSplit) -> dict:
@@ -224,22 +202,11 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
         else:
             stream = batches(split, spec.batch_size, spec.seed, epoch)
         for lab, unl in stream:
-            if spec.method == "plain":
-                _, _, r = M.encode(bundle, lab.x, training=True, rng=rng_drop)
-                y_hat = ad.softmax(M.task_logits(bundle, r))
-                total = O.task_loss(O.one_hot(lab.y, 2), y_hat)
-                br = O.LossBreakdown(task=float(total.value),
-                                     total=float(total.value))
-            elif spec.method in ("adv", "dadv"):
-                total, br = _supervised_step(bundle, lab, unl,
-                                             spec.method == "dadv", rng_drop)
-            else:  # fairvae
-                eps_l = rng_eps.standard_normal((len(lab), spec.latent_dim))
-                eps_u = rng_eps.standard_normal((len(unl), spec.latent_dim)) \
-                    if len(unl) else None
-                total, br = O.joint_loss(lab, unl, bundle, obj_cfg,
-                                         eps_l, eps_u, training=True,
-                                         rng=rng_drop)
+            total, br = O.joint_loss(
+                lab, unl, bundle, obj_cfg,
+                _epsilon(bundle, rng_eps, lab, spec.latent_dim),
+                _epsilon(bundle, rng_eps, unl, spec.latent_dim),
+                training=True, rng=rng_drop)
             opt.zero_grad()
             ad.backward(total)
             opt.step(context=f"method={spec.method} epoch={epoch} step={steps}")
@@ -265,6 +232,12 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
     return bundle, report
 
 
+def _attribute_probs(bundle, x) -> ad.Node:
+    """The attribute predictor in eval mode over x, tracking no gradients."""
+    with ad.no_grad():
+        return bundle.attr_head(bundle.bias_aware.forward(x))
+
+
 def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
                                epochs: int) -> M.ModelBundle:
     """Round one of self-training: fit the attribute predictor on labeled data."""
@@ -284,8 +257,7 @@ def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
             opt.zero_grad()
             ad.backward(loss)
             opt.step(context=f"attribute predictor epoch={epoch}")
-        val_pred = bundle.attr_head(
-            bundle.bias_aware.forward(split.val_x)).value.argmax(axis=1)
+        val_pred = _attribute_probs(bundle, split.val_x).value.argmax(axis=1)
         acc = MX.accuracy(split.val_z, val_pred)
         if acc > best_acc:
             best_acc, best_state = acc, bundle.state_arrays()
@@ -305,14 +277,9 @@ def self_train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
     base_method = spec.method.removesuffix("_st")
 
     predictor = _train_attribute_predictor(spec, split, epochs)
-    if split.n_unlabeled:
-        probs = predictor.attr_head(
-            predictor.bias_aware.forward(split.unl_x)).value
-        confident = probs.max(axis=1) >= spec.st_threshold
-        pseudo = probs.argmax(axis=1)
-    else:
-        confident = np.zeros(0, dtype=bool)
-        pseudo = np.zeros(0, dtype=int)
+    probs = _attribute_probs(predictor, split.unl_x).value
+    confident = probs.max(axis=1) >= spec.st_threshold
+    pseudo = probs.argmax(axis=1)
 
     if confident.any():
         aug_split = split.with_pseudo_labels(confident, pseudo[confident])

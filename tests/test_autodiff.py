@@ -255,7 +255,6 @@ FD_CASES = {
                     lambda p: ad.mean_all(ad.log_clipped(
                         ad.add(ad.square(p[0]), ad.Node(np.full((4, 3), 0.5))),
                         hi=np.inf))),
-    "abs": ([(4, 3)], lambda p: ad.mean_all(ad.absolute(p[0]))),
     "abs_row_cosine": ([(4, 3), (4, 3)],
                        lambda p: ad.mean_all(ad.abs_row_cosine(p[0], p[1])[0])),
     "reparameterize": ([(4, 3), (4, 3)],

@@ -186,14 +186,6 @@ class TestSplitAndMask:
             D.split_and_mask(samples, 0.1, 0.001, seed=0)
         assert D.split_and_mask(samples, 0.1, 1 / 270, seed=0).n_labeled == 1
 
-    def test_training_view_hides_shadow_attributes(self, split):
-        view = split.training_view()
-        assert "z" not in view["unlabeled"]
-        blob = json.dumps({k: {kk: vv.tolist() for kk, vv in v.items()}
-                           for k, v in view.items()})
-        assert "shadow" not in blob
-        assert split.shadow_reads == 0
-
     def test_shadow_access_is_counted(self, split):
         before = split.shadow_reads
         shadow = split.shadow_unlabeled_attributes()
@@ -231,22 +223,3 @@ class TestBatches:
             return [b.x.sum() for b, _ in D.batches(split, 32, seed=9, epoch=epoch)]
         assert orders(0) == orders(0)
         assert orders(0) != orders(1)
-
-
-class TestCache:
-    def test_roundtrip(self, tmp_path, loaded):
-        train, _ = loaded
-        samples, stats = D.preprocess(train)
-        path = tmp_path / "cache.npz"
-        D.save_cache(path, samples, stats)
-        loaded_samples, loaded_stats = D.load_cache(path, stats.schema_hash())
-        assert loaded_stats.schema_hash() == stats.schema_hash()
-        np.testing.assert_array_equal(loaded_samples[0].x, samples[0].x)
-
-    def test_wrong_key_rejected(self, tmp_path, loaded):
-        train, _ = loaded
-        samples, stats = D.preprocess(train)
-        path = tmp_path / "cache.npz"
-        D.save_cache(path, samples, stats)
-        with pytest.raises(D.ConfigError, match="hash"):
-            D.load_cache(path, "deadbeef" * 8)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import warnings
@@ -155,6 +156,28 @@ class TestRunExperiments:
         assert statuses["cnn"].startswith("FAILED")
         agg = {a["backbone"]: a for a in table.aggregated}
         assert agg["cnn"]["n_failed"] == 1
+
+
+class TestCsvOutput:
+    def test_failed_status_with_commas_and_quotes_reads_back(self, tmp_path):
+        status = 'FAILED: ShapeMismatch: matmul shapes (3, 4) x (5, 6) in "lr"'
+        rows = [
+            {"cell": "a", "status": "OK", "accuracy": 0.75, "seed": 0},
+            {"cell": "b", "status": status, "accuracy": "", "seed": 1,
+             "traceback": "Traceback, with commas"},
+        ]
+        path = tmp_path / "rows.csv"
+        X._write_csv(path, rows, "# kind=grid")
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["# kind=grid", "cell,status,accuracy,seed",
+                             "a,OK,0.75,0"]
+        with open(path, newline="") as fh:
+            next(fh)
+            read = list(csv.DictReader(fh))
+        assert read == [
+            {"cell": "a", "status": "OK", "accuracy": "0.75", "seed": "0"},
+            {"cell": "b", "status": status, "accuracy": "", "seed": "1"},
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -362,6 +364,28 @@ class TestSerialization:
             M.load_bundle(path)
         path.write_bytes(blob)
         M.load_bundle(path)
+
+    @pytest.mark.parametrize("offset", [9, 12, 20, 50])
+    def test_damaged_header_byte_rejected(self, tiny_checkpoint, offset):
+        path, blob = tiny_checkpoint
+        for byte in (b"x", b"\xff"):
+            path.write_bytes(blob[:offset] + byte + blob[offset + 1:])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: the checkpoint header is damaged")):
+                M.load_bundle(path)
+
+    def test_header_without_config_rejected(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        start = len(M.CHECKPOINT_MAGIC) + 4
+        (hlen,) = struct.unpack("<I", blob[len(M.CHECKPOINT_MAGIC):start])
+        header = json.loads(blob[start:start + hlen])
+        del header["config"]
+        head = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<I", len(head))
+                         + head + blob[start + hlen:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: the checkpoint header is damaged: KeyError")):
+            M.load_bundle(path)
 
 
 class TestInitialization:

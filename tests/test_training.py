@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -222,6 +223,25 @@ class TestSelfTraining:
         assert report.shadow_reads_during_training == 0
         assert split.shadow_reads == 1  # the post-training diagnostic read
 
+    def test_pseudo_labels_come_from_a_pass_that_tracks_no_gradient(
+            self, monkeypatch):
+        passes = []
+        attribute_probs = T._attribute_probs
+
+        def spy(bundle, x):
+            out = attribute_probs(bundle, x)
+            passes.append((len(x), out))
+            return out
+
+        monkeypatch.setattr(T, "_attribute_probs", spy)
+        split = tiny_split(seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            T.train(toy_spec("dadv_st", seed=5, epochs=2), split)
+        assert [n for n, _ in passes] == [len(split.val_y)] * 2 + [split.n_unlabeled]
+        for _, out in passes:
+            assert not out.requires_grad and out.parents == ()
+
     def test_adv_st_runs(self):
         split = tiny_split(seed=13)
         with warnings.catch_warnings():
@@ -259,3 +279,69 @@ class TestSyntheticDebiasing:
         assert probes["plain"] >= 0.9, probes
         assert probes["dadv"] <= 0.6, probes
         assert probes["fairvae"] <= 0.6, probes
+
+
+def _ladder_digest(method, backbone):
+    """sha256 over (name, float64 bytes) of every parameter after two epochs
+    of one ladder cell, with dropout on and pseudo-labels adopted by _st."""
+    samples = separable_samples(40, seed=21)
+    split = D.split_and_mask(samples, val_frac=0.1, label_ratio=0.3, seed=21)
+    spec = toy_spec(method, backbone=backbone, seed=21, epochs=2, batch_size=8,
+                    dropout_rate=0.2, st_threshold=0.55, label_ratio=0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundle, _ = T.train(spec, split)
+    digest = hashlib.sha256()
+    for p in bundle.parameters():
+        digest.update(p.name.encode())
+        digest.update(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# recorded when plain, adv/dadv and fairvae each had their own step body
+GOLDEN_LADDER_DIGESTS = {
+    "plain/lr":
+        "6657c6bb7814183e3571d0fa356db510fbc404df033894296bafa73337aa2376",
+    "plain/dnn":
+        "d3dfac3d2fb22b823201b7131b7ab9341e68c77666cad4daa9c89150ffca4fc1",
+    "plain/fm":
+        "bbaa7b2dc1ff1c22b699e58aedd137fbad1a23a49fcbc870c57b15c10ae22dac",
+    "adv/lr":
+        "ac6b8ae8a1c653910d1fb9a407d44083d25dbcbcf0e195649467ee2126de2b97",
+    "adv/dnn":
+        "614cc4d903d4579358f4a8cfbfd564763d79fd41354fea18c4bfcd95e5615579",
+    "adv/fm":
+        "99f2713bcf91dc1fc1d9a0c6c07e84b5743ded2ef73315f0a3d606f934663250",
+    "adv_st/lr":
+        "0eba47ede7cc3a49fccb64b0afdcc37fb979a5e25ff9f6aaa8c157d0dbb9295a",
+    "adv_st/dnn":
+        "d86c95b35b1011cf60139f89e152ad87d8bc69594718341826528241c9d1549f",
+    "adv_st/fm":
+        "dbd255c2116c03a139b99b9ced280af0621874ad051569ad6ae872a7e1979880",
+    "dadv/lr":
+        "13156fd34a2312e785d36222b9643216e23192fd347087f5911e32eac14a5160",
+    "dadv/dnn":
+        "f71dd3237d5d702c3b7921e111a7542ecf412ca18df43302576cd7d39238e2bf",
+    "dadv/fm":
+        "7b090b96c033288cd4a948860808147d71c2fcf7fffe682480cea6bdcb47e5cd",
+    "dadv_st/lr":
+        "3d3ad8d03f979fbb0c6e0e401fcc925b9e858dae9a918fed87cd078504efae3b",
+    "dadv_st/dnn":
+        "34f1aebd6909829fa115b2ff29ca07a49e7d25d7a4f0c872b84d929cc2ec9eae",
+    "dadv_st/fm":
+        "8c9c32752a71c315f29fa17b82fc62cca96460b963191aae7b074e761e7cc32c",
+    "fairvae/lr":
+        "dbaed26754e7415bb282feca0567f5631b98e9484094bbf9615ff1433afa29d7",
+    "fairvae/dnn":
+        "80dbf5c3d0cef94f5f335a33d84259fbedf1af075abb90a810d892e4639ac916",
+    "fairvae/fm":
+        "437d58a972eb1d5004c355ff3388686d8f231a51d9bebd283c4df41fbc979002",
+}
+
+
+class TestLadderDigests:
+    @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
+    @pytest.mark.parametrize("method", T.METHODS)
+    def test_parameters_match_golden_digest(self, method, backbone):
+        assert (_ladder_digest(method, backbone)
+                == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
