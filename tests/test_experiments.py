@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import warnings
@@ -330,3 +331,67 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert "fetch_adult" in capsys.readouterr().err
+
+
+def _digest_after_header(path):
+    """sha256 of a written table without its first line, which carries the
+    config hash (and through it the output directory)."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+# recorded on the tiny lr config (2 seeds) before the three runners shared
+# one grid path
+RUNNER_PINS = {
+    "results": {
+        "results_raw.csv":
+            "060eeaffe24ce2d4dbb5b1808e54beb0096c7602afc0757759ff1f56054298a9",
+        "results_agg.csv":
+            "bc17109ff51f765df8aeee170b248883d4eecb0f050a51f354e783cebb84393a",
+        "results.txt":
+            "324ac83acd8df4eba028e1e173785ee231961c52e948d70a746733204913d848",
+    },
+    "ablation": {
+        "ablation_raw.csv":
+            "d9b76371a35860c0116d0546e20a1423f420042a75aa753149f0b8e9cbe29006",
+        "ablation_agg.csv":
+            "23dab4216bfd2171de0e2baf89db6bddd049168aed51445f0d5697c74614880f",
+        "ablation.txt":
+            "d0b31112c9201abc6bfb9f1413a8bfb8784b549d37266195f98b9a7ba160bb47",
+    },
+    "sweep_lambda": {
+        "sweep_lambda_raw.csv":
+            "16c489b066ce27d1e7feb8fbee9405b091b9193f3074169f15b17d9db166b106",
+        "sweep_lambda_agg.csv":
+            "aad394824b023208816a3c73a3b13fc899ec3c6ff699862ed91cacc697661f57",
+        "sweep_lambda.txt":
+            "f44d4744be918f1407c5f6ae09a9c5eb16a15717cff069f5b2792f0839a4dc27",
+    },
+    "sweep_unlabeled_fraction": {
+        "sweep_unlabeled_fraction_raw.csv":
+            "2110c86d41b4caed510e22c70e3f078d658368c336b0461005fe5677e7ada6f6",
+        "sweep_unlabeled_fraction_agg.csv":
+            "e87fb23b5da7991138c45a0f8b7aa4b63c29c37b6e0ec63befedf4b329407898",
+        "sweep_unlabeled_fraction.txt":
+            "f3f1f788783e5b5d9f8cd24abc0acc491d29df9e1e2a6d8cc3512f51604f3ff3",
+    },
+}
+
+
+def _run_stem(cfg, stem):
+    if stem == "results":
+        return X.run_experiments(cfg)
+    if stem == "ablation":
+        return X.run_ablation(cfg)
+    return X.run_sweep(cfg, stem.removeprefix("sweep_"))
+
+
+class TestRunnerPins:
+    @pytest.mark.parametrize("stem", sorted(RUNNER_PINS))
+    def test_tables_match_pins(self, dataset, tmp_path, stem):
+        _run_stem(tiny_config(dataset, tmp_path), stem)
+        digests = {f"{stem}{suffix}": _digest_after_header(
+            tmp_path / f"{stem}{suffix}")
+            for suffix in ("_raw.csv", "_agg.csv", ".txt")}
+        assert digests == RUNNER_PINS[stem]
