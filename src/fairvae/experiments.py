@@ -1,9 +1,15 @@
 """Config-driven experiment runner: grids, ablations, sweeps, exports.
 
+The grid, the ablation and both sweeps are cell lists run through one path
+(``_run_grid``): execute every cell, aggregate the rows by group, emit the
+tables. A cell is ``run_cell``'s keyword arguments plus a ``group`` dict that
+is stamped onto its row, so a row names its grid point whether it passed or
+failed. Cells run independently; a failing cell is recorded as FAILED and the
+run continues.
+
 Every output file embeds the config hash and the seed list, and all floats
 are written with round-trip ``repr`` so a rerun under the same hash is
-byte-identical. Cells (backbone x method x ratio x seed) run independently;
-a failing cell is recorded as FAILED and the run continues.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +45,11 @@ ABLATION_VARIANTS = {
     "no_entropy_ztilde": {"use_entropy_ztilde": False},
 }
 
-SWEEP_AXES = ("lambda", "unlabeled_fraction")
+# sweep axis -> (row key and run_cell argument, cell-name tag, config grid)
+SWEEP_AXES = {
+    "lambda": ("grl_lambda", "lam", "lambda_grid"),
+    "unlabeled_fraction": ("unlabeled_fraction", "frac", "unlabeled_fractions"),
+}
 
 
 @dataclass
@@ -147,21 +157,6 @@ def _cell_name(backbone, method, ratio, seed, **extra):
     return "_".join(str(p) for p in parts)
 
 
-def _method_spec(cfg: ExperimentConfig, backbone: str, method: str,
-                 ratio: float, seed: int, grl_lambda: float | None = None,
-                 objective: ObjectiveConfig | None = None) -> T.MethodSpec:
-    return T.MethodSpec(
-        backbone=backbone, method=method,
-        grl_lambda=cfg.grl_lambda if grl_lambda is None else grl_lambda,
-        label_ratio=ratio, seed=seed, st_threshold=cfg.st_threshold,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        hidden_dim=cfg.hidden_dim, latent_dim=cfg.latent_dim,
-        fm_factors=cfg.fm_factors, dropout_rate=cfg.dropout_rate,
-        head_hidden=cfg.head_hidden,
-        objective=objective if objective is not None else cfg.objective(),
-    )
-
-
 def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
              seed: int, grl_lambda: float | None = None,
              objective: ObjectiveConfig | None = None,
@@ -185,8 +180,16 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
                                  "cell": name, "seed": seed}) + "\n")
         def log_writer(record):
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-    spec = _method_spec(cfg, backbone, method, ratio, seed,
-                        grl_lambda=grl_lambda, objective=objective)
+    spec = T.MethodSpec(
+        backbone=backbone, method=method,
+        grl_lambda=cfg.grl_lambda if grl_lambda is None else grl_lambda,
+        label_ratio=ratio, seed=seed, st_threshold=cfg.st_threshold,
+        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+        hidden_dim=cfg.hidden_dim, latent_dim=cfg.latent_dim,
+        fm_factors=cfg.fm_factors, dropout_rate=cfg.dropout_rate,
+        head_hidden=cfg.head_hidden,
+        objective=objective if objective is not None else cfg.objective(),
+    )
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -216,40 +219,28 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
         "seed": seed, "status": "OK", **fairness.as_dict(),
         "selected_epoch": report.selected_epoch,
     }
-    if grl_lambda is not None:
-        row["grl_lambda"] = grl_lambda
-    if unlabeled_fraction is not None:
-        row["unlabeled_fraction"] = unlabeled_fraction
     if report.pseudo_label_count is not None:
         row["pseudo_label_count"] = report.pseudo_label_count
     return row
 
 
 def _run_cell_task(args):
-    cfg_dict, kwargs = args
-    cfg = ExperimentConfig(**cfg_dict)
+    """Run one cell in isolation; the cell's group lands on its row, OK or
+    FAILED."""
+    cfg_dict, cell = args
+    kwargs = {k: v for k, v in cell.items() if k != "group"}
     try:
-        return run_cell(cfg, **kwargs)
+        row = run_cell(ExperimentConfig(**cfg_dict), **kwargs)
     except Exception as exc:  # cell isolation: record and continue
-        return {
-            "cell": kwargs.get("cell_name") or _cell_name(
-                kwargs["backbone"], kwargs["method"], kwargs["ratio"],
-                kwargs["seed"]),
-            "backbone": kwargs["backbone"], "method": kwargs["method"],
-            "ratio": kwargs["ratio"], "seed": kwargs["seed"],
+        row = {
+            "cell": kwargs["cell_name"], "backbone": kwargs["backbone"],
+            "method": kwargs["method"], "ratio": kwargs["ratio"],
+            "seed": kwargs["seed"],
             "status": f"FAILED: {type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(limit=3),
         }
-
-
-def _execute(cfg: ExperimentConfig, cell_kwargs: list[dict]) -> list[dict]:
-    tasks = [(asdict(cfg), kw) for kw in cell_kwargs]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_run_cell_task, tasks))
-    else:
-        rows = [_run_cell_task(t) for t in tasks]
-    return sorted(rows, key=lambda r: r["cell"])
+    row.update(cell["group"])
+    return row
 
 
 @dataclass
@@ -264,20 +255,20 @@ class ResultsTable:
     def ok_rows(self):
         return [r for r in self.raw_rows if r["status"] == "OK"]
 
+    def comment(self) -> str:
+        return (f"# kind={self.kind} config_hash={self.config_hash} "
+                f"seeds={self.seeds}")
+
     def render_text(self) -> str:
-        lines = [f"# kind={self.kind} config_hash={self.config_hash} "
-                 f"seeds={self.seeds}"]
+        lines = [self.comment()]
         if self.kind == "experiments":
             ratios = sorted({r["ratio"] for r in self.aggregated})
             header = f"{'Method':24s}" + "".join(
                 f" | {'%g' % ratio + ':':<7s}Acc    DP     OPP   " for ratio in ratios)
             lines.append(header)
             lines.append("-" * len(header))
-            pairs = []
-            for row in self.aggregated:
-                pair = (row["backbone"], row["method"])
-                if pair not in pairs:
-                    pairs.append(pair)
+            pairs = dict.fromkeys((r["backbone"], r["method"])
+                                  for r in self.aggregated)
             for backbone, method in pairs:
                 cells = []
                 for ratio in ratios:
@@ -292,13 +283,12 @@ class ResultsTable:
                         cells.append(" |        FAILED" + " " * 13)
                 lines.append(f"{backbone + '+' + method:24s}" + "".join(cells))
         else:
-            keys = [k for k in self.group_keys]
             metrics = ["accuracy", "dp_gap", "opp_gap"]
-            header = " ".join(f"{k:>20s}" for k in keys) + "".join(
+            header = " ".join(f"{k:>20s}" for k in self.group_keys) + "".join(
                 f" {m + '_mean':>14s} {m + '_std':>14s}" for m in metrics)
             lines.append(header)
             for row in self.aggregated:
-                cells = " ".join(f"{str(row[k]):>20s}" for k in keys)
+                cells = " ".join(f"{str(row[k]):>20s}" for k in self.group_keys)
                 for m in metrics:
                     cells += f" {row[m]:14.4f} {row[m + '_std']:14.4f}"
                 lines.append(cells)
@@ -308,16 +298,10 @@ class ResultsTable:
 def _aggregate(rows: list[dict], group_keys: tuple) -> list[dict]:
     metrics = ["accuracy", "auc", "dp_gap", "opp_gap", "probe_accuracy"]
     groups: dict[tuple, list[dict]] = {}
-    order: list[tuple] = []
     for row in rows:
-        key = tuple(row.get(k) for k in group_keys)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(tuple(row.get(k) for k in group_keys), []).append(row)
     aggregated = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         ok = [r for r in members if r["status"] == "OK"]
         agg = dict(zip(group_keys, key))
         agg["n_ok"] = len(ok)
@@ -347,96 +331,77 @@ def _write_csv(path, rows: list[dict], header_comment: str) -> None:
                              for v in values])
 
 
-def _emit(cfg: ExperimentConfig, table: ResultsTable, stem: str) -> ResultsTable:
+def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
+              group_keys: tuple) -> ResultsTable:
+    """Run a cell list (serially or in the process pool), aggregate the rows
+    by ``group_keys`` and write ``<stem>_raw.csv``, ``_agg.csv`` and ``.txt``."""
+    load_dataset(cfg)  # fail fast with the download hint if files are missing
+    tasks = [(asdict(cfg), cell) for cell in cells]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            rows = list(pool.map(_run_cell_task, tasks))
+    else:
+        rows = [_run_cell_task(t) for t in tasks]
+    rows.sort(key=lambda r: r["cell"])
+    table = ResultsTable(
+        kind=kind, config_hash=config_hash(cfg), seeds=cfg.seeds,
+        raw_rows=rows, aggregated=_aggregate(rows, group_keys),
+        group_keys=group_keys,
+    )
     root = output_root(cfg)
-    comment = (f"# kind={table.kind} config_hash={table.config_hash} "
-               f"seeds={table.seeds}")
-    _write_csv(os.path.join(root, f"{stem}_raw.csv"), table.raw_rows, comment)
-    _write_csv(os.path.join(root, f"{stem}_agg.csv"), table.aggregated, comment)
+    _write_csv(os.path.join(root, f"{stem}_raw.csv"), rows, table.comment())
+    _write_csv(os.path.join(root, f"{stem}_agg.csv"), table.aggregated,
+               table.comment())
     with open(os.path.join(root, f"{stem}.txt"), "w", encoding="utf-8") as fh:
         fh.write(table.render_text())
     return table
 
 
+def _point_cells(cfg: ExperimentConfig, backbone: str, ratio: float, key: str,
+                 tag: str, points: list[tuple]) -> list[dict]:
+    """fairvae cells at one backbone and ratio, one per seed and
+    ``(value, extra run_cell arguments)`` point, grouped by ``key``."""
+    return [
+        dict(backbone=backbone, method="fairvae", ratio=ratio, seed=seed,
+             cell_name=_cell_name(backbone, "fairvae", ratio, seed, **{tag: value}),
+             group={key: value}, **extra)
+        for value, extra in points for seed in cfg.seeds
+    ]
+
+
 def run_experiments(cfg: ExperimentConfig) -> ResultsTable:
     """The full grid: backbone x method x label ratio x seed."""
-    load_dataset(cfg)  # fail fast with the download hint if files are missing
     cells = [
-        dict(backbone=b, method=m, ratio=r, seed=s)
+        dict(backbone=b, method=m, ratio=r, seed=s,
+             cell_name=_cell_name(b, m, r, s), group={})
         for b in cfg.backbones for m in cfg.methods
         for r in cfg.label_ratios for s in cfg.seeds
     ]
-    rows = _execute(cfg, cells)
-    table = ResultsTable(
-        kind="experiments", config_hash=config_hash(cfg), seeds=cfg.seeds,
-        raw_rows=rows,
-        aggregated=_aggregate(rows, ("backbone", "method", "ratio")),
-        group_keys=("backbone", "method", "ratio"),
-    )
-    return _emit(cfg, table, "results")
+    return _run_grid(cfg, "experiments", "results", cells,
+                     ("backbone", "method", "ratio"))
 
 
 def run_ablation(cfg: ExperimentConfig) -> ResultsTable:
     """Single-switch-off variants of the full model at the ablation ratio."""
-    load_dataset(cfg)
-    cells = []
-    for variant, switches in ABLATION_VARIANTS.items():
-        objective = replace(cfg.objective(), **switches)
-        for seed in cfg.seeds:
-            cells.append(dict(
-                backbone=cfg.ablation_backbone, method="fairvae",
-                ratio=cfg.ablation_ratio, seed=seed, objective=objective,
-                cell_name=_cell_name(cfg.ablation_backbone, "fairvae",
-                                     cfg.ablation_ratio, seed, variant=variant),
-            ))
-    rows = _execute(cfg, cells)
-    for row in rows:
-        row["variant"] = row["cell"].split("variant")[-1]
-    table = ResultsTable(
-        kind="ablation", config_hash=config_hash(cfg), seeds=cfg.seeds,
-        raw_rows=rows, aggregated=_aggregate(rows, ("variant",)),
-        group_keys=("variant",),
-    )
-    return _emit(cfg, table, "ablation")
+    points = [(variant, {"objective": replace(cfg.objective(), **switches)})
+              for variant, switches in ABLATION_VARIANTS.items()]
+    cells = _point_cells(cfg, cfg.ablation_backbone, cfg.ablation_ratio,
+                         "variant", "variant", points)
+    return _run_grid(cfg, "ablation", "ablation", cells, ("variant",))
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str) -> ResultsTable:
     """One aggregated row per grid point along lambda or unlabeled fraction."""
     if axis not in SWEEP_AXES:
-        raise D.ConfigError(f"unknown sweep axis {axis!r}; expected {SWEEP_AXES}")
-    load_dataset(cfg)
-    cells = []
-    if axis == "lambda":
-        if not cfg.lambda_grid:
-            raise D.ConfigError("lambda sweep needs a non-empty lambda_grid")
-        for lam in cfg.lambda_grid:
-            for seed in cfg.seeds:
-                cells.append(dict(
-                    backbone=cfg.sweep_backbone, method="fairvae",
-                    ratio=cfg.sweep_ratio, seed=seed, grl_lambda=lam,
-                    cell_name=_cell_name(cfg.sweep_backbone, "fairvae",
-                                         cfg.sweep_ratio, seed, lam=lam),
-                ))
-        group = ("grl_lambda",)
-    else:
-        if not cfg.unlabeled_fractions:
-            raise D.ConfigError(
-                "unlabeled-fraction sweep needs a non-empty unlabeled_fractions")
-        for frac in cfg.unlabeled_fractions:
-            for seed in cfg.seeds:
-                cells.append(dict(
-                    backbone=cfg.sweep_backbone, method="fairvae",
-                    ratio=cfg.sweep_ratio, seed=seed, unlabeled_fraction=frac,
-                    cell_name=_cell_name(cfg.sweep_backbone, "fairvae",
-                                         cfg.sweep_ratio, seed, frac=frac),
-                ))
-        group = ("unlabeled_fraction",)
-    rows = _execute(cfg, cells)
-    table = ResultsTable(
-        kind=f"sweep_{axis}", config_hash=config_hash(cfg), seeds=cfg.seeds,
-        raw_rows=rows, aggregated=_aggregate(rows, group), group_keys=group,
-    )
-    return _emit(cfg, table, f"sweep_{axis}")
+        raise D.ConfigError(
+            f"unknown sweep axis {axis!r}; expected {tuple(SWEEP_AXES)}")
+    key, tag, grid_field = SWEEP_AXES[axis]
+    grid = getattr(cfg, grid_field)
+    if not grid:
+        raise D.ConfigError(f"{axis} sweep needs a non-empty {grid_field}")
+    cells = _point_cells(cfg, cfg.sweep_backbone, cfg.sweep_ratio, key, tag,
+                         [(value, {key: value}) for value in grid])
+    return _run_grid(cfg, f"sweep_{axis}", f"sweep_{axis}", cells, (key,))
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +410,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> ResultsTable:
 
 def _load_test_set(checkpoint_header: dict, test_path):
     stats = D.Stats(**checkpoint_header["extra"]["stats"])
-    records = D._read_adult_file(test_path)
-    samples, _ = D.preprocess(records, stats,
+    samples, _ = D.preprocess(D._read_adult_file(test_path), stats,
                               include_sensitive=stats.include_sensitive)
-    x = np.stack([s.x for s in samples])
-    y = np.array([s.y for s in samples], dtype=int)
-    z = np.array([s.z for s in samples], dtype=int)
-    return x, y, z
+    return D._stack(samples, np.arange(len(samples)))
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:

@@ -395,3 +395,18 @@ class TestRunnerPins:
             tmp_path / f"{stem}{suffix}")
             for suffix in ("_raw.csv", "_agg.csv", ".txt")}
         assert digests == RUNNER_PINS[stem]
+
+
+class TestFailedGridPoints:
+    @pytest.mark.parametrize("axis,key,grid", [
+        ("lambda", "grl_lambda", [0.0, 0.4]),
+        ("unlabeled_fraction", "unlabeled_fraction", [0.0, 1.0]),
+    ])
+    def test_failed_sweep_aggregates_per_grid_point(self, dataset, tmp_path,
+                                                    axis, key, grid):
+        cfg = tiny_config(dataset, tmp_path, lr=float("nan"))
+        table = X.run_sweep(cfg, axis)
+        assert all(r["status"].startswith("FAILED") for r in table.raw_rows)
+        assert sorted({r[key] for r in table.raw_rows}) == grid
+        assert [(a[key], a["n_ok"], a["n_failed"]) for a in table.aggregated] \
+            == [(value, 0, len(cfg.seeds)) for value in grid]
