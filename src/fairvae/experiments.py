@@ -237,7 +237,7 @@ def _run_cell_task(args):
             "method": kwargs["method"], "ratio": kwargs["ratio"],
             "seed": kwargs["seed"],
             "status": f"FAILED: {type(exc).__name__}: {exc}",
-            "traceback": traceback.format_exc(limit=3),
+            "traceback": traceback.format_exc(),
         }
     row.update(cell["group"])
     return row
@@ -354,6 +354,13 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
                table.comment())
     with open(os.path.join(root, f"{stem}.txt"), "w", encoding="utf-8") as fh:
         fh.write(table.render_text())
+    # written on every run, so a clean rerun replaces a stale file
+    with open(os.path.join(root, f"{stem}_failures.jsonl"), "w",
+              encoding="utf-8") as fh:
+        for row in rows:
+            if row["status"] != "OK":
+                fh.write(json.dumps({k: row[k] for k in
+                                     ("cell", "status", "traceback")}) + "\n")
     return table
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,6 +48,16 @@ METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
 
 class NonFiniteGradient(RuntimeError):
     """A gradient turned NaN/Inf; the step is aborted with context."""
+
+
+@contextmanager
+def _step_context(context: str):
+    """Name the training step in a ValueError it raises (a non-finite value, a
+    shape mismatch): re-raised as the same type, chained from the original."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{exc} ({context})") from exc
 
 
 class Adam:
@@ -202,14 +213,16 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
         else:
             stream = batches(split, spec.batch_size, spec.seed, epoch)
         for lab, unl in stream:
-            total, br = O.joint_loss(
-                lab, unl, bundle, obj_cfg,
-                _epsilon(bundle, rng_eps, lab, spec.latent_dim),
-                _epsilon(bundle, rng_eps, unl, spec.latent_dim),
-                training=True, rng=rng_drop)
-            opt.zero_grad()
-            ad.backward(total)
-            opt.step(context=f"method={spec.method} epoch={epoch} step={steps}")
+            context = f"method={spec.method} epoch={epoch} step={steps}"
+            with _step_context(context):
+                total, br = O.joint_loss(
+                    lab, unl, bundle, obj_cfg,
+                    _epsilon(bundle, rng_eps, lab, spec.latent_dim),
+                    _epsilon(bundle, rng_eps, unl, spec.latent_dim),
+                    training=True, rng=rng_drop)
+                opt.zero_grad()
+                ad.backward(total)
+                opt.step(context=context)
             for key, value in br.as_dict().items():
                 agg[key] = agg.get(key, 0.0) + value
             if log_writer is not None:
@@ -249,14 +262,16 @@ def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
     rng_drop = _stream(spec.seed, 13)
     best_acc, best_state = -np.inf, None
     for epoch in range(epochs):
+        context = f"attribute predictor epoch={epoch}"
         for lab, _ in batches(split, spec.batch_size, spec.seed + 7919, epoch):
-            r_b = ad.dropout(bundle.bias_aware.forward(lab.x),
-                             spec.dropout_rate, training=True, rng=rng_drop)
-            z_hat = bundle.attr_head(r_b)
-            loss = O.attribute_prediction_loss(O.one_hot(lab.z, 2), z_hat)
-            opt.zero_grad()
-            ad.backward(loss)
-            opt.step(context=f"attribute predictor epoch={epoch}")
+            with _step_context(context):
+                r_b = ad.dropout(bundle.bias_aware.forward(lab.x),
+                                 spec.dropout_rate, training=True, rng=rng_drop)
+                z_hat = bundle.attr_head(r_b)
+                loss = O.attribute_prediction_loss(O.one_hot(lab.z, 2), z_hat)
+                opt.zero_grad()
+                ad.backward(loss)
+                opt.step(context=context)
         val_pred = _attribute_probs(bundle, split.val_x).value.argmax(axis=1)
         acc = MX.accuracy(split.val_z, val_pred)
         if acc > best_acc:

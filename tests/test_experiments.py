@@ -410,3 +410,34 @@ class TestFailedGridPoints:
         assert sorted({r[key] for r in table.raw_rows}) == grid
         assert [(a[key], a["n_ok"], a["n_failed"]) for a in table.aggregated] \
             == [(value, 0, len(cfg.seeds)) for value in grid]
+
+
+class TestFailureRecords:
+    def test_non_finite_step_names_its_step(self, dataset, tmp_path):
+        cfg = tiny_config(dataset, tmp_path, lr=float("nan"))
+        with pytest.raises(ValueError,
+                           match=r"non-finite .*\(method=fairvae epoch=0 step=1\)"
+                           ) as info:
+            X.run_cell(cfg, "lr", "fairvae", 0.5, 0)
+        assert type(info.value) is ValueError
+        assert type(info.value.__cause__) is ValueError
+        assert "step=" not in str(info.value.__cause__)
+
+    def test_failures_jsonl_keeps_full_traceback(self, dataset, tmp_path):
+        cfg = tiny_config(dataset, tmp_path, lr=float("nan"),
+                          methods=["plain"], seeds=[0, 1])
+        table = X.run_experiments(cfg)
+        assert all("(method=plain epoch=0 step=1)" in r["status"]
+                   for r in table.raw_rows)
+        with open(tmp_path / "results_failures.jsonl") as fh:
+            records = [json.loads(line) for line in fh]
+        assert [r["cell"] for r in records] == ["lr_plain_r0.5_s0",
+                                                "lr_plain_r0.5_s1"]
+        for record, row in zip(records, table.raw_rows):
+            assert set(record) == {"cell", "status", "traceback"}
+            assert record["status"] == row["status"]
+            # the innermost frame, where the non-finite value was found
+            assert "autodiff.py" in record["traceback"]
+            assert "in tensor" in record["traceback"]
+        X.run_experiments(tiny_config(dataset, tmp_path, methods=["plain"]))
+        assert (tmp_path / "results_failures.jsonl").read_text() == ""
