@@ -112,8 +112,15 @@ class ExperimentConfig:
         )
 
 
+# fields that change no number: where the outputs go and how cells are run
+_UNHASHED = ("output_dir", "workers", "save_checkpoints", "save_logs")
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(asdict(cfg), sort_keys=True)
+    """Identifies the experiment; the data paths stay in as its only handle on
+    which data was used."""
+    payload = {k: v for k, v in asdict(cfg).items() if k not in _UNHASHED}
+    blob = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

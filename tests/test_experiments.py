@@ -441,3 +441,18 @@ class TestFailureRecords:
             assert "in tensor" in record["traceback"]
         X.run_experiments(tiny_config(dataset, tmp_path, methods=["plain"]))
         assert (tmp_path / "results_failures.jsonl").read_text() == ""
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("field,value", [
+        ("output_dir", "elsewhere"), ("workers", 2),
+        ("save_logs", False), ("save_checkpoints", False),
+    ])
+    def test_execution_fields_leave_hash_unchanged(self, field, value):
+        base = X.ExperimentConfig()
+        assert X.config_hash(base) == X.config_hash(
+            X.ExperimentConfig(**{field: value}))
+
+    def test_epochs_change_hash(self):
+        assert X.config_hash(X.ExperimentConfig()) != X.config_hash(
+            X.ExperimentConfig(epochs=7))
