@@ -53,7 +53,8 @@ table = run_experiments(config)
 print()
 print(table.render_text())
 
-print("raw per-seed rows, aggregated means, training logs and checkpoints:")
+print("raw per-seed rows, aggregated means, failure records, training logs")
+print("and checkpoints:")
 for entry in sorted((workdir / "results").iterdir()):
     print(f"  {entry}")
 print("\nevaluate any checkpoint later with:")

@@ -2,8 +2,8 @@
 
 Configuration is a JSON file of ExperimentConfig keys; every field has a
 default and any can be overridden with ``--set key=value`` (values parsed as
-JSON, falling back to plain strings). The output root can be redirected with
-the FAIRVAE_OUTPUT_ROOT environment variable.
+JSON, falling back to plain strings). Outputs go to ``output_dir``, which
+``--out`` sets.
 """
 
 from __future__ import annotations

@@ -124,13 +124,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def output_root(cfg: ExperimentConfig) -> str:
-    root = os.environ.get("FAIRVAE_OUTPUT_ROOT", "")
-    path = os.path.join(root, cfg.output_dir) if root else cfg.output_dir
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # per-process cache of preprocessed datasets, keyed by paths + flags; each
 # entry keeps the files' (size, mtime) so a file rewritten in place is reloaded
 _DATA_CACHE: dict = {}
@@ -176,7 +169,7 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
                              test_samples=test_samples)
     if unlabeled_fraction is not None:
         split = split.with_unlabeled_fraction(unlabeled_fraction)
-    root = output_root(cfg)
+    root = cfg.output_dir
     log_writer = None
     log_fh = None
     if cfg.save_logs:
@@ -355,7 +348,8 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
         raw_rows=rows, aggregated=_aggregate(rows, group_keys),
         group_keys=group_keys,
     )
-    root = output_root(cfg)
+    root = cfg.output_dir
+    os.makedirs(root, exist_ok=True)
     _write_csv(os.path.join(root, f"{stem}_raw.csv"), rows, table.comment())
     _write_csv(os.path.join(root, f"{stem}_agg.csv"), table.aggregated,
                table.comment())

@@ -456,3 +456,41 @@ class TestConfigHash:
     def test_epochs_change_hash(self):
         assert X.config_hash(X.ExperimentConfig()) != X.config_hash(
             X.ExperimentConfig(epochs=7))
+
+
+TINY_CLI_SETS = [
+    "--set", "seeds=[0]", "--set", "epochs=2", "--set", "hidden_dim=8",
+    "--set", "latent_dim=4", "--set", "dropout_rate=0.0",
+]
+
+
+class TestCliGridVerbs:
+    def test_ablate_verb(self, dataset, tmp_path, capsys):
+        out = tmp_path / "cli_ablate_out"
+        code = cli_main([
+            "ablate", "--train", dataset[0], "--test", dataset[1],
+            "--out", str(out), "--set", "ablation_backbone=lr",
+            "--set", "ablation_ratio=0.5", *TINY_CLI_SETS,
+        ])
+        assert code == 0
+        printed = capsys.readouterr().out
+        for variant in X.ABLATION_VARIANTS:
+            assert variant in printed
+        assert (out / "ablation_agg.csv").exists()
+        assert (out / "ablation_failures.jsonl").read_text() == ""
+
+    def test_sweep_lambda_verb(self, dataset, tmp_path, capsys):
+        out = tmp_path / "cli_sweep_out"
+        code = cli_main([
+            "sweep", "--axis", "lambda", "--train", dataset[0],
+            "--test", dataset[1], "--out", str(out),
+            "--set", "sweep_backbone=lr", "--set", "sweep_ratio=0.5",
+            "--set", "lambda_grid=[0.0, 0.4]", *TINY_CLI_SETS,
+        ])
+        assert code == 0
+        assert "grl_lambda" in capsys.readouterr().out
+        with open(out / "sweep_lambda_agg.csv", newline="") as fh:
+            next(fh)
+            rows = list(csv.DictReader(fh))
+        assert [(r["grl_lambda"], r["n_ok"]) for r in rows] == [
+            ("0.0", "1"), ("0.4", "1")]
