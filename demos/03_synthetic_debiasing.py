@@ -24,9 +24,9 @@ print(f"{split.n_labeled} attribute-labeled / {split.n_unlabeled} masked "
 print(f"\n{'method':10s} {'probe':>7s} {'test acc':>9s}   verdict")
 for method, lam, epochs in (("plain", 0.0, 100), ("dadv", 1.0, 200),
                             ("fairvae", 1.0, 200)):
-    spec = MethodSpec(backbone="lr", method=method, grl_lambda=lam,
-                      label_ratio=0.5, seed=3, epochs=epochs, batch_size=32,
-                      hidden_dim=3, latent_dim=8, lr=0.01, dropout_rate=0.0)
+    spec = MethodSpec(backbone="lr", method=method, grl_lambda=lam, seed=3,
+                      epochs=epochs, batch_size=32, hidden_dim=3, latent_dim=8,
+                      lr=0.01, dropout_rate=0.0)
     bundle, report = train(spec, split)
     r_f, _, _ = encode(bundle, split.test_x, training=False)
     probe = leakage_probe(r_f.value, split.test_z, seed=5)

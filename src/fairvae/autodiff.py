@@ -360,10 +360,6 @@ def softplus(x):
     return activation(x, "softplus")
 
 
-def sigmoid(x):
-    return activation(x, "sigmoid")
-
-
 def softmax(x) -> Node:
     """Row-wise softmax with max-subtraction for stability."""
     x = as_node(x)

@@ -3,7 +3,7 @@
 Configuration is a JSON file of ExperimentConfig keys; every field has a
 default and any can be overridden with ``--set key=value`` (values parsed as
 JSON, falling back to plain strings). Outputs go to ``output_dir``, which
-``--out`` sets.
+``--out`` sets. A config error exits with status 2.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def _load_config(args) -> X.ExperimentConfig:
         overrides["output_dir"] = args.out
     if args.config:
         return X.ExperimentConfig.from_file(args.config, overrides)
-    return X.ExperimentConfig(**overrides)
+    return X.ExperimentConfig.from_dict(overrides)
 
 
 def _add_config_args(parser):
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
             report = X.evaluate_checkpoint(args.checkpoint, args.test,
                                            seed=args.seed)
             print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, X.D.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -107,21 +107,14 @@ class Stats:
 
     @property
     def feature_columns(self):
-        cols = []
-        for name, kind in ADULT_SCHEMA:
-            if name == LABEL_COLUMN:
-                continue
-            if name == SENSITIVE_COLUMN and not self.include_sensitive:
-                continue
-            cols.append((name, kind))
-        return cols
+        return [(name, kind) for name, kind in ADULT_SCHEMA
+                if name != LABEL_COLUMN
+                and (name != SENSITIVE_COLUMN or self.include_sensitive)]
 
     @property
     def feature_dim(self) -> int:
-        dim = 0
-        for name, kind in self.feature_columns:
-            dim += 1 if kind == NUMERIC else len(self.cat_vocab[name])
-        return dim
+        return sum(1 if kind == NUMERIC else len(self.cat_vocab[name])
+                   for name, kind in self.feature_columns)
 
 
 @dataclass
@@ -215,8 +208,7 @@ class DatasetSplit:
     attributes sit in a shadow array whose accessor counts every read.
     """
 
-    def __init__(self, lab, unl, val, test, lab_index, unl_index, val_index,
-                 seed: int):
+    def __init__(self, lab, unl, val, test, lab_index, unl_index, val_index):
         self.lab_x, self.lab_y, self.lab_z = lab
         self.unl_x, self.unl_y, self._shadow_unl_z = unl
         self.val_x, self.val_y, self.val_z = val
@@ -224,7 +216,6 @@ class DatasetSplit:
         self.lab_index = lab_index
         self.unl_index = unl_index
         self.val_index = val_index
-        self.seed = seed
         self.shadow_reads = 0
 
     @property
@@ -279,7 +270,7 @@ class DatasetSplit:
             (self.val_x, self.val_y, self.val_z),
             (self.test_x, self.test_y, self.test_z),
             np.concatenate([self.lab_index, self.unl_index[adopt_mask]]),
-            self.unl_index[keep], self.val_index, self.seed,
+            self.unl_index[keep], self.val_index,
         )
 
     def with_unlabeled_fraction(self, fraction: float) -> "DatasetSplit":
@@ -287,15 +278,13 @@ class DatasetSplit:
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"unlabeled fraction must be in [0, 1], got {fraction}")
         keep = int(math.floor(fraction * self.n_unlabeled))
-        out = DatasetSplit(
+        return DatasetSplit(
             (self.lab_x, self.lab_y, self.lab_z),
             (self.unl_x[:keep], self.unl_y[:keep], self._shadow_unl_z[:keep]),
             (self.val_x, self.val_y, self.val_z),
             (self.test_x, self.test_y, self.test_z),
             self.lab_index, self.unl_index[:keep], self.val_index,
-            self.seed,
         )
-        return out
 
 
 def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
@@ -332,7 +321,7 @@ def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
         _stack(samples, unl_index),
         _stack(samples, val_index),
         _stack(test_samples, np.arange(len(test_samples))),
-        lab_index, unl_index, val_index, seed,
+        lab_index, unl_index, val_index,
     )
 
 

@@ -52,6 +52,18 @@ SWEEP_AXES = {
 }
 
 
+def _known_keys(cls, raw, what: str) -> dict:
+    """``raw`` unchanged if it is a dict whose keys are all fields of ``cls``."""
+    if not isinstance(raw, dict):
+        raise D.ConfigError(f"{what} must be a JSON object, got {raw!r}")
+    known = set(cls.__dataclass_fields__)
+    unknown = set(raw) - known
+    if unknown:
+        raise D.ConfigError(
+            f"unknown {what} keys: {sorted(unknown)}; known keys: {sorted(known)}")
+    return raw
+
+
 @dataclass
 class ExperimentConfig:
     train_path: str = "data/adult/adult.data"
@@ -75,41 +87,44 @@ class ExperimentConfig:
     head_hidden: int = 0
     st_threshold: float = 0.9
     val_frac: float = 0.1
-    ablation_ratio: float = 0.2
-    ablation_backbone: str = "fm"
-    sweep_backbone: str = "fm"
+    sweep_backbone: str = "fm"   # the ablation and both sweeps run here
     sweep_ratio: float = 0.2
     include_sensitive_feature: bool = False
-    use_zhat_in_decoder: bool = True
-    use_ztilde_in_decoder: bool = True
-    use_entropy_zhat: bool = True
-    use_entropy_ztilde: bool = True
-    negate_entropy_zhat: bool = False
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     workers: int = 1
     save_checkpoints: bool = True
     save_logs: bool = True
+
+    def __post_init__(self):
+        if not isinstance(self.objective, ObjectiveConfig):  # JSON or --set
+            self.objective = ObjectiveConfig(
+                **_known_keys(ObjectiveConfig, self.objective, "objective"))
+        # grid values name cells: a repeated one would run a cell twice
+        for axis in ("seeds", "backbones", "methods", "label_ratios",
+                     "lambda_grid", "unlabeled_fractions"):
+            values = getattr(self, axis)
+            if not isinstance(values, list):
+                raise D.ConfigError(f"{axis} must be a list, got {values!r}")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise D.ConfigError(f"{axis} repeats {repeated}: {values}")
+        for axis, values, allowed in (
+                ("backbones", [*self.backbones, self.sweep_backbone],
+                 M.BACKBONE_KINDS), ("methods", self.methods, T.METHODS)):
+            unknown = [v for v in values if v not in allowed]
+            if unknown:
+                raise D.ConfigError(
+                    f"unknown {axis} {unknown}; expected from {allowed}")
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        return cls(**_known_keys(cls, raw, "config"))
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw.update(overrides or {})
-        known = set(cls.__dataclass_fields__)  # type: ignore[attr-defined]
-        unknown = set(raw) - known
-        if unknown:
-            raise D.ConfigError(
-                f"unknown config keys: {sorted(unknown)}; known keys: {sorted(known)}"
-            )
-        return cls(**raw)
-
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(
-            use_zhat_in_decoder=self.use_zhat_in_decoder,
-            use_ztilde_in_decoder=self.use_ztilde_in_decoder,
-            use_entropy_zhat=self.use_entropy_zhat,
-            use_entropy_ztilde=self.use_entropy_ztilde,
-            negate_entropy_zhat=self.negate_entropy_zhat,
-        )
+        return cls.from_dict({**raw, **(overrides or {})})
 
 
 # fields that change no number: where the outputs go and how cells are run
@@ -183,12 +198,12 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
     spec = T.MethodSpec(
         backbone=backbone, method=method,
         grl_lambda=cfg.grl_lambda if grl_lambda is None else grl_lambda,
-        label_ratio=ratio, seed=seed, st_threshold=cfg.st_threshold,
+        seed=seed, st_threshold=cfg.st_threshold,
         epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         hidden_dim=cfg.hidden_dim, latent_dim=cfg.latent_dim,
         fm_factors=cfg.fm_factors, dropout_rate=cfg.dropout_rate,
         head_hidden=cfg.head_hidden,
-        objective=objective if objective is not None else cfg.objective(),
+        objective=cfg.objective if objective is None else objective,
     )
     try:
         with warnings.catch_warnings():
@@ -227,10 +242,10 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
 def _run_cell_task(args):
     """Run one cell in isolation; the cell's group lands on its row, OK or
     FAILED."""
-    cfg_dict, cell = args
+    cfg, cell = args
     kwargs = {k: v for k, v in cell.items() if k != "group"}
     try:
-        row = run_cell(ExperimentConfig(**cfg_dict), **kwargs)
+        row = run_cell(cfg, **kwargs)
     except Exception as exc:  # cell isolation: record and continue
         row = {
             "cell": kwargs["cell_name"], "backbone": kwargs["backbone"],
@@ -251,9 +266,6 @@ class ResultsTable:
     raw_rows: list
     aggregated: list
     group_keys: tuple
-
-    def ok_rows(self):
-        return [r for r in self.raw_rows if r["status"] == "OK"]
 
     def comment(self) -> str:
         return (f"# kind={self.kind} config_hash={self.config_hash} "
@@ -336,7 +348,7 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
     """Run a cell list (serially or in the process pool), aggregate the rows
     by ``group_keys`` and write ``<stem>_raw.csv``, ``_agg.csv`` and ``.txt``."""
     load_dataset(cfg)  # fail fast with the download hint if files are missing
-    tasks = [(asdict(cfg), cell) for cell in cells]
+    tasks = [(cfg, cell) for cell in cells]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
@@ -390,10 +402,11 @@ def run_experiments(cfg: ExperimentConfig) -> ResultsTable:
 
 
 def run_ablation(cfg: ExperimentConfig) -> ResultsTable:
-    """Single-switch-off variants of the full model at the ablation ratio."""
-    points = [(variant, {"objective": replace(cfg.objective(), **switches)})
+    """Single-switch-off variants of the full model at the sweep backbone
+    and ratio."""
+    points = [(variant, {"objective": replace(cfg.objective, **switches)})
               for variant, switches in ABLATION_VARIANTS.items()]
-    cells = _point_cells(cfg, cfg.ablation_backbone, cfg.ablation_ratio,
+    cells = _point_cells(cfg, cfg.sweep_backbone, cfg.sweep_ratio,
                          "variant", "variant", points)
     return _run_grid(cfg, "ablation", "ablation", cells, ("variant",))
 

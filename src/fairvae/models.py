@@ -187,8 +187,6 @@ class ModelBundle:
     """All parameters of one model instance plus its structural flags."""
 
     def __init__(self, cfg: BundleConfig):
-        if cfg.backbone not in BACKBONE_KINDS:
-            raise ValueError(f"unknown backbone kind: {cfg.backbone!r}")
         self.cfg = cfg
         reg = _Registry(cfg.seed)
         self._registry = reg
@@ -249,12 +247,8 @@ def predict_heads(bundle: ModelBundle, r_f, r_b, r):
     if bundle.disc_head is not None:
         z_tilde = bundle.disc_head(
             ad.gradient_reversal(r_f, bundle.cfg.grl_lambda))
-    y_hat = ad.softmax(task_logits(bundle, r))
+    y_hat = bundle.task_head(r)
     return z_hat, z_tilde, y_hat
-
-
-def task_logits(bundle: ModelBundle, rep) -> ad.Node:
-    return bundle.task_head.logits(rep)
 
 
 def bias_free_forward(bundle: ModelBundle, x) -> tuple[ad.Node, ad.Node]:
@@ -263,7 +257,7 @@ def bias_free_forward(bundle: ModelBundle, x) -> tuple[ad.Node, ad.Node]:
     nodes that track no gradients."""
     with ad.no_grad():
         r_f = bundle.bias_free.forward(x)
-        return r_f, ad.softmax(task_logits(bundle, r_f))
+        return r_f, bundle.task_head(r_f)
 
 
 def predict_test(bundle: ModelBundle, x) -> ad.Node:

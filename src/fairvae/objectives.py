@@ -35,22 +35,16 @@ from . import models as M
 
 LOG2 = math.log(2.0)
 
-# running tally of degenerate rows seen by the orthogonality loss
-DIAGNOSTICS = {"zero_norm_rows": 0}
-
-
-def reset_diagnostics():
-    DIAGNOSTICS["zero_norm_rows"] = 0
-
 
 @dataclass
 class ObjectiveConfig:
+    """The ablation switches: the two decoder slots and the two entropies."""
+
     use_zhat_in_decoder: bool = True
     use_ztilde_in_decoder: bool = True
     use_entropy_zhat: bool = True
     use_entropy_ztilde: bool = True
     negate_entropy_zhat: bool = False
-    attr_classes: int = 2
 
 
 @dataclass
@@ -67,12 +61,6 @@ class LossBreakdown:
     entropy_adv: float = 0.0
     log_prior: float = 0.0       # uniform attribute prior: ln 2 per sample
     total: float = 0.0
-
-    def expected_total(self, config: ObjectiveConfig) -> float:
-        sign_attr = 1.0 if config.negate_entropy_zhat else -1.0
-        return (self.attr_pred + self.adversarial + self.orthogonality
-                + self.task + self.reconstruction + self.kl + self.log_prior
-                + sign_attr * self.entropy_attr - self.entropy_adv)
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -115,9 +103,7 @@ def task_loss(y_onehot, y_hat) -> ad.Node:
 
 def orthogonality_loss(r_f, r_b) -> ad.Node:
     """Mean absolute cosine similarity per row; zero-norm rows contribute 0."""
-    cos, zero_rows = ad.abs_row_cosine(r_f, r_b)
-    DIAGNOSTICS["zero_norm_rows"] += zero_rows
-    return ad.mean_all(cos)
+    return ad.mean_all(ad.abs_row_cosine(r_f, r_b)[0])
 
 
 def _recon_rows(x, x_hat) -> ad.Node:
@@ -156,15 +142,6 @@ def _entropy_rows(p) -> ad.Node:
 
 def entropy(p) -> ad.Node:
     return ad.mean_all(_entropy_rows(p))
-
-
-def elbo_term(x, z_slot, z_tilde_slot, bundle: M.ModelBundle, epsilon) -> ad.Node:
-    """Reconstruction + KL + constant uniform-prior term for the given slots."""
-    x_hat, mu, sigma = M.vae_forward(bundle, x, z_tilde_slot, z_slot, epsilon)
-    return ad.add(
-        ad.add(reconstruction_loss(x, x_hat), kl_to_standard_normal(mu, sigma)),
-        ad.Node(LOG2, requires_grad=False),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +188,7 @@ def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     if len(batch) == 0:
         raise ValueError("labeled loss got an empty batch")
     n = len(batch)
-    k = config.attr_classes
+    k = bundle.cfg.attr_classes
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
     z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 
@@ -251,10 +228,10 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     if len(batch) == 0:
         raise ValueError("unlabeled loss got an empty batch")
     n = len(batch)
-    k = config.attr_classes
+    k = bundle.cfg.attr_classes
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
     if bundle.vae is None:
-        y_hat = ad.softmax(M.task_logits(bundle, r))
+        y_hat = bundle.task_head(r)
     else:
         z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 

@@ -19,7 +19,6 @@ _WORKCLASS = ["Federal-gov", "Private", "Self-emp"]
 _EDUCATION = ["Bachelors", "Doctorate", "HS-grad", "Masters"]
 _MARITAL = ["Divorced", "Married", "Never-married"]
 _OCCUPATION = ["Craft-repair", "Exec-managerial", "Sales", "Tech-support"]
-_RELATIONSHIP = ["Husband", "Not-in-family", "Wife"]
 _RACE = ["Asian", "Black", "White"]
 _COUNTRY = ["Mexico", "United-States"]
 

@@ -101,7 +101,6 @@ class MethodSpec:
     backbone: str = "dnn"
     method: str = "fairvae"
     grl_lambda: float = 0.4
-    label_ratio: float = 0.2
     seed: int = 0
     st_threshold: float = 0.9
     epochs: int = 50
@@ -198,7 +197,6 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
     burn_in = epochs // 2  # compare converged checkpoints only
     best_criterion = -np.inf
     best_state = None
-    obj_cfg = replace(spec.objective, attr_classes=2)
     step_index = 0
     if spec.method == "plain":
         x_all, y_all = split.all_train_xy()
@@ -216,7 +214,7 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
             context = f"method={spec.method} epoch={epoch} step={steps}"
             with _step_context(context):
                 total, br = O.joint_loss(
-                    lab, unl, bundle, obj_cfg,
+                    lab, unl, bundle, spec.objective,
                     _epsilon(bundle, rng_eps, lab, spec.latent_dim),
                     _epsilon(bundle, rng_eps, unl, spec.latent_dim),
                     training=True, rng=rng_drop)

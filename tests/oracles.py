@@ -6,6 +6,10 @@ minimized total split into the standard part and the adversarial-path part
 (the terms whose encoder gradient passes the reversal layer), with the
 detached discriminator slot pinned to caller-supplied values. That split is
 what lets finite differences reproduce the gradients the graph claims.
+
+``elbo_term`` is the one graph-built reference: the single-branch ELBO for
+given decoder slots, which the marginalized unlabeled loss must reproduce
+as a probability-weighted sum of branches.
 """
 
 import numpy as np
@@ -168,6 +172,20 @@ def reference_losses(state, lab, unl, eps_lab, eps_unl, *, k=2,
     out["adv"] = out["adv_lab"] - out["ent_adv"]
     out["total"] = out["std"] + out["adv"]
     return out
+
+
+def elbo_term(x, z_slot, z_tilde_slot, bundle, epsilon):
+    """Reconstruction + KL + constant uniform-prior term for the given slots."""
+    from fairvae import autodiff as ad
+    from fairvae import models as M
+    from fairvae import objectives as O
+
+    x_hat, mu, sigma = M.vae_forward(bundle, x, z_tilde_slot, z_slot, epsilon)
+    return ad.add(
+        ad.add(O.reconstruction_loss(x, x_hat),
+               O.kl_to_standard_normal(mu, sigma)),
+        ad.Node(LOG2, requires_grad=False),
+    )
 
 
 def joint_loss_fd_check(rtol=1e-4, atol=1e-7):

@@ -75,8 +75,8 @@ def adult_grid(tmp_path_factory):
 
 
 def grid_mean(table, backbone, method, ratio, metric):
-    rows = [r for r in table.ok_rows()
-            if (r["backbone"], r["method"], r["ratio"]) == (backbone, method, ratio)]
+    rows = [r for r in table.raw_rows if r["status"] == "OK"
+            and (r["backbone"], r["method"], r["ratio"]) == (backbone, method, ratio)]
     assert rows, f"no OK cells for {backbone}+{method}@{ratio}"
     return float(np.mean([r[metric] for r in rows]))
 

@@ -194,7 +194,7 @@ class TestBackward:
 
         def build():
             h = ad.tanh(ad.dense(ad.Node(x), params[0], params[1]))
-            h = ad.sigmoid(ad.dense(h, params[2], params[3]))
+            h = ad.activation(ad.dense(h, params[2], params[3]), "sigmoid")
             h = ad.dense(h, params[4], params[5])
             return ad.mean_all(ad.square(h))
 
@@ -248,7 +248,8 @@ FD_CASES = {
     "relu": ([(4, 3)], lambda p: ad.mean_all(ad.relu(p[0]))),
     "tanh": ([(4, 3)], lambda p: ad.mean_all(ad.tanh(p[0]))),
     "softplus": ([(4, 3)], lambda p: ad.mean_all(ad.softplus(p[0]))),
-    "sigmoid": ([(4, 3)], lambda p: ad.mean_all(ad.sigmoid(p[0]))),
+    "sigmoid": ([(4, 3)],
+                lambda p: ad.mean_all(ad.activation(p[0], "sigmoid"))),
     "softmax": ([(4, 3)],
                 lambda p: ad.mean_all(ad.square(ad.softmax(p[0])))),
     "log_clipped": ([(4, 3)],

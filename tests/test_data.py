@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairvae import data as D
 from fairvae.synthetic import write_adult_like
@@ -185,6 +187,33 @@ class TestSplitAndMask:
                                  r"30 validation rows of 300.* 0 labeled rows"):
             D.split_and_mask(samples, 0.1, 0.001, seed=0)
         assert D.split_and_mask(samples, 0.1, 1 / 270, seed=0).n_labeled == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 80),
+           val_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           label_ratio=st.floats(0.0, 1.0, exclude_min=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_partition_property(self, n, val_frac, label_ratio, seed):
+        # x holds the row number, so each part's rows can be traced back
+        samples = [D.Sample(x=np.array([float(i)]), y=i % 2, z=(i // 3) % 2)
+                   for i in range(n)]
+        n_val = math.floor(val_frac * n)
+        n_lab = math.floor(label_ratio * (n - n_val))
+        if n_lab == 0:
+            with pytest.raises(D.ConfigError, match="0 labeled rows"):
+                D.split_and_mask(samples, val_frac, label_ratio, seed)
+            return
+        s = D.split_and_mask(samples, val_frac, label_ratio, seed)
+        parts = [(s.lab_index, s.lab_x, s.lab_y, s.lab_z),
+                 (s.unl_index, s.unl_x, s.unl_y, s._shadow_unl_z),
+                 (s.val_index, s.val_x, s.val_y, s.val_z)]
+        assert [len(p[0]) for p in parts] == [n_lab, n - n_val - n_lab, n_val]
+        rows = np.concatenate([p[0] for p in parts])
+        assert sorted(rows.tolist()) == list(range(n))  # disjoint and covering
+        for index, x, y, z in parts:
+            assert np.array_equal(x[:, 0], index)
+            assert np.array_equal(y, index % 2)
+            assert np.array_equal(z, (index // 3) % 2)
 
     def test_shadow_access_is_counted(self, split):
         before = split.shadow_reads

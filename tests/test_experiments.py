@@ -3,12 +3,16 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairvae import experiments as X
 from fairvae.cli import main as cli_main
+from fairvae.data import ConfigError
+from fairvae.objectives import ObjectiveConfig
 from fairvae.synthetic import write_adult_like
 
 
@@ -27,8 +31,7 @@ def tiny_config(dataset, out, **overrides):
         backbones=["lr"], methods=["plain", "fairvae"], label_ratios=[0.5],
         seeds=[0, 1], epochs=3, batch_size=64, hidden_dim=8, latent_dim=4,
         fm_factors=3, dropout_rate=0.0, lambda_grid=[0.0, 0.4],
-        unlabeled_fractions=[0.0, 1.0], ablation_backbone="lr",
-        sweep_backbone="lr",
+        unlabeled_fractions=[0.0, 1.0], sweep_backbone="lr",
     )
     base.update(overrides)
     return X.ExperimentConfig(**base)
@@ -46,6 +49,35 @@ class TestConfig:
         path.write_text(json.dumps({"epochz": 7}))
         with pytest.raises(Exception, match="epochz"):
             X.ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("key", ["use_entropy_zhat", "use_zhat_in_decoder",
+                                     "negate_entropy_zhat", "ablation_backbone",
+                                     "ablation_ratio"])
+    def test_removed_flat_key_rejected(self, tmp_path, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: False}))
+        with pytest.raises(ConfigError,
+                           match=rf"unknown config keys: \['{key}'\]; known "
+                                 rf"keys: .*'objective'.*'sweep_backbone'"):
+            X.ExperimentConfig.from_file(path)
+
+    def test_objective_from_file_and_direct(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"objective": {"use_entropy_zhat": False}}))
+        expected = ObjectiveConfig(use_entropy_zhat=False)
+        assert X.ExperimentConfig.from_file(path).objective == expected
+        assert X.ExperimentConfig(
+            objective={"use_entropy_zhat": False}).objective == expected
+
+    def test_unknown_objective_key_rejected(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"objective": {"use_entropy_zhatt": False}}))
+        with pytest.raises(ConfigError,
+                           match=r"unknown objective keys: \['use_entropy_zhatt'\]"
+                                 r"; known keys: .*'use_entropy_zhat'"):
+            X.ExperimentConfig.from_file(path)
+        with pytest.raises(ConfigError, match="objective must be a JSON object"):
+            X.ExperimentConfig(objective=[False])
 
     def test_hash_tracks_content(self, dataset, tmp_path):
         a = tiny_config(dataset, tmp_path)
@@ -142,21 +174,34 @@ class TestRunExperiments:
         cfg = tiny_config(dataset, out, methods=["plain"],
                           label_ratios=[0.1, 0.5], seeds=[0])
         table = X.run_experiments(cfg)
-        rows = table.ok_rows()
+        rows = [r for r in table.raw_rows if r["status"] == "OK"]
         assert len(rows) == 2
         for metric in ("accuracy", "dp_gap", "opp_gap", "probe_accuracy"):
             assert rows[0][metric] == rows[1][metric]
 
     def test_failed_cell_does_not_stop_run(self, dataset, tmp_path_factory):
         out = tmp_path_factory.mktemp("failed_out")
-        cfg = tiny_config(dataset, out, backbones=["lr", "cnn"],
+        # ratio 0.001 of 216 training rows keeps no labeled row: that cell fails
+        cfg = tiny_config(dataset, out, label_ratios=[0.5, 0.001],
                           methods=["plain"], seeds=[0])
         table = X.run_experiments(cfg)
-        statuses = {r["backbone"]: r["status"] for r in table.raw_rows}
-        assert statuses["lr"] == "OK"
-        assert statuses["cnn"].startswith("FAILED")
-        agg = {a["backbone"]: a for a in table.aggregated}
-        assert agg["cnn"]["n_failed"] == 1
+        statuses = {r["ratio"]: r["status"] for r in table.raw_rows}
+        assert statuses[0.5] == "OK"
+        assert statuses[0.001].startswith("FAILED: ConfigError")
+        agg = {a["ratio"]: a for a in table.aggregated}
+        assert agg[0.001]["n_failed"] == 1
+
+    def test_pool_matches_serial_run(self, dataset, tmp_path_factory):
+        # a switch off its default shows that the nested objective reaches
+        # the workers
+        outs = []
+        for workers in (1, 2):
+            outs.append(tmp_path_factory.mktemp(f"workers{workers}_out"))
+            X.run_experiments(tiny_config(
+                dataset, outs[-1], workers=workers,
+                objective={"use_entropy_zhat": False}))
+        for stem in ("results_raw.csv", "results_agg.csv", "results.txt"):
+            assert (outs[1] / stem).read_bytes() == (outs[0] / stem).read_bytes()
 
 
 class TestCsvOutput:
@@ -184,7 +229,7 @@ class TestCsvOutput:
 @pytest.fixture(scope="module")
 def ablation_result(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("ablation_out")
-    cfg = tiny_config(dataset, out, seeds=[0], ablation_ratio=0.5)
+    cfg = tiny_config(dataset, out, seeds=[0], sweep_ratio=0.5)
     return cfg, X.run_ablation(cfg), out
 
 
@@ -201,7 +246,7 @@ class TestAblation:
                                methods=["fairvae"], label_ratios=[0.5], seeds=[0])
         grid = X.run_experiments(grid_cfg)
         full = next(r for r in table.raw_rows if r["variant"] == "full")
-        cell = grid.ok_rows()[0]
+        cell = next(r for r in grid.raw_rows if r["status"] == "OK")
         for metric in ("accuracy", "dp_gap", "opp_gap", "probe_accuracy"):
             assert full[metric] == cell[metric]
 
@@ -232,7 +277,7 @@ class TestSweep:
         cfg = tiny_config(dataset, out, seeds=[0],
                           unlabeled_fractions=[0.0], sweep_ratio=0.5)
         table = X.run_sweep(cfg, "unlabeled_fraction")
-        row = table.ok_rows()[0]
+        row = next(r for r in table.raw_rows if r["status"] == "OK")
         log_path = os.path.join(out, "logs", row["cell"] + ".jsonl")
         records = [json.loads(line) for line in open(log_path)][1:]
         assert all(rec["entropy_attr"] == 0.0 and rec["entropy_adv"] == 0.0
@@ -249,7 +294,8 @@ def trained(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt_out")
     cfg = tiny_config(dataset, out, methods=["fairvae"], seeds=[0])
     table = X.run_experiments(cfg)
-    ckpt = os.path.join(out, "checkpoints", table.ok_rows()[0]["cell"] + ".ckpt")
+    row = next(r for r in table.raw_rows if r["status"] == "OK")
+    ckpt = os.path.join(out, "checkpoints", row["cell"] + ".ckpt")
     return cfg, ckpt
 
 
@@ -443,6 +489,67 @@ class TestFailureRecords:
         assert (tmp_path / "results_failures.jsonl").read_text() == ""
 
 
+class TestGridValidation:
+    @pytest.mark.parametrize("axis,values", [
+        ("seeds", [0, 1, 0]), ("backbones", ["lr", "lr"]),
+        ("methods", ["plain", "fairvae", "plain"]),
+        ("label_ratios", [0.2, 0.2]), ("lambda_grid", [0.4, 0.4]),
+        ("unlabeled_fractions", [0.0, 1.0, 1.0]),
+    ])
+    def test_repeated_value_rejected(self, tmp_path, axis, values):
+        with pytest.raises(ConfigError, match=rf"{axis} repeats"):
+            X.ExperimentConfig(**{axis: values})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({axis: values}))
+        with pytest.raises(ConfigError, match=rf"{axis} repeats"):
+            X.ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("backbones", ["lr", "cnn"], r"unknown backbones \['cnn'\]"),
+        ("sweep_backbone", "cnn", r"unknown backbones \['cnn'\]"),
+        ("methods", ["plain", "fair"], r"unknown methods \['fair'\]"),
+    ])
+    def test_unknown_backbone_or_method_rejected(self, tmp_path, key, value,
+                                                 match):
+        with pytest.raises(ConfigError, match=match):
+            X.ExperimentConfig(**{key: value})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=match):
+            X.ExperimentConfig.from_file(path)
+
+    def test_non_list_axis_rejected(self):
+        with pytest.raises(ConfigError, match="seeds must be a list, got 3"):
+            X.ExperimentConfig(seeds=3)
+
+    def test_rejected_before_any_cell_runs(self, dataset, tmp_path, capsys):
+        code = cli_main(["run", "--train", dataset[0], "--test", dataset[1],
+                         "--out", str(tmp_path / "out"),
+                         "--set", "lambda_grid=[0.4, 0.4]"])
+        assert code == 2
+        assert "lambda_grid repeats [0.4]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def roundtrip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "config.json"
+
+
+@settings(max_examples=60, deadline=None)
+@given(switches=st.fixed_dictionaries(
+           {f.name: st.booleans() for f in fields(ObjectiveConfig)}),
+       seeds=st.lists(st.integers(0, 2**31), unique=True, max_size=5),
+       grl_lambda=st.floats(0.0, 10.0))
+def test_config_json_round_trip(roundtrip_path, switches, seeds, grl_lambda):
+    cfg = X.ExperimentConfig(objective=ObjectiveConfig(**switches),
+                             seeds=seeds, grl_lambda=grl_lambda)
+    roundtrip_path.write_text(json.dumps(asdict(cfg)))
+    back = X.ExperimentConfig.from_file(roundtrip_path)
+    assert back == cfg
+    assert X.config_hash(back) == X.config_hash(cfg)
+
+
 class TestConfigHash:
     @pytest.mark.parametrize("field,value", [
         ("output_dir", "elsewhere"), ("workers", 2),
@@ -469,8 +576,8 @@ class TestCliGridVerbs:
         out = tmp_path / "cli_ablate_out"
         code = cli_main([
             "ablate", "--train", dataset[0], "--test", dataset[1],
-            "--out", str(out), "--set", "ablation_backbone=lr",
-            "--set", "ablation_ratio=0.5", *TINY_CLI_SETS,
+            "--out", str(out), "--set", "sweep_backbone=lr",
+            "--set", "sweep_ratio=0.5", *TINY_CLI_SETS,
         ])
         assert code == 0
         printed = capsys.readouterr().out
@@ -478,6 +585,21 @@ class TestCliGridVerbs:
             assert variant in printed
         assert (out / "ablation_agg.csv").exists()
         assert (out / "ablation_failures.jsonl").read_text() == ""
+
+    def test_objective_set_as_json(self, dataset, tmp_path, capsys):
+        out = tmp_path / "cli_objective_out"
+        code = cli_main([
+            "run", "--train", dataset[0], "--test", dataset[1],
+            "--out", str(out), "--set", 'backbones=["lr"]',
+            "--set", 'methods=["fairvae"]', "--set", "label_ratios=[0.5]",
+            "--set", 'objective={"use_entropy_zhat": false}', *TINY_CLI_SETS,
+        ])
+        assert code == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in
+                   open(out / "logs" / "lr_fairvae_r0.5_s0.jsonl")][1:]
+        assert records and all(r["entropy_attr"] == 0.0 for r in records)
+        assert any(r["entropy_adv"] != 0.0 for r in records)
 
     def test_sweep_lambda_verb(self, dataset, tmp_path, capsys):
         out = tmp_path / "cli_sweep_out"

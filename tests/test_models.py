@@ -257,9 +257,9 @@ class TestTaskHeadLinearity:
         bundle = M.ModelBundle(tiny_config())
         x, _, _ = toy_batch()
         r_f, r_b, r = M.encode(bundle, x)
-        joint = M.task_logits(bundle, r).value
-        parts = (M.task_logits(bundle, r_f).value
-                 + M.task_logits(bundle, r_b).value
+        joint = bundle.task_head.logits(r).value
+        parts = (bundle.task_head.logits(r_f).value
+                 + bundle.task_head.logits(r_b).value
                  - bundle.task_head.out.bias.value)
         np.testing.assert_allclose(joint, parts, atol=1e-9)
 

@@ -107,8 +107,8 @@ def tiny_split(n=18, seed=0, label_ratio=0.5):
 
 
 def toy_spec(method, **overrides):
-    base = dict(backbone="dnn", method=method, grl_lambda=0.4, label_ratio=0.5,
-                seed=0, epochs=3, batch_size=16, lr=0.01, hidden_dim=8,
+    base = dict(backbone="dnn", method=method, grl_lambda=0.4, seed=0,
+                epochs=3, batch_size=16, lr=0.01, hidden_dim=8,
                 latent_dim=4, fm_factors=3, dropout_rate=0.0)
     base.update(overrides)
     return T.MethodSpec(**base)
@@ -125,7 +125,7 @@ class TestTrainBasics:
         states = []
         for ratio in (0.1, 0.5, 1.0):
             split = D.split_and_mask(samples, 0.1, ratio, seed=2)
-            bundle, _ = T.train(toy_spec("plain", label_ratio=ratio, epochs=4), split)
+            bundle, _ = T.train(toy_spec("plain", epochs=4), split)
             states.append(bundle.state_arrays())
         for name in states[0]:
             assert np.array_equal(states[0][name], states[1][name]), name
@@ -134,7 +134,7 @@ class TestTrainBasics:
     def test_fairvae_ratio_one_skips_unlabeled_terms(self):
         split = tiny_split(label_ratio=1.0)
         records = []
-        T.train(toy_spec("fairvae", label_ratio=1.0), split,
+        T.train(toy_spec("fairvae"), split,
                 log_writer=records.append)
         assert split.n_unlabeled == 0
         for record in records:
@@ -216,7 +216,7 @@ class TestSelfTraining:
         split = D.split_and_mask(samples, 0.1, 0.3, seed=9,
                                  test_samples=separable_samples(40, 10))
         spec = toy_spec("dadv_st", seed=9, epochs=30, batch_size=32,
-                        st_threshold=0.8, label_ratio=0.3)
+                        st_threshold=0.8)
         bundle, report = T.train(spec, split)
         assert report.pseudo_label_count > 0.5 * split.n_unlabeled
         assert report.pseudo_label_accuracy > 0.95
@@ -264,7 +264,7 @@ def debiasing_outcome():
     for method, lam, epochs in (("plain", 0.0, 100), ("dadv", 1.0, 200),
                                 ("fairvae", 1.0, 200)):
         spec = T.MethodSpec(backbone="lr", method=method, grl_lambda=lam,
-                            label_ratio=0.5, seed=3, epochs=epochs,
+                            seed=3, epochs=epochs,
                             batch_size=32, hidden_dim=3, latent_dim=8,
                             lr=0.01, dropout_rate=0.0)
         bundle, _ = T.train(spec, split)
@@ -287,7 +287,7 @@ def _ladder_digest(method, backbone):
     samples = separable_samples(40, seed=21)
     split = D.split_and_mask(samples, val_frac=0.1, label_ratio=0.3, seed=21)
     spec = toy_spec(method, backbone=backbone, seed=21, epochs=2, batch_size=8,
-                    dropout_rate=0.2, st_threshold=0.55, label_ratio=0.3)
+                    dropout_rate=0.2, st_threshold=0.55)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         bundle, _ = T.train(spec, split)
