@@ -65,7 +65,11 @@ def _known_keys(cls, raw, what: str) -> dict:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(T.TrainingSettings):
+    """An experiment: the data, the grids and how cells are run, plus the
+    architecture and training settings every cell shares (inherited, so a
+    config file and ``MethodSpec`` take the same keys and defaults)."""
+
     train_path: str = "data/adult/adult.data"
     test_path: str = "data/adult/adult.test"
     output_dir: str = "results"
@@ -76,21 +80,10 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=lambda: [0.0, 0.1, 0.4, 1.0, 4.0])
     unlabeled_fractions: list = field(
         default_factory=lambda: [0.0, 0.25, 0.5, 0.75, 1.0])
-    grl_lambda: float = 0.4
-    epochs: int = 50
-    batch_size: int = 128
-    lr: float = 0.01
-    hidden_dim: int = 256
-    latent_dim: int = 32
-    fm_factors: int = 16
-    dropout_rate: float = 0.2
-    head_hidden: int = 0
-    st_threshold: float = 0.9
     val_frac: float = 0.1
     sweep_backbone: str = "fm"   # the ablation and both sweeps run here
     sweep_ratio: float = 0.2
     include_sensitive_feature: bool = False
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     workers: int = 1
     save_checkpoints: bool = True
     save_logs: bool = True
@@ -173,11 +166,11 @@ def _cell_name(backbone, method, ratio, seed, **extra):
 
 
 def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
-             seed: int, grl_lambda: float | None = None,
-             objective: ObjectiveConfig | None = None,
-             unlabeled_fraction: float | None = None,
-             cell_name: str | None = None) -> dict:
-    """Train and evaluate one experiment cell; returns a raw results row."""
+             seed: int, unlabeled_fraction: float | None = None,
+             cell_name: str | None = None, **overrides) -> dict:
+    """Train and evaluate one experiment cell; returns a raw results row.
+    ``overrides`` replace the config's training settings for this cell (the
+    ablation's ``objective``, the lambda sweep's ``grl_lambda``)."""
     name = cell_name or _cell_name(backbone, method, ratio, seed)
     train_samples, test_samples, stats = load_dataset(cfg)
     split = D.split_and_mask(train_samples, cfg.val_frac, ratio, seed,
@@ -196,15 +189,8 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
         def log_writer(record):
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
     spec = T.MethodSpec(
-        backbone=backbone, method=method,
-        grl_lambda=cfg.grl_lambda if grl_lambda is None else grl_lambda,
-        seed=seed, st_threshold=cfg.st_threshold,
-        epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        hidden_dim=cfg.hidden_dim, latent_dim=cfg.latent_dim,
-        fm_factors=cfg.fm_factors, dropout_rate=cfg.dropout_rate,
-        head_hidden=cfg.head_hidden,
-        objective=cfg.objective if objective is None else objective,
-    )
+        **{**M.settings(cfg, T.TrainingSettings), **overrides},
+        backbone=backbone, method=method, seed=seed)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,16 +28,29 @@ BACKBONE_KINDS = ("lr", "dnn", "fm")
 CHECKPOINT_MAGIC = b"FVAE\x01"
 
 
-@dataclass
-class BundleConfig:
-    input_dim: int
-    backbone: str = "dnn"
+@dataclass(kw_only=True)
+class ArchitectureSettings:
+    """The architecture settings, declared once: the experiment config, a
+    method spec and the checkpoint header (``BundleConfig``) all extend it."""
+
     hidden_dim: int = 256
     fm_factors: int = 16
     latent_dim: int = 32
     grl_lambda: float = 0.4
     dropout_rate: float = 0.2
     head_hidden: int = 0          # 0 = single affine attribute/discriminator heads
+
+
+def settings(obj, base) -> dict:
+    """The fields ``base`` declares, read off ``obj`` (an instance of a
+    subclass of it) without converting them."""
+    return {f.name: getattr(obj, f.name) for f in fields(base)}
+
+
+@dataclass
+class BundleConfig(ArchitectureSettings):
+    input_dim: int
+    backbone: str = "dnn"
     task_classes: int = 2
     attr_classes: int = 2
     with_bias_aware: bool = True

@@ -94,24 +94,25 @@ class Adam:
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-@dataclass
-class MethodSpec:
-    """One training configuration of the ladder."""
+@dataclass(kw_only=True)
+class TrainingSettings(M.ArchitectureSettings):
+    """The architecture and training settings, declared once: the experiment
+    config and a method spec both extend it."""
 
-    backbone: str = "dnn"
-    method: str = "fairvae"
-    grl_lambda: float = 0.4
-    seed: int = 0
     st_threshold: float = 0.9
     epochs: int = 50
     batch_size: int = 128
     lr: float = 0.01
-    hidden_dim: int = 256
-    latent_dim: int = 32
-    fm_factors: int = 16
-    dropout_rate: float = 0.2
-    head_hidden: int = 0
     objective: O.ObjectiveConfig = field(default_factory=O.ObjectiveConfig)
+
+
+@dataclass
+class MethodSpec(TrainingSettings):
+    """One training configuration of the ladder."""
+
+    backbone: str = "dnn"
+    method: str = "fairvae"
+    seed: int = 0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -142,21 +143,14 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 def _build_bundle(spec: MethodSpec, input_dim: int) -> M.ModelBundle:
     base = spec.method.removesuffix("_st")
-    cfg = M.BundleConfig(
-        input_dim=input_dim,
-        backbone=spec.backbone,
-        hidden_dim=spec.hidden_dim,
-        fm_factors=spec.fm_factors,
-        latent_dim=spec.latent_dim,
-        grl_lambda=0.0 if base == "plain" else spec.grl_lambda,
-        dropout_rate=spec.dropout_rate,
-        head_hidden=spec.head_hidden,
+    arch = M.settings(spec, M.ArchitectureSettings)
+    if base == "plain":
+        arch["grl_lambda"] = 0.0  # plain has no discriminator to reverse into
+    return M.ModelBundle(M.BundleConfig(
+        **arch, input_dim=input_dim, backbone=spec.backbone,
         with_bias_aware=base in ("dadv", "fairvae"),
-        with_discriminator=base != "plain",
-        with_vae=base == "fairvae",
-        seed=spec.seed,
-    )
-    return M.ModelBundle(cfg)
+        with_discriminator=base != "plain", with_vae=base == "fairvae",
+        seed=spec.seed))
 
 
 def predict_labels(bundle: M.ModelBundle, x) -> np.ndarray:
@@ -181,12 +175,11 @@ def _validation_criterion(bundle, split: DatasetSplit) -> dict:
     return {"accuracy": acc, "dp_gap": dp, "criterion": acc - dp}
 
 
-def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
+def train(spec: MethodSpec, split: DatasetSplit,
           log_writer=None) -> tuple[M.ModelBundle, TrainReport]:
     """Train one method on one split; returns the best-validation-epoch model."""
     if spec.method.endswith("_st"):
-        return self_train(spec, split, epochs, log_writer=log_writer)
-    epochs = spec.epochs if epochs is None else epochs
+        return self_train(spec, split, log_writer=log_writer)
     bundle = _build_bundle(spec, split.feature_dim)
     opt = Adam(bundle.trainable_parameters(), lr=spec.lr)
     rng_drop = _stream(spec.seed, 11)
@@ -194,14 +187,14 @@ def train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
     report = TrainReport(method=spec.method, backbone=spec.backbone,
                          seed=spec.seed)
     shadow_before = split.shadow_reads
-    burn_in = epochs // 2  # compare converged checkpoints only
+    burn_in = spec.epochs // 2  # compare converged checkpoints only
     best_criterion = -np.inf
     best_state = None
     step_index = 0
     if spec.method == "plain":
         x_all, y_all = split.all_train_xy()
 
-    for epoch in range(epochs):
+    for epoch in range(spec.epochs):
         t0 = time.perf_counter()
         agg: dict[str, float] = {}
         steps = 0
@@ -249,8 +242,8 @@ def _attribute_probs(bundle, x) -> ad.Node:
         return bundle.attr_head(bundle.bias_aware.forward(x))
 
 
-def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
-                               epochs: int) -> M.ModelBundle:
+def _train_attribute_predictor(spec: MethodSpec,
+                               split: DatasetSplit) -> M.ModelBundle:
     """Round one of self-training: fit the attribute predictor on labeled data."""
     probe_spec = replace(spec, method="dadv")
     bundle = _build_bundle(probe_spec, split.feature_dim)
@@ -259,7 +252,7 @@ def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
     opt = Adam(attr_params, lr=spec.lr)
     rng_drop = _stream(spec.seed, 13)
     best_acc, best_state = -np.inf, None
-    for epoch in range(epochs):
+    for epoch in range(spec.epochs):
         context = f"attribute predictor epoch={epoch}"
         for lab, _ in batches(split, spec.batch_size, spec.seed + 7919, epoch):
             with _step_context(context):
@@ -279,17 +272,16 @@ def _train_attribute_predictor(spec: MethodSpec, split: DatasetSplit,
     return bundle
 
 
-def self_train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
+def self_train(spec: MethodSpec, split: DatasetSplit,
                log_writer=None) -> tuple[M.ModelBundle, TrainReport]:
     """Two rounds: pseudo-label confident unlabeled samples, retrain the base
     method treating them as attribute-labeled. ``log_writer`` receives the
     step records of the second round."""
     if not spec.method.endswith("_st"):
         raise ValueError(f"self_train expects an _st method, got {spec.method!r}")
-    epochs = spec.epochs if epochs is None else epochs
     base_method = spec.method.removesuffix("_st")
 
-    predictor = _train_attribute_predictor(spec, split, epochs)
+    predictor = _train_attribute_predictor(spec, split)
     probs = _attribute_probs(predictor, split.unl_x).value
     confident = probs.max(axis=1) >= spec.st_threshold
     pseudo = probs.argmax(axis=1)
@@ -304,7 +296,7 @@ def self_train(spec: MethodSpec, split: DatasetSplit, epochs: int | None = None,
         )
         aug_split = split
 
-    bundle, report = train(replace(spec, method=base_method), aug_split, epochs,
+    bundle, report = train(replace(spec, method=base_method), aug_split,
                            log_writer=log_writer)
     report.method = spec.method
     # diagnostic only, computed after the optimization phase
