@@ -25,7 +25,8 @@ class SchemaError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid split or masking configuration."""
+    """An invalid configuration value: a setting of the wrong type or out of
+    range, or a split or mask that cannot be made."""
 
 
 NUMERIC = "numeric"

@@ -64,6 +64,18 @@ def _known_keys(cls, raw, what: str) -> dict:
     return raw
 
 
+# grid axis -> (check of each value, what the values must be); backbones and
+# methods are checked against the names the code knows
+_GRID_VALUES = (
+    ("seeds", lambda v: M.is_int(v) and v >= 0, "ints >= 0"),
+    ("label_ratios", lambda v: M.is_number(v) and 0 < v <= 1,
+     "numbers in (0, 1]"),
+    ("lambda_grid", lambda v: M.is_number(v) and v >= 0, "numbers >= 0"),
+    ("unlabeled_fractions", lambda v: M.is_number(v) and 0 <= v <= 1,
+     "numbers in [0, 1]"),
+)
+
+
 @dataclass
 class ExperimentConfig(T.TrainingSettings):
     """An experiment: the data, the grids and how cells are run, plus the
@@ -92,12 +104,18 @@ class ExperimentConfig(T.TrainingSettings):
         if not isinstance(self.objective, ObjectiveConfig):  # JSON or --set
             self.objective = ObjectiveConfig(
                 **_known_keys(ObjectiveConfig, self.objective, "objective"))
+        super().__post_init__()  # the type of every field
+        self.check_threshold(self.methods)
+        M.require(self, "val_frac", lambda v: 0 < v < 1, "in (0, 1)")
+        M.require(self, "sweep_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
+        M.require(self, "workers", lambda v: v >= 1, ">= 1")
+        for axis, ok, expected in _GRID_VALUES:
+            M.require(self, axis, lambda values: all(map(ok, values)),
+                      f"a list of {expected}")
         # grid values name cells: a repeated one would run a cell twice
         for axis in ("seeds", "backbones", "methods", "label_ratios",
                      "lambda_grid", "unlabeled_fractions"):
             values = getattr(self, axis)
-            if not isinstance(values, list):
-                raise D.ConfigError(f"{axis} must be a list, got {values!r}")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise D.ConfigError(f"{axis} repeats {repeated}: {values}")
@@ -320,13 +338,21 @@ def _write_csv(path, rows: list[dict], header_comment: str) -> None:
                 columns.append(key)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header_comment + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+        minimal = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+
+        def write(values):
+            # QUOTE_MINIMAL quotes only the lineterminator's "\n", but a reader
+            # also ends a row at a bare "\r": a row holding one is quoted whole
+            quoted = any("\r" in v for v in values)
+            (quote_all if quoted else minimal).writerow(values)
+
+        write(columns)
         for row in rows:
             # round-trip repr of a builtin float keeps reruns byte-identical
             values = [row.get(col, "") for col in columns]
-            writer.writerow([repr(float(v)) if isinstance(v, float) else str(v)
-                             for v in values])
+            write([repr(float(v)) if isinstance(v, float) else str(v)
+                   for v in values])
 
 
 def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],

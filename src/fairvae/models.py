@@ -16,16 +16,52 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .data import ConfigError
 
 BACKBONE_KINDS = ("lr", "dnn", "fm")
 
 CHECKPOINT_MAGIC = b"FVAE\x01"
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# field annotation -> (check, what the value must be)
+_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "int": (is_int, "an int"),
+    "float": (is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+}
+
+
+def require(cfg, key: str, ok, expected: str) -> None:
+    """Raise ``ConfigError`` naming ``key`` unless ``ok(cfg.<key>)`` holds."""
+    value = getattr(cfg, key)
+    if not ok(value):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+
+
+def check_types(cfg) -> None:
+    """Each field annotated bool, int, float, str or list holds that type: a
+    bool is not an int, and a float field also takes an int. Annotations are
+    read as strings, as every module here imports ``annotations``."""
+    for f in fields(cfg):
+        if f.type in _TYPES:
+            require(cfg, f.name, *_TYPES[f.type])
 
 
 @dataclass(kw_only=True)
@@ -39,6 +75,14 @@ class ArchitectureSettings:
     grl_lambda: float = 0.4
     dropout_rate: float = 0.2
     head_hidden: int = 0          # 0 = single affine attribute/discriminator heads
+
+    def __post_init__(self):
+        check_types(self)  # every field, a subclass's included
+        for key in ("hidden_dim", "fm_factors", "latent_dim"):
+            require(self, key, lambda v: v >= 1, ">= 1")
+        for key in ("grl_lambda", "head_hidden"):
+            require(self, key, lambda v: v >= 0, ">= 0")
+        require(self, "dropout_rate", lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 def settings(obj, base) -> dict:

@@ -46,6 +46,9 @@ class ObjectiveConfig:
     use_entropy_ztilde: bool = True
     negate_entropy_zhat: bool = False
 
+    def __post_init__(self):
+        M.check_types(self)
+
 
 @dataclass
 class LossBreakdown:

@@ -41,7 +41,7 @@ from . import autodiff as ad
 from . import metrics as MX
 from . import models as M
 from . import objectives as O
-from .data import DatasetSplit, batches, single_stream_batches
+from .data import ConfigError, DatasetSplit, batches, single_stream_batches
 
 METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
 
@@ -105,6 +105,20 @@ class TrainingSettings(M.ArchitectureSettings):
     lr: float = 0.01
     objective: O.ObjectiveConfig = field(default_factory=O.ObjectiveConfig)
 
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("epochs", "batch_size"):
+            M.require(self, key, lambda v: v >= 1, ">= 1")
+        M.require(self, "objective", lambda o: isinstance(o, O.ObjectiveConfig),
+                  "an ObjectiveConfig")
+
+    def check_threshold(self, methods) -> None:
+        """``st_threshold`` is read, and checked, only when one of ``methods``
+        self-trains."""
+        if any(m.endswith("_st") for m in methods):
+            M.require(self, "st_threshold", lambda t: 0.5 < t < 1.0,
+                      "in (0.5, 1) for self-training methods")
+
 
 @dataclass
 class MethodSpec(TrainingSettings):
@@ -115,12 +129,11 @@ class MethodSpec(TrainingSettings):
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method.endswith("_st") and not 0.5 < self.st_threshold < 1.0:
-            raise ValueError(
-                f"self-training threshold must lie in (0.5, 1), got {self.st_threshold}"
-            )
+            raise ConfigError(
+                f"unknown method {self.method!r}; expected one of {METHODS}")
+        self.check_threshold([self.method])
 
 
 @dataclass

@@ -2,14 +2,18 @@ import csv
 import hashlib
 import json
 import os
+import re
 import warnings
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairvae import experiments as X
+from fairvae import models as M
+from fairvae import training as T
 from fairvae.cli import main as cli_main
 from fairvae.data import ConfigError
 from fairvae.objectives import ObjectiveConfig
@@ -224,6 +228,36 @@ class TestCsvOutput:
             {"cell": "a", "status": "OK", "accuracy": "0.75", "seed": "0"},
             {"cell": "b", "status": status, "accuracy": "", "seed": "1"},
         ]
+
+    def test_carriage_returns_read_back(self, tmp_path):
+        hostile = ["a\rb", "c\nd", "e\r\nf", 'g"h', "i,j", "\r", "k", ""]
+        rows = [{"cell": text, "status": f"FAILED: {text}", "seed": i}
+                for i, text in enumerate(hostile)]
+        path = tmp_path / "rows.csv"
+        X._write_csv(path, rows, "# kind=grid")
+        with open(path, newline="") as fh:
+            next(fh)
+            read = list(csv.DictReader(fh))
+        assert read == [{k: str(v) for k, v in row.items()} for row in rows]
+        assert b"\nk,FAILED: k,6\n" in path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_roundtrip") / "rows.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.fixed_dictionaries(
+    {"cell": st.text(), "status": st.text(), "accuracy": st.floats(),
+     "seed": st.integers()}), max_size=6))
+def test_csv_round_trip(csv_path, rows):
+    X._write_csv(csv_path, rows, "# kind=grid")
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        next(fh)
+        read = list(csv.DictReader(fh))
+    assert read == [{k: repr(v) if isinstance(v, float) else str(v)
+                     for k, v in row.items()} for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +563,89 @@ class TestGridValidation:
         assert code == 2
         assert "lambda_grid repeats [0.4]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# each value fails the type or range check of its field's declaration
+BAD_CONFIGS = [
+    ({"objective": {"use_entropy_zhat": "false"}}, "use_entropy_zhat"),
+    ({"epochs": "abc"}, "epochs"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"label_ratios": [0.5, 2.0]}, "label_ratios"),
+    ({"unlabeled_fractions": [2.0]}, "unlabeled_fractions"),
+    ({"val_frac": 1.5}, "val_frac"),
+    ({"dropout_rate": 1.0}, "dropout_rate"),
+    ({"st_threshold": 0.3, "methods": ["plain", "adv_st"]}, "st_threshold"),
+    ({"seeds": [0, 0.5]}, "seeds"),
+    ({"workers": "2"}, "workers"),
+]
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize("raw,key", BAD_CONFIGS,
+                             ids=[key for _, key in BAD_CONFIGS])
+    def test_bad_value_rejected_before_any_cell_runs(self, dataset, tmp_path,
+                                                     capsys, raw, key):
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            X.ExperimentConfig(**raw)
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            X.ExperimentConfig.from_dict(raw)
+        sets = [arg for k, v in raw.items()
+                for arg in ("--set", f"{k}={json.dumps(v)}")]
+        code = cli_main(["run", "--train", dataset[0], "--test", dataset[1],
+                         "--out", str(tmp_path / "out"), *sets])
+        assert code == 2
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_threshold_unchecked_without_self_training(self):
+        assert X.ExperimentConfig(st_threshold=0.3,
+                                  methods=["plain", "fairvae"]).st_threshold == 0.3
+
+    @pytest.mark.parametrize("make", [
+        X.ExperimentConfig, T.MethodSpec,
+        lambda **kw: M.BundleConfig(input_dim=3, **kw)],
+        ids=["ExperimentConfig", "MethodSpec", "BundleConfig"])
+    @pytest.mark.parametrize("key,value", [
+        ("dropout_rate", 1.0), ("hidden_dim", True), ("hidden_dim", 0),
+        ("grl_lambda", -0.1), ("head_hidden", 1.5)])
+    def test_shared_settings_checked_on_every_class(self, make, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be"):
+            make(**{key: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.fixed_dictionaries({
+    "hidden_dim": st.integers(1, 512), "fm_factors": st.integers(1, 64),
+    "latent_dim": st.integers(1, 64), "head_hidden": st.integers(0, 64),
+    "grl_lambda": st.floats(0.0, 100.0) | st.integers(0, 100),
+    "dropout_rate": st.floats(0.0, 1.0, exclude_max=True),
+    "st_threshold": st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    "epochs": st.integers(1, 500), "batch_size": st.integers(1, 4096),
+    "lr": st.floats(1e-6, 1.0), "workers": st.integers(1, 8),
+    "val_frac": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "sweep_ratio": st.floats(0.0, 1.0, exclude_min=True),
+    "seeds": st.lists(st.integers(0, 2**32 - 1), unique=True, max_size=5),
+    "label_ratios": st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
+                             unique=True, max_size=3),
+    "lambda_grid": st.lists(st.floats(0.0, 10.0), unique=True, max_size=4),
+    "unlabeled_fractions": st.lists(st.floats(0.0, 1.0), unique=True,
+                                    max_size=4),
+    "methods": st.lists(st.sampled_from(T.METHODS), unique=True, min_size=1),
+    "include_sensitive_feature": st.booleans(), "save_logs": st.booleans(),
+    "objective": st.builds(ObjectiveConfig, **{
+        f.name: st.booleans() for f in fields(ObjectiveConfig)}),
+}))
+def test_in_range_values_construct(values):
+    cfg = X.ExperimentConfig(**values)
+    assert {key: getattr(cfg, key) for key in values} == values
+
+
+def test_readme_config_block_matches_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(re.sub(r"//[^\n]*", "", block)) == asdict(
+        X.ExperimentConfig())
 
 
 @pytest.fixture(scope="module")
