@@ -104,7 +104,7 @@ class ExperimentConfig(T.TrainingSettings):
         if not isinstance(self.objective, ObjectiveConfig):  # JSON or --set
             self.objective = ObjectiveConfig(
                 **_known_keys(ObjectiveConfig, self.objective, "objective"))
-        super().__post_init__()  # the type of every field
+        super().__post_init__()  # every type, the shared settings' ranges
         self.check_threshold(self.methods)
         M.require(self, "val_frac", lambda v: 0 < v < 1, "in (0, 1)")
         M.require(self, "sweep_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
