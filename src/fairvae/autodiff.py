@@ -6,11 +6,15 @@ parents. ``backward`` on a scalar root accumulates into ``.grad`` on every
 reachable node that tracks gradients, so shared subexpressions are handled
 correctly.
 
+An op supplies only its forward value and one vector-Jacobian product (vjp)
+per input, a function from the upstream gradient to that input's gradient;
+``_node`` builds the result and applies the gradient rule in one place.
+
 Gradient rule: a node tracks gradients (``requires_grad``) when it is a
 trainable ``Parameter``, a leaf built directly with ``Node(...)``, or has a
 parent that tracks them. Constants (arrays that ``as_node`` wraps, and
 ``detach`` results) and frozen parameters (``trainable=False``) never hold a
-gradient buffer, and ops skip their backward contribution to them.
+gradient buffer, and their vjp is never run.
 Parameters and leaves hold a zeroed ``.grad`` from construction; every other
 node's ``.grad`` is ``None`` until the first gradient is accumulated into it,
 so a forward pass that never calls ``backward`` allocates no gradient buffer.
@@ -122,24 +126,29 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else Node(x, op="const", requires_grad=False)
 
 
-def _link(out: Node, backward) -> Node:
-    """Attach ``backward`` to ``out`` if it tracks gradients; otherwise the
-    closure, and the parents it holds, are dropped."""
+def _node(value, op: str, *inputs) -> Node:
+    """The result of an op: a node holding ``value`` whose inputs are the
+    ``(parent, vjp)`` pairs, where ``vjp`` maps the upstream gradient to that
+    parent's gradient.
+
+    The gradient rule lives here: the node keeps a backward closure only if it
+    tracks gradients, and the closure runs a parent's vjp, in the order given,
+    only if that parent tracks them, so constants never get a gradient."""
+    out = Node(value, op=op, parents=tuple(parent for parent, _ in inputs))
     if out.requires_grad:
-        out._backward = backward
+        def _backward(up):
+            for parent, vjp in inputs:
+                if parent.requires_grad:
+                    _accumulate(parent, vjp(up))
+        out._backward = _backward
     return out
 
 
-def _grad_buffer(node: Node) -> np.ndarray:
-    """``node.grad``, allocated zeroed on first use."""
+def _accumulate(node: Node, grad) -> None:
+    """Add ``grad`` into ``node.grad``, allocated zeroed on first use."""
     if node.grad is None:
         node.grad = np.zeros_like(node.value)
-    return node.grad
-
-
-def _accumulate(node: Node, grad) -> None:
-    buffer = _grad_buffer(node)
-    buffer += grad
+    node.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -158,62 +167,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = Node(a.value + b.value, op="add", parents=(a, b))
-
-    def _bw(up):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(up, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(up, b.value.shape))
-
-    return _link(out, _bw)
+    return _node(a.value + b.value, "add",
+                 (a, lambda up: _unbroadcast(up, a.value.shape)),
+                 (b, lambda up: _unbroadcast(up, b.value.shape)))
 
 
 def sub(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = Node(a.value - b.value, op="sub", parents=(a, b))
-
-    def _bw(up):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(up, a.value.shape))
-        if b.requires_grad:
-            buffer = _grad_buffer(b)
-            buffer -= _unbroadcast(up, b.value.shape)
-
-    return _link(out, _bw)
+    return _node(a.value - b.value, "sub",
+                 (a, lambda up: _unbroadcast(up, a.value.shape)),
+                 (b, lambda up: -_unbroadcast(up, b.value.shape)))
 
 
 def mul(a, b) -> Node:
     a, b = as_node(a), as_node(b)
-    out = Node(a.value * b.value, op="mul", parents=(a, b))
-
-    def _bw(up):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(b.value * up, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.value * up, b.value.shape))
-
-    return _link(out, _bw)
+    return _node(a.value * b.value, "mul",
+                 (a, lambda up: _unbroadcast(b.value * up, a.value.shape)),
+                 (b, lambda up: _unbroadcast(a.value * up, b.value.shape)))
 
 
 def scale(a, c: float) -> Node:
     a = as_node(a)
-    out = Node(a.value * c, op="scale", parents=(a,))
-
-    def _bw(up):
-        _accumulate(a, c * up)
-
-    return _link(out, _bw)
+    return _node(a.value * c, "scale", (a, lambda up: c * up))
 
 
 def square(a) -> Node:
     a = as_node(a)
-    out = Node(a.value * a.value, op="square", parents=(a,))
-
-    def _bw(up):
-        _accumulate(a, 2.0 * a.value * up)
-
-    return _link(out, _bw)
+    return _node(a.value * a.value, "square", (a, lambda up: 2.0 * a.value * up))
 
 
 def matmul(a, b) -> Node:
@@ -222,78 +202,49 @@ def matmul(a, b) -> Node:
         raise ShapeMismatch(
             f"matmul shapes do not conform: {a.value.shape} x {b.value.shape}"
         )
-    out = Node(a.value @ b.value, op="matmul", parents=(a, b))
-
-    def _bw(up):
-        if a.requires_grad:
-            _accumulate(a, up @ b.value.T)
-        if b.requires_grad:
-            _accumulate(b, a.value.T @ up)
-
-    return _link(out, _bw)
+    return _node(a.value @ b.value, "matmul",
+                 (a, lambda up: up @ b.value.T), (b, lambda up: a.value.T @ up))
 
 
 def sum_rows(a) -> Node:
     """Sum over axis 1: Node[n x d] -> Node[n]."""
     a = as_node(a)
-    out = Node(a.value.sum(axis=1), op="sum_rows", parents=(a,))
-
-    def _bw(up):
-        _accumulate(a, up[:, None])
-
-    return _link(out, _bw)
+    return _node(a.value.sum(axis=1), "sum_rows", (a, lambda up: up[:, None]))
 
 
 def mean_all(a) -> Node:
     """Mean over every entry -> scalar Node."""
     a = as_node(a)
-    out = Node(a.value.mean(), op="mean", parents=(a,))
-
-    def _bw(up):
-        _accumulate(a, up / a.value.size)
-
-    return _link(out, _bw)
+    return _node(a.value.mean(), "mean", (a, lambda up: up / a.value.size))
 
 
 def column(a, j: int) -> Node:
     """Extract column j of a 2-D node -> Node[n]."""
     a = as_node(a)
-    out = Node(a.value[:, j], op="column", parents=(a,))
 
-    def _bw(up):
-        _grad_buffer(a)[:, j] += up
+    def vjp(up):
+        grad = np.zeros_like(a.value)
+        grad[:, j] = up
+        return grad
 
-    return _link(out, _bw)
+    return _node(a.value[:, j], "column", (a, vjp))
 
 
 def concat_columns(parts) -> Node:
     """Concatenate 2-D nodes along axis 1."""
     parts = [as_node(p) for p in parts]
-    out = Node(np.concatenate([p.value for p in parts], axis=1),
-               op="concat", parents=tuple(parts))
-    widths = [p.value.shape[1] for p in parts]
-
-    def _bw(up):
-        start = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                _accumulate(p, up[:, start:start + w])
-            start += w
-
-    return _link(out, _bw)
+    bounds = np.cumsum([0] + [p.value.shape[1] for p in parts])
+    return _node(np.concatenate([p.value for p in parts], axis=1), "concat",
+                 *[(p, lambda up, lo=lo, hi=hi: up[:, lo:hi])
+                   for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])])
 
 
 def log_clipped(a, lo: float = LOG_FLOOR, hi: float = 1.0) -> Node:
     """log of a clipped to [lo, hi]; gradient is zero outside the clip range."""
     a = as_node(a)
     clipped = np.clip(a.value, lo, hi)
-    out = Node(np.log(clipped), op="log", parents=(a,))
     inside = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
-
-    def _bw(up):
-        _accumulate(a, inside * up / clipped)
-
-    return _link(out, _bw)
+    return _node(np.log(clipped), "log", (a, lambda up: inside * up / clipped))
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +264,10 @@ def dense(x, weight: Parameter, bias: Parameter) -> Node:
         )
     value = x.value @ weight.value
     value += bias.value  # in place: no second n x d_out temporary
-    out = Node(value, op="dense", parents=(x, weight, bias))
-
-    def _bw(up):
-        if x.requires_grad:
-            _accumulate(x, up @ weight.value.T)
-        if weight.requires_grad:
-            _accumulate(weight, x.value.T @ up)
-        if bias.requires_grad:
-            _accumulate(bias, up.sum(axis=0))
-
-    return _link(out, _bw)
+    return _node(value, "dense",
+                 (x, lambda up: up @ weight.value.T),
+                 (weight, lambda up: x.value.T @ up),
+                 (bias, lambda up: up.sum(axis=0)))
 
 
 _ACTIVATIONS = {
@@ -340,12 +284,8 @@ def activation(x, kind: str) -> Node:
         fwd, deriv = _ACTIVATIONS[kind]
     except KeyError:
         raise ValueError(f"unknown activation kind: {kind!r}") from None
-    out = Node(fwd(x.value), op=kind, parents=(x,))
-
-    def _bw(up):
-        _accumulate(x, deriv(x.value, out.value) * up)
-
-    return _link(out, _bw)
+    value = fwd(x.value)
+    return _node(value, kind, (x, lambda up: deriv(x.value, value) * up))
 
 
 def relu(x):
@@ -368,13 +308,8 @@ def softmax(x) -> Node:
     shifted = x.value - x.value.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Node(p, op="softmax", parents=(x,))
-
-    def _bw(up):
-        inner = (up * p).sum(axis=1, keepdims=True)
-        _accumulate(x, p * (up - inner))
-
-    return _link(out, _bw)
+    return _node(p, "softmax",
+                 (x, lambda up: p * (up - (up * p).sum(axis=1, keepdims=True))))
 
 
 def gradient_reversal(x, lam: float) -> Node:
@@ -382,12 +317,7 @@ def gradient_reversal(x, lam: float) -> Node:
     if lam < 0:
         raise ValueError(f"gradient reversal strength must be >= 0, got {lam}")
     x = as_node(x)
-    out = Node(x.value, op="grad_reverse", parents=(x,))
-
-    def _bw(up):
-        _accumulate(x, -lam * up)
-
-    return _link(out, _bw)
+    return _node(x.value, "grad_reverse", (x, lambda up: -lam * up))
 
 
 def reparameterize(mu, sigma, epsilon) -> Node:
@@ -401,16 +331,8 @@ def reparameterize(mu, sigma, epsilon) -> Node:
             f"reparameterize shapes differ: mu {mu.value.shape}, "
             f"sigma {sigma.value.shape}, epsilon {eps.shape}"
         )
-    out = Node(eps * sigma.value + mu.value, op="reparameterize",
-               parents=(mu, sigma))
-
-    def _bw(up):
-        if mu.requires_grad:
-            _accumulate(mu, up)
-        if sigma.requires_grad:
-            _accumulate(sigma, eps * up)
-
-    return _link(out, _bw)
+    return _node(eps * sigma.value + mu.value, "reparameterize",
+                 (mu, lambda up: up), (sigma, lambda up: eps * up))
 
 
 def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node:
@@ -427,12 +349,7 @@ def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node
     else:
         mask = tensor(mask, ctx="dropout mask")
     keep = mask / (1.0 - rate)
-    out = Node(x.value * keep, op="dropout", parents=(x,))
-
-    def _bw(up):
-        _accumulate(x, keep * up)
-
-    return _link(out, _bw)
+    return _node(x.value * keep, "dropout", (x, lambda up: keep * up))
 
 
 def abs_row_cosine(a, b) -> tuple[Node, int]:
@@ -453,20 +370,17 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
     denom = np.where(ok, na * nb, 1.0)
     dot = (a.value * b.value).sum(axis=1)
     cos = np.where(ok, dot / denom, 0.0)
-    out = Node(np.abs(cos), op="abs_cosine", parents=(a, b))
-    zero_rows = int((~ok).sum())
 
-    def _bw(up):
-        s = np.sign(cos) * up * ok
-        sa = (s / denom)[:, None]
-        ca = (s * cos / np.where(ok, na * na, 1.0))[:, None]
-        cb = (s * cos / np.where(ok, nb * nb, 1.0))[:, None]
-        if a.requires_grad:
-            _accumulate(a, sa * b.value - ca * a.value)
-        if b.requires_grad:
-            _accumulate(b, sa * a.value - cb * b.value)
+    def vjp(x, other, norm):
+        # d|cos|/dx = sign(cos) * (other / (|x||other|) - cos * x / |x|^2)
+        def grad(up):
+            s = np.sign(cos) * up * ok
+            return ((s / denom)[:, None] * other.value
+                    - (s * cos / np.where(ok, norm * norm, 1.0))[:, None] * x.value)
+        return grad
 
-    return _link(out, _bw), zero_rows
+    out = _node(np.abs(cos), "abs_cosine", (a, vjp(a, b, na)), (b, vjp(b, a, nb)))
+    return out, int((~ok).sum())
 
 
 # ---------------------------------------------------------------------------

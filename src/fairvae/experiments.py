@@ -64,6 +64,9 @@ def _known_keys(cls, raw, what: str) -> dict:
     return raw
 
 
+_GRID_AXES = ("seeds", "backbones", "methods", "label_ratios", "lambda_grid",
+              "unlabeled_fractions")
+
 # grid axis -> (check of each value, what the values must be); backbones and
 # methods are checked against the names the code knows
 _GRID_VALUES = (
@@ -109,12 +112,14 @@ class ExperimentConfig(T.TrainingSettings):
         M.require(self, "val_frac", lambda v: 0 < v < 1, "in (0, 1)")
         M.require(self, "sweep_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
         M.require(self, "workers", lambda v: v >= 1, ">= 1")
+        # an empty axis would run no cell and still report success
+        for axis in _GRID_AXES:
+            M.require(self, axis, bool, "a non-empty list")
         for axis, ok, expected in _GRID_VALUES:
             M.require(self, axis, lambda values: all(map(ok, values)),
                       f"a list of {expected}")
         # grid values name cells: a repeated one would run a cell twice
-        for axis in ("seeds", "backbones", "methods", "label_ratios",
-                     "lambda_grid", "unlabeled_fractions"):
+        for axis in _GRID_AXES:
             values = getattr(self, axis)
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -430,8 +435,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> ResultsTable:
             f"unknown sweep axis {axis!r}; expected {tuple(SWEEP_AXES)}")
     key, tag, grid_field = SWEEP_AXES[axis]
     grid = getattr(cfg, grid_field)
-    if not grid:
-        raise D.ConfigError(f"{axis} sweep needs a non-empty {grid_field}")
     cells = _point_cells(cfg, cfg.sweep_backbone, cfg.sweep_ratio, key, tag,
                          [(value, {key: value}) for value in grid])
     return _run_grid(cfg, f"sweep_{axis}", f"sweep_{axis}", cells, (key,))

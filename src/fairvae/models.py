@@ -124,7 +124,7 @@ class _Registry:
         if init == "zeros":
             value = np.zeros(shape)
         elif init == "glorot":
-            fan_in = shape[0] if len(shape) > 1 else shape[0]
+            fan_in = shape[0]
             fan_out = shape[1] if len(shape) > 1 else shape[0]
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             value = rng.uniform(-limit, limit, shape)

@@ -130,6 +130,7 @@ class MethodSpec(TrainingSettings):
 
     def __post_init__(self):
         super().__post_init__()
+        M.require(self, "seed", lambda v: v >= 0, ">= 0")
         if self.method not in METHODS:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {METHODS}")

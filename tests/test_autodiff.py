@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -236,6 +237,7 @@ FD_CASES = {
     "add": ([(4, 3), (4, 3)], lambda p: ad.mean_all(ad.add(p[0], p[1]))),
     "add_broadcast_bias": ([(4, 3), (3,)], lambda p: ad.mean_all(ad.add(p[0], p[1]))),
     "sub": ([(4, 3), (4, 3)], lambda p: ad.mean_all(ad.sub(p[0], p[1]))),
+    "sub_broadcast": ([(4, 3), (3,)], lambda p: ad.mean_all(ad.sub(p[0], p[1]))),
     "mul": ([(4, 3), (4, 3)], lambda p: ad.mean_all(ad.mul(p[0], p[1]))),
     "mul_row_weight": ([(4,), (4,)], lambda p: ad.mean_all(ad.mul(p[0], p[1]))),
     "scale": ([(4, 3)], lambda p: ad.mean_all(ad.scale(p[0], -2.5))),
@@ -276,6 +278,21 @@ def test_every_op_matches_central_differences(name):
     shapes, builder = FD_CASES[name]
     params, build_with = _fd_case(name, builder, shapes)
     check_grads(lambda: build_with(params), params, rtol=1e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("name", sorted(FD_CASES))
+def test_dropped_graph_leaves_no_cyclic_garbage(name):
+    """A backpropagated graph is freed by reference counting alone: no node
+    is kept alive by a cycle through its own backward closure."""
+    shapes, builder = FD_CASES[name]
+    params, build_with = _fd_case(name, builder, shapes)
+    gc.collect()
+    gc.disable()
+    try:
+        ad.backward(build_with(params))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_gradient_reversal_fd_is_negated():

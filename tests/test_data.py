@@ -47,7 +47,8 @@ class TestLoadAdult:
             D._read_adult_file(p)
 
     def test_malformed_numeric_names_line(self, tmp_path, adult_files):
-        good_line = open(adult_files[0]).readline().strip()
+        with open(adult_files[0]) as fh:
+            good_line = fh.readline().strip()
         fields = [f.strip() for f in good_line.split(",")]
         fields[0] = "abc"  # age must be numeric
         p = tmp_path / "malformed.csv"

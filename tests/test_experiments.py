@@ -120,7 +120,7 @@ class TestRunExperiments:
         # 1 backbone x 2 methods x 1 ratio x 2 seeds
         assert len(table.raw_rows) == 4
         assert len(table.aggregated) == 2
-        raw_lines = open(os.path.join(out, "results_raw.csv")).read().splitlines()
+        raw_lines = Path(out, "results_raw.csv").read_text().splitlines()
         assert len(raw_lines) == 2 + 4  # comment + header + rows
 
     def test_all_cells_ok(self, result):
@@ -130,7 +130,8 @@ class TestRunExperiments:
     def test_outputs_embed_config_hash(self, result):
         cfg, table, out = result
         for stem in ("results_raw.csv", "results_agg.csv", "results.txt"):
-            first = open(os.path.join(out, stem)).readline()
+            with open(os.path.join(out, stem)) as fh:
+                first = fh.readline()
             assert X.config_hash(cfg) in first
             assert str(cfg.seeds) in first
 
@@ -168,8 +169,8 @@ class TestRunExperiments:
         out_b = tmp_path_factory.mktemp("run_out_b")
         cfg_b = tiny_config(dataset, out_b)
         X.run_experiments(cfg_b)
-        a = open(os.path.join(out_a, "results_raw.csv")).read()
-        b = open(os.path.join(out_b, "results_raw.csv")).read()
+        a = Path(out_a, "results_raw.csv").read_text()
+        b = Path(out_b, "results_raw.csv").read_text()
         # same cells and metrics; only the embedded output_dir hash differs
         assert a.splitlines()[1:] == b.splitlines()[1:]
 
@@ -289,7 +290,8 @@ class TestAblation:
         row = next(r for r in table.raw_rows
                    if r["variant"] == "no_entropy_zhat")
         log_path = os.path.join(out, "logs", row["cell"] + ".jsonl")
-        header, *records = [json.loads(line) for line in open(log_path)]
+        header, *records = [json.loads(line)
+                            for line in Path(log_path).read_text().splitlines()]
         assert "config_hash" in header
         assert records and all(rec["entropy_attr"] == 0.0 for rec in records)
         assert any(rec["entropy_adv"] != 0.0 for rec in records)
@@ -302,7 +304,7 @@ class TestSweep:
                           sweep_ratio=0.5)
         table = X.run_sweep(cfg, "lambda")
         assert [row["grl_lambda"] for row in table.aggregated] == [0.0, 0.4, 1.0]
-        agg_lines = open(os.path.join(out, "sweep_lambda_agg.csv")).read().splitlines()
+        agg_lines = Path(out, "sweep_lambda_agg.csv").read_text().splitlines()
         assert len(agg_lines) == 2 + 3
 
     def test_unlabeled_fraction_zero_behaves_supervised(self, dataset,
@@ -313,7 +315,8 @@ class TestSweep:
         table = X.run_sweep(cfg, "unlabeled_fraction")
         row = next(r for r in table.raw_rows if r["status"] == "OK")
         log_path = os.path.join(out, "logs", row["cell"] + ".jsonl")
-        records = [json.loads(line) for line in open(log_path)][1:]
+        records = [json.loads(line)
+                   for line in Path(log_path).read_text().splitlines()][1:]
         assert all(rec["entropy_attr"] == 0.0 and rec["entropy_adv"] == 0.0
                    for rec in records)
 
@@ -577,6 +580,9 @@ BAD_CONFIGS = [
     ({"st_threshold": 0.3, "methods": ["plain", "adv_st"]}, "st_threshold"),
     ({"seeds": [0, 0.5]}, "seeds"),
     ({"workers": "2"}, "workers"),
+    *[({axis: []}, axis) for axis in ("seeds", "backbones", "methods",
+                                      "label_ratios", "lambda_grid",
+                                      "unlabeled_fractions")],
 ]
 
 
@@ -624,12 +630,14 @@ class TestBoundaryChecks:
     "lr": st.floats(1e-6, 1.0), "workers": st.integers(1, 8),
     "val_frac": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "sweep_ratio": st.floats(0.0, 1.0, exclude_min=True),
-    "seeds": st.lists(st.integers(0, 2**32 - 1), unique=True, max_size=5),
+    "seeds": st.lists(st.integers(0, 2**32 - 1), unique=True, min_size=1,
+                      max_size=5),
     "label_ratios": st.lists(st.floats(0.0, 1.0, exclude_min=True) | st.just(1),
-                             unique=True, max_size=3),
-    "lambda_grid": st.lists(st.floats(0.0, 10.0), unique=True, max_size=4),
+                             unique=True, min_size=1, max_size=3),
+    "lambda_grid": st.lists(st.floats(0.0, 10.0), unique=True, min_size=1,
+                            max_size=4),
     "unlabeled_fractions": st.lists(st.floats(0.0, 1.0), unique=True,
-                                    max_size=4),
+                                    min_size=1, max_size=4),
     "methods": st.lists(st.sampled_from(T.METHODS), unique=True, min_size=1),
     "include_sensitive_feature": st.booleans(), "save_logs": st.booleans(),
     "objective": st.builds(ObjectiveConfig, **{
@@ -656,7 +664,8 @@ def roundtrip_path(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(switches=st.fixed_dictionaries(
            {f.name: st.booleans() for f in fields(ObjectiveConfig)}),
-       seeds=st.lists(st.integers(0, 2**31), unique=True, max_size=5),
+       seeds=st.lists(st.integers(0, 2**31), unique=True, min_size=1,
+                      max_size=5),
        grl_lambda=st.floats(0.0, 10.0))
 def test_config_json_round_trip(roundtrip_path, switches, seeds, grl_lambda):
     cfg = X.ExperimentConfig(objective=ObjectiveConfig(**switches),
@@ -714,7 +723,8 @@ class TestCliGridVerbs:
         assert code == 0
         capsys.readouterr()
         records = [json.loads(line) for line in
-                   open(out / "logs" / "lr_fairvae_r0.5_s0.jsonl")][1:]
+                   (out / "logs" / "lr_fairvae_r0.5_s0.jsonl").read_text()
+                   .splitlines()][1:]
         assert records and all(r["entropy_attr"] == 0.0 for r in records)
         assert any(r["entropy_adv"] != 0.0 for r in records)
 

@@ -9,7 +9,7 @@ from fairvae import data as D
 from fairvae import metrics as MX
 from fairvae import models as M
 from fairvae import training as T
-from fairvae.data import Sample
+from fairvae.data import ConfigError, Sample
 from fairvae.synthetic import make_shortcut_samples
 
 
@@ -86,6 +86,10 @@ class TestMethodSpec:
         with pytest.raises(ValueError, match="threshold"):
             T.MethodSpec(method="dadv_st", st_threshold=0.4)
         T.MethodSpec(method="dadv_st", st_threshold=0.9)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1"):
+            T.MethodSpec(seed=-1)
 
 
 def separable_samples(n, seed, dim=6):
