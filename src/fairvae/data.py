@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -54,45 +57,65 @@ SENSITIVE_COLUMN = "sex"
 LABEL_COLUMN = "income"
 POSITIVE_LABEL = ">50K"
 MISSING = "?"
+# the only codes the label and the attribute may take in a file
+CODED_VALUES = {
+    LABEL_COLUMN: frozenset({"<=50K", POSITIVE_LABEL}),
+    SENSITIVE_COLUMN: frozenset({"Female", "Male", MISSING}),
+}
 
 RawRecord = dict  # column name -> stripped string value
 
 
 def _read_adult_file(path) -> list[RawRecord]:
     names = [c for c, _ in ADULT_SCHEMA]
-    numeric_cols = {c for c, kind in ADULT_SCHEMA if kind == NUMERIC}
+    numeric = [(i, c) for i, (c, kind) in enumerate(ADULT_SCHEMA)
+               if kind == NUMERIC]
+    coded = [(names.index(c), c, allowed) for c, allowed in CODED_VALUES.items()]
+    label = names.index(LABEL_COLUMN)
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("|"):
                 continue
-            fields = [f.strip() for f in line.split(",")]
+            fields = list(map(str.strip, line.split(",")))
             if len(fields) != len(names):
                 raise SchemaError(
                     f"{path}:{lineno}: expected {len(names)} fields, "
                     f"got {len(fields)}"
                 )
-            record = dict(zip(names, fields))
             # the test file suffixes labels with a period
-            record[LABEL_COLUMN] = record[LABEL_COLUMN].rstrip(".")
-            for col in numeric_cols:
-                if record[col] != MISSING:
-                    try:
-                        float(record[col])
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}:{lineno}: column {col!r} is not numeric: "
-                            f"{record[col]!r}"
-                        ) from None
-            records.append(record)
+            fields[label] = fields[label].rstrip(".")
+            for i, col in numeric:
+                value = fields[i]
+                try:
+                    finite = value == MISSING or math.isfinite(float(value))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ParseError(
+                        f"{path}:{lineno}: column {col!r} is not a finite "
+                        f"number: {value!r}"
+                    )
+            for i, col, allowed in coded:
+                if fields[i] not in allowed:
+                    raise ParseError(
+                        f"{path}:{lineno}: column {col!r} has {fields[i]!r}, "
+                        f"expected one of {sorted(allowed)}"
+                    )
+            records.append(dict(zip(names, fields)))
     if not records:
         warnings.warn(f"{path}: no records found", stacklevel=2)
     return records
 
 
 def load_adult(train_path, test_path) -> tuple[list[RawRecord], list[RawRecord]]:
-    """Read the Adult train/test files (32,561 and 16,281 rows for the canonical pair)."""
+    """Read the Adult train/test files (32,561 and 16,281 rows for the canonical pair).
+
+    Raises ``SchemaError`` for a row without 15 fields and ``ParseError``,
+    naming the file, line, column and value, for a numeric cell that is not a
+    finite number or a label or attribute outside ``CODED_VALUES``.
+    """
     return _read_adult_file(train_path), _read_adult_file(test_path)
 
 
@@ -127,23 +150,26 @@ class Sample:
     z: int
 
 
-def _fit_stats(records, include_sensitive: bool) -> Stats:
+def _observed_numbers(values) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of a numeric column's present cells, and where they are."""
+    present = np.array([v != MISSING for v in values], dtype=bool)
+    return np.array([float(v) for v in values if v != MISSING]), present
+
+
+def _fit_stats(columns, numbers, include_sensitive: bool) -> Stats:
     cat_vocab, cat_mode, num_mean, num_std = {}, {}, {}, {}
     for name, kind in ADULT_SCHEMA:
         if name == LABEL_COLUMN:
             continue
-        values = [r[name] for r in records]
         if kind == CATEGORICAL:
-            observed = [v for v in values if v != MISSING]
-            counts = {}
-            for v in observed:
-                counts[v] = counts.get(v, 0) + 1
+            counts = Counter(columns[name])
+            counts.pop(MISSING, None)
             cat_vocab[name] = sorted(counts)
             # deterministic mode: highest count, ties broken alphabetically
-            cat_mode[name] = min(sorted(counts), key=lambda v: (-counts[v], v)) \
+            cat_mode[name] = min(counts, key=lambda v: (-counts[v], v)) \
                 if counts else ""
         else:
-            observed = np.array([float(v) for v in values if v != MISSING])
+            observed = numbers[name][0]
             mean = float(observed.mean()) if observed.size else 0.0
             std = float(observed.std()) if observed.size else 1.0
             num_mean[name] = mean
@@ -158,37 +184,50 @@ def preprocess(records, stats: Stats | None = None,
     Pass the train-split ``stats`` when encoding test data so vocabularies and
     standardization constants come from training. Unknown categories encode as
     an all-zero block; missing cells are imputed with the train mode/mean.
+
+    The encoding runs column by column into one float64 matrix: a numeric
+    column is standardized as a vector, a categorical column is looked up in
+    a value-to-index dict and its ones set in one assignment. Each sample's
+    ``x`` is a row of that matrix. Records are not checked again here:
+    ``load_adult`` rejects unparsable or non-finite numbers and unknown label
+    or attribute codes; a record built by hand with an unparsable number
+    raises ``ValueError``.
     """
+    names = [name for name, _ in ADULT_SCHEMA]
+    # transpose the records into one tuple of cells per column
+    cells = list(zip(*map(itemgetter(*names), records))) or [()] * len(names)
+    columns = dict(zip(names, cells))
+    numbers = {name: _observed_numbers(columns[name])
+               for name, kind in ADULT_SCHEMA if kind == NUMERIC}
     if stats is None:
-        stats = _fit_stats(records, include_sensitive)
-    feature_cols = stats.feature_columns
-    dim = stats.feature_dim
-    samples = []
-    for r in records:
-        x = np.zeros(dim)
-        pos = 0
-        for name, kind in feature_cols:
-            if kind == NUMERIC:
-                raw = r[name]
-                value = stats.num_mean[name] if raw == MISSING else float(raw)
-                x[pos] = (value - stats.num_mean[name]) / stats.num_std[name]
-                pos += 1
-            else:
-                vocab = stats.cat_vocab[name]
-                raw = r[name]
-                if raw == MISSING:
-                    raw = stats.cat_mode[name]
-                try:
-                    x[pos + vocab.index(raw)] = 1.0
-                except ValueError:
-                    pass  # unseen category: leave the block all zeros
-                pos += len(vocab)
-        y = int(r[LABEL_COLUMN] == POSITIVE_LABEL)
-        sex = r[SENSITIVE_COLUMN]
-        if sex == MISSING:
-            sex = stats.cat_mode[SENSITIVE_COLUMN]
-        z = int(sex == "Female")
-        samples.append(Sample(x=x, y=y, z=z))
+        stats = _fit_stats(columns, numbers, include_sensitive)
+    n = len(records)
+    x = np.zeros((n, stats.feature_dim))
+    rows = np.arange(n)
+    pos = 0
+    for name, kind in stats.feature_columns:
+        if kind == NUMERIC:
+            mean = stats.num_mean[name]
+            observed, present = numbers[name]
+            values = np.full(n, mean)
+            values[present] = observed
+            x[:, pos] = (values - mean) / stats.num_std[name]
+            pos += 1
+        else:
+            vocab = stats.cat_vocab[name]
+            index = {v: i for i, v in enumerate(vocab)}
+            index[MISSING] = index.get(stats.cat_mode[name], -1)
+            # an unseen category (index -1) leaves its block all zeros
+            idx = np.fromiter(map(index.get, columns[name], repeat(-1)),
+                              dtype=np.intp, count=n)
+            known = idx >= 0
+            x[rows[known], pos + idx[known]] = 1.0
+            pos += len(vocab)
+    sex_mode = stats.cat_mode[SENSITIVE_COLUMN]
+    y = [int(v == POSITIVE_LABEL) for v in columns[LABEL_COLUMN]]
+    z = [int((sex_mode if v == MISSING else v) == "Female")
+         for v in columns[SENSITIVE_COLUMN]]
+    samples = list(map(Sample, x, y, z))
     return samples, stats
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import autodiff as ad
 
@@ -82,10 +81,29 @@ def equal_opportunity_gap(y_true, y_pred, z) -> float:
     return abs(t0 - t1)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks with each tie group given the mean of its ranks.
+
+    A stable sort groups equal values; a group spanning sorted positions
+    ``start .. end - 1`` gets ``(start + 1 + end) / 2``. Every rank is an
+    integer or a half, so the result is exact and equals
+    ``scipy.stats.rankdata(values, method="average")`` for finite values.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
+
+
 def auc(y_true, scores) -> float:
     """Probability a random positive outranks a random negative (ties at 0.5).
 
     Rank-sum formulation with average ranks, equivalent to the pairwise count.
+    Ranks come from ``_average_ranks`` (a stable sort, then tie groups); a NaN
+    score makes the AUC NaN.
     """
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
@@ -93,7 +111,9 @@ def auc(y_true, scores) -> float:
     n_neg = int((y_true == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetric("auc needs both classes present")
-    ranks = rankdata(scores, method="average")
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = _average_ranks(scores)
     pos_rank_sum = ranks[y_true == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 

@@ -10,6 +10,10 @@ what lets finite differences reproduce the gradients the graph claims.
 ``elbo_term`` is the one graph-built reference: the single-branch ELBO for
 given decoder slots, which the marginalized unlabeled loss must reproduce
 as a probability-weighted sum of branches.
+
+``reference_stats`` and ``reference_encode`` re-derive the Adult feature
+encoding one row and one cell at a time, for comparison with the
+column-wise ``data.preprocess``.
 """
 
 import numpy as np
@@ -248,3 +252,52 @@ def joint_loss_fd_check(rtol=1e-4, atol=1e-7):
                            + sign * (up["adv"] - dn["adv"])) / (2 * fd)
         np.testing.assert_allclose(analytic[p.name].ravel(), expected,
                                    rtol=rtol, atol=atol, err_msg=p.name)
+
+
+def reference_stats(records, schema):
+    """Vocabularies, modes, means and population standard deviations of the
+    observed cells, as plain dicts; a constant column gets std 1."""
+    vocab, mode, mean, std = {}, {}, {}, {}
+    for name, kind in schema:
+        if name == "income":
+            continue
+        observed = [r[name] for r in records if r[name] != "?"]
+        if kind == "categorical":
+            vocab[name] = sorted(set(observed))
+            best = max((observed.count(v) for v in vocab[name]), default=0)
+            mode[name] = min((v for v in vocab[name]
+                              if observed.count(v) == best), default="")
+        else:
+            values = np.array([float(v) for v in observed])
+            mean[name] = float(values.mean()) if values.size else 0.0
+            sd = float(values.std()) if values.size else 1.0
+            std[name] = sd if sd > 0 else 1.0
+    return vocab, mode, mean, std
+
+
+def reference_encode(records, stats):
+    """(x, y, z) built row by row: standardized numerics with missing cells
+    at the mean, one-hot categoricals with missing cells at the mode and
+    unseen values as an all-zero block, y = income is ">50K", z = sex
+    (mode-imputed) is "Female"."""
+    xs, ys, zs = [], [], []
+    for r in records:
+        row = []
+        for name, kind in stats.feature_columns:
+            cell = r[name]
+            if kind == "numeric":
+                mean = stats.num_mean[name]
+                value = mean if cell == "?" else float(cell)
+                row.append((value - mean) / stats.num_std[name])
+            else:
+                if cell == "?":
+                    cell = stats.cat_mode[name]
+                row.extend(1.0 if v == cell else 0.0
+                           for v in stats.cat_vocab[name])
+        xs.append(row)
+        ys.append(1 if r["income"] == ">50K" else 0)
+        sex = stats.cat_mode["sex"] if r["sex"] == "?" else r["sex"]
+        zs.append(1 if sex == "Female" else 0)
+    width = stats.feature_dim
+    return (np.array(xs, dtype=float).reshape(len(records), width),
+            np.array(ys, dtype=int), np.array(zs, dtype=int))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairvae import data as D
 from fairvae.synthetic import write_adult_like
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +24,68 @@ def adult_files(tmp_path_factory):
 @pytest.fixture(scope="module")
 def loaded(adult_files):
     return D.load_adult(*adult_files)
+
+
+def _sha(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _encoded(samples, width):
+    """(x, y, z) of encoded samples as int64/float64 arrays."""
+    return (np.array([s.x for s in samples], dtype=float).reshape(-1, width),
+            np.array([s.y for s in samples], dtype=np.int64),
+            np.array([s.z for s in samples], dtype=np.int64))
+
+
+# sha256 prefixes of the row-by-row encoder's output for the adult_files
+# fixture; any change to the encoding moves them
+ENCODING_PINS = {
+    False: {
+        "train.x": "766afce1203194c9", "train.y": "44a8c39a7a71a061",
+        "train.z": "473f186d6ff4cdc2", "test.x": "6870cce2195b036c",
+        "test.y": "ad360c83924c20d2", "test.z": "d94000027e313dea",
+        "stats": "7849b7ace8186ba7",
+    },
+    True: {
+        "train.x": "cc704fca80435707", "train.y": "44a8c39a7a71a061",
+        "train.z": "473f186d6ff4cdc2", "test.x": "690238bc2c557cc1",
+        "test.y": "ad360c83924c20d2", "test.z": "d94000027e313dea",
+        "stats": "a5e0ae97a3608a20",
+    },
+}
+
+_SEEN = ["a", "b", "c", D.MISSING]
+_NUMERIC_CELL = st.one_of(
+    st.just(D.MISSING), st.integers(-100, 10**6).map(str),
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr))
+
+
+def _record(categories):
+    """Records over the Adult columns with the given categorical values;
+    missing cells appear in every feature column."""
+    cells = {}
+    for name, kind in D.ADULT_SCHEMA:
+        if name == D.LABEL_COLUMN:
+            cells[name] = st.sampled_from(["<=50K", ">50K"])
+        elif name == D.SENSITIVE_COLUMN:
+            cells[name] = st.sampled_from(["Female", "Male", D.MISSING])
+        elif kind == D.NUMERIC:
+            cells[name] = _NUMERIC_CELL
+        else:
+            cells[name] = st.sampled_from(categories)
+    return st.fixed_dictionaries(cells)
+
+
+def _with_bad_cell(tmp_path, good_file, column, value):
+    """A file holding the first row of ``good_file``, then that row with
+    ``column`` set to ``value``."""
+    with open(good_file) as fh:
+        good_line = fh.readline().strip()
+    fields = [f.strip() for f in good_line.split(",")]
+    fields[[c for c, _ in D.ADULT_SCHEMA].index(column)] = value
+    p = tmp_path / "bad.csv"
+    p.write_text(good_line + "\n" + ", ".join(fields) + "\n")
+    return p
 
 
 class TestLoadAdult:
@@ -54,6 +119,29 @@ class TestLoadAdult:
         p = tmp_path / "malformed.csv"
         p.write_text(good_line + "\n" + ", ".join(fields) + "\n")
         with pytest.raises(D.ParseError, match=r"malformed.csv:2.*age"):
+            D._read_adult_file(p)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_numeric_names_cell(self, tmp_path, adult_files, value):
+        p = _with_bad_cell(tmp_path, adult_files[0], "age", value)
+        with pytest.raises(D.ParseError,
+                           match=rf"bad.csv:2: column 'age' is not a "
+                                 rf"finite number: '{value}'"):
+            D._read_adult_file(p)
+
+    @pytest.mark.parametrize("column,value,allowed", [
+        ("income", "1", r"\['<=50K', '>50K'\]"),
+        ("income", "?", r"\['<=50K', '>50K'\]"),
+        ("sex", "F", r"\['\?', 'Female', 'Male'\]"),
+        ("sex", "female", r"\['\?', 'Female', 'Male'\]"),
+    ])
+    def test_unknown_code_names_cell(self, tmp_path, adult_files, column,
+                                     value, allowed):
+        p = _with_bad_cell(tmp_path, adult_files[0], column, value)
+        with pytest.raises(D.ParseError,
+                           match=rf"bad.csv:2: column '{column}' has "
+                                 rf"'{re.escape(value)}', expected one of "
+                                 rf"{allowed}"):
             D._read_adult_file(p)
 
 
@@ -134,6 +222,38 @@ class TestPreprocess:
         mode_pos = stats.cat_vocab["workclass"].index(stats.cat_mode["workclass"])
         start = 1  # age occupies the first slot
         assert sample.x[start + mode_pos] == 1.0
+
+    @pytest.mark.parametrize("include_sensitive", [False, True])
+    def test_encoding_pinned(self, loaded, include_sensitive):
+        train, test = loaded
+        train_samples, stats = D.preprocess(
+            train, include_sensitive=include_sensitive)
+        test_samples, _ = D.preprocess(test, stats,
+                                       include_sensitive=include_sensitive)
+        digests = {}
+        for part, samples in (("train", train_samples), ("test", test_samples)):
+            x, y, z = _encoded(samples, stats.feature_dim)
+            for name, a in (("x", x), ("y", y), ("z", z)):
+                digests[f"{part}.{name}"] = _sha(a.tobytes())
+        digests["stats"] = _sha(json.dumps(asdict(stats),
+                                           sort_keys=True).encode())
+        assert digests == ENCODING_PINS[include_sensitive]
+
+    @settings(max_examples=150, deadline=None)
+    @given(train=st.lists(_record(_SEEN), max_size=25),
+           other=st.lists(_record(_SEEN + ["unseen"]), max_size=10),
+           include_sensitive=st.booleans())
+    def test_matches_row_by_row_reference(self, train, other,
+                                          include_sensitive):
+        samples, stats = D.preprocess(train, include_sensitive=include_sensitive)
+        assert (stats.cat_vocab, stats.cat_mode, stats.num_mean,
+                stats.num_std) == oracles.reference_stats(train, D.ADULT_SCHEMA)
+        other_samples, _ = D.preprocess(other, stats,
+                                        include_sensitive=include_sensitive)
+        for records, got in ((train, samples), (other, other_samples)):
+            want = oracles.reference_encode(records, stats)
+            assert ([a.tobytes() for a in _encoded(got, stats.feature_dim)]
+                    == [a.tobytes() for a in want])
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from fairvae import metrics as MX
 
@@ -103,6 +110,18 @@ class TestAuc:
             scores = np.round(rng.random(n), 2)  # induce ties
             assert MX.auc(y, scores) == auc_bruteforce(y, scores)
 
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(st.one_of(
+        st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf]),
+        st.floats(allow_nan=False)), max_size=60))
+    def test_average_ranks_match_scipy_bytes(self, scores):
+        scores = np.array(scores, dtype=float)
+        assert (MX._average_ranks(scores).tobytes()
+                == rankdata(scores, method="average").tobytes())
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(MX.auc([0, 1, 1], [0.2, np.nan, 0.7]))
+
     def test_single_class_rejected(self):
         with pytest.raises(MX.UndefinedMetric):
             MX.auc(np.ones(5, dtype=int), np.random.default_rng(0).random(5))
@@ -183,3 +202,19 @@ class TestFairnessReport:
         assert report.opp_gap == pytest.approx(
             abs(report.tpr_group0 - report.tpr_group1), abs=1e-12)
         assert report.n_group0 + report.n_group1 == n
+
+
+def test_import_loads_scipy_special_only():
+    """``import fairvae`` pays for ``scipy.special`` (``expit``) and nothing
+    else of scipy; ``scipy.stats`` alone costs about as much as the rest of
+    the import."""
+    code = ("import json, sys, fairvae, fairvae.cli; "
+            "print(json.dumps([m in sys.modules "
+            "for m in ('scipy.stats', 'scipy.special')]))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [False, True]
