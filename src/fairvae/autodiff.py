@@ -15,9 +15,18 @@ trainable ``Parameter``, a leaf built directly with ``Node(...)``, or has a
 parent that tracks them. Constants (arrays that ``as_node`` wraps, and
 ``detach`` results) and frozen parameters (``trainable=False``) never hold a
 gradient buffer, and their vjp is never run.
-Parameters and leaves hold a zeroed ``.grad`` from construction; every other
-node's ``.grad`` is ``None`` until the first gradient is accumulated into it,
-so a forward pass that never calls ``backward`` allocates no gradient buffer.
+Parameters and leaves hold a zeroed ``.grad`` from construction, and every
+gradient into them is added in place (an optimizer may hold that buffer; see
+``training.Adam``). Every other node's ``.grad`` is ``None`` until the first
+gradient is accumulated into it, so a forward pass that never calls
+``backward`` allocates no gradient buffer.
+
+First-touch rule: the first gradient into an intermediate node is stored as
+``grad + 0.0``, a fresh array with exactly the bits of ``zeros + grad``
+(``-0.0`` becomes ``+0.0``) that never aliases the vjp's return value (``add``
+hands the same upstream array to both parents). A gradient of another shape
+(a broadcast one, such as ``sum_rows``' ``(n, 1)``) is added into a
+zero-filled buffer instead.
 A node that does not track gradients keeps neither its parents nor a backward
 closure. Inside ``no_grad`` no op result tracks gradients, so an evaluation
 pass releases each intermediate value as soon as nothing else holds it.
@@ -46,7 +55,7 @@ class ShapeMismatch(ValueError):
 def tensor(data, ctx: str = "tensor") -> np.ndarray:
     """Convert to a float64 array, rejecting NaN/Inf."""
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"non-finite values in {ctx}")
     return arr
 
@@ -68,9 +77,14 @@ class Node:
         self.op = op
         self._backward = None
         if parents:
-            self.requires_grad = _grad_enabled and any(
-                p.requires_grad for p in parents)
-            self.parents = parents if self.requires_grad else ()
+            tracks = False
+            if _grad_enabled:
+                for parent in parents:
+                    if parent.requires_grad:
+                        tracks = True
+                        break
+            self.requires_grad = tracks
+            self.parents = parents if tracks else ()
             self.grad = None  # allocated by the first accumulation
         else:
             self.requires_grad = requires_grad
@@ -95,11 +109,12 @@ class Parameter(Node):
     A frozen parameter (``trainable=False``) is a constant to ``backward``.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "owned")
 
     def __init__(self, value, name: str, trainable: bool = True):
         super().__init__(value, op="param", requires_grad=trainable)
         self.name = name
+        self.owned = False  # set by the optimizer that holds value and grad
 
     @property
     def trainable(self) -> bool:
@@ -134,7 +149,7 @@ def _node(value, op: str, *inputs) -> Node:
     The gradient rule lives here: the node keeps a backward closure only if it
     tracks gradients, and the closure runs a parent's vjp, in the order given,
     only if that parent tracks them, so constants never get a gradient."""
-    out = Node(value, op=op, parents=tuple(parent for parent, _ in inputs))
+    out = Node(value, op=op, parents=tuple([parent for parent, _ in inputs]))
     if out.requires_grad:
         def _backward(up):
             for parent, vjp in inputs:
@@ -145,10 +160,16 @@ def _node(value, op: str, *inputs) -> Node:
 
 
 def _accumulate(node: Node, grad) -> None:
-    """Add ``grad`` into ``node.grad``, allocated zeroed on first use."""
-    if node.grad is None:
+    """Add ``grad`` into ``node.grad`` in place; the first gradient into a node
+    without a buffer follows the first-touch rule (module docstring)."""
+    if node.grad is not None:
+        node.grad += grad
+    elif grad.shape == node.value.shape:
+        # numpy returns a 0-d sum as a scalar; asarray gives it its own buffer
+        node.grad = np.asarray(grad + 0.0)
+    else:
         node.grad = np.zeros_like(node.value)
-    node.grad += grad
+        node.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -345,10 +366,10 @@ def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node
     if mask is None:
         if rng is None:
             raise ValueError("dropout in training mode needs a mask or an rng")
-        mask = (rng.random(x.value.shape) >= rate).astype(np.float64)
+        # one pass; the bits of the 0/1 mask divided by (1 - rate)
+        keep = (rng.random(x.value.shape) >= rate) * (1.0 / (1.0 - rate))
     else:
-        mask = tensor(mask, ctx="dropout mask")
-    keep = mask / (1.0 - rate)
+        keep = tensor(mask, ctx="dropout mask") / (1.0 - rate)
     return _node(x.value * keep, "dropout", (x, lambda up: keep * up))
 
 
@@ -402,21 +423,22 @@ def backward(root: Node) -> None:
 
 
 def _topological_order(root: Node) -> list[Node]:
-    """Nodes reachable from root, root first (iterative, graphs can be deep)."""
+    """Nodes reachable from root, root first (iterative, graphs can be deep).
+    Nodes hash by identity, so the visited set holds them directly."""
     order: list[Node] = []
-    visited: set[int] = set()
+    visited: set[Node] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     order.reverse()
     return order

@@ -150,10 +150,55 @@ class Sample:
     z: int
 
 
-def _observed_numbers(values) -> tuple[np.ndarray, np.ndarray]:
-    """The floats of a numeric column's present cells, and where they are."""
+class EncodedSamples(list):
+    """The samples ``preprocess`` returns: a list of ``Sample`` whose ``x`` are
+    the rows of the one matrix ``x``, kept with the label and attribute arrays
+    ``y`` and ``z`` so that partitions are cut from them by fancy indexing.
+    The arrays describe the list as built; a slice or copy is a plain list."""
+
+    def __init__(self, x: np.ndarray, y: list, z: list):
+        super().__init__(map(Sample, x, y, z))
+        self.x = x
+        self.y = np.array(y, dtype=int)
+        self.z = np.array(z, dtype=int)
+
+
+def _bad_cell(column: str, index: int, value, expected: str) -> ParseError:
+    return ParseError(f"record {index}: column {column!r} has {value!r}, "
+                      f"expected {expected}")
+
+
+def _observed_numbers(name: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """The floats of a numeric column's present cells, and where they are.
+
+    Raises ``ParseError`` naming the first cell that is not a finite number."""
     present = np.array([v != MISSING for v in values], dtype=bool)
-    return np.array([float(v) for v in values if v != MISSING]), present
+    try:
+        observed = np.array([float(v) for v in values if v != MISSING])
+    except (TypeError, ValueError):
+        observed = np.array([_float_or_nan(v) for v in values if v != MISSING])
+    finite = np.isfinite(observed)
+    if not finite.all():
+        index = int(np.flatnonzero(present)[np.argmin(finite)])
+        raise _bad_cell(name, index, values[index], "a finite number")
+    return observed, present
+
+
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _check_codes(columns) -> None:
+    """Every label and attribute cell is one of ``CODED_VALUES``."""
+    for name, allowed in CODED_VALUES.items():
+        if not allowed.issuperset(columns[name]):
+            index = next(i for i, v in enumerate(columns[name])
+                         if v not in allowed)
+            raise _bad_cell(name, index, columns[name][index],
+                            f"one of {sorted(allowed)}")
 
 
 def _fit_stats(columns, numbers, include_sensitive: bool) -> Stats:
@@ -178,7 +223,7 @@ def _fit_stats(columns, numbers, include_sensitive: bool) -> Stats:
 
 
 def preprocess(records, stats: Stats | None = None,
-               include_sensitive: bool = False) -> tuple[list[Sample], Stats]:
+               include_sensitive: bool = False) -> tuple[EncodedSamples, Stats]:
     """Encode records as one-hot + standardized-numeric feature vectors.
 
     Pass the train-split ``stats`` when encoding test data so vocabularies and
@@ -188,16 +233,18 @@ def preprocess(records, stats: Stats | None = None,
     The encoding runs column by column into one float64 matrix: a numeric
     column is standardized as a vector, a categorical column is looked up in
     a value-to-index dict and its ones set in one assignment. Each sample's
-    ``x`` is a row of that matrix. Records are not checked again here:
-    ``load_adult`` rejects unparsable or non-finite numbers and unknown label
-    or attribute codes; a record built by hand with an unparsable number
-    raises ``ValueError``.
+    ``x`` is a row of that matrix (``EncodedSamples``). Records built by hand
+    are held to the rules ``load_adult`` applies to a file: a numeric cell
+    that is not a finite number, or a label or attribute outside
+    ``CODED_VALUES``, raises ``ParseError`` naming the column, the record's
+    index and the value.
     """
     names = [name for name, _ in ADULT_SCHEMA]
     # transpose the records into one tuple of cells per column
     cells = list(zip(*map(itemgetter(*names), records))) or [()] * len(names)
     columns = dict(zip(names, cells))
-    numbers = {name: _observed_numbers(columns[name])
+    _check_codes(columns)
+    numbers = {name: _observed_numbers(name, columns[name])
                for name, kind in ADULT_SCHEMA if kind == NUMERIC}
     if stats is None:
         stats = _fit_stats(columns, numbers, include_sensitive)
@@ -227,18 +274,19 @@ def preprocess(records, stats: Stats | None = None,
     y = [int(v == POSITIVE_LABEL) for v in columns[LABEL_COLUMN]]
     z = [int((sex_mode if v == MISSING else v) == "Female")
          for v in columns[SENSITIVE_COLUMN]]
-    samples = list(map(Sample, x, y, z))
-    return samples, stats
+    return EncodedSamples(x, y, z), stats
 
 
-def _stack(samples, idx):
-    if len(idx) == 0:
-        dim = samples[0].x.shape[0] if samples else 0
-        return (np.zeros((0, dim)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
-    x = np.stack([samples[i].x for i in idx])
-    y = np.array([samples[i].y for i in idx], dtype=int)
-    z = np.array([samples[i].z for i in idx], dtype=int)
-    return x, y, z
+def _arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, z) of every sample: the arrays ``preprocess`` keeps with its
+    result, else stacked from the samples."""
+    if isinstance(samples, EncodedSamples):
+        return samples.x, samples.y, samples.z
+    if not len(samples):
+        return np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    return (np.stack([s.x for s in samples]),
+            np.array([s.y for s in samples], dtype=int),
+            np.array([s.z for s in samples], dtype=int))
 
 
 class DatasetSplit:
@@ -356,12 +404,12 @@ def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
         )
     lab_index = np.sort(rest[:n_lab])
     unl_index = np.sort(rest[n_lab:])
+    arrays = _arrays(samples)
+    test = tuple(a.copy() for a in _arrays(test_samples))
     return DatasetSplit(
-        _stack(samples, lab_index),
-        _stack(samples, unl_index),
-        _stack(samples, val_index),
-        _stack(test_samples, np.arange(len(test_samples))),
-        lab_index, unl_index, val_index,
+        *[tuple(a[index] for a in arrays)
+          for index in (lab_index, unl_index, val_index)],
+        test, lab_index, unl_index, val_index,
     )
 
 

@@ -448,7 +448,7 @@ def _load_test_set(checkpoint_header: dict, test_path):
     stats = D.Stats(**checkpoint_header["extra"]["stats"])
     samples, _ = D.preprocess(D._read_adult_file(test_path), stats,
                               include_sensitive=stats.include_sensitive)
-    return D._stack(samples, np.arange(len(samples)))
+    return samples.x, samples.y, samples.z
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:

@@ -61,37 +61,81 @@ def _step_context(context: str):
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8.
+
+    Flat storage: on construction the optimizer moves its parameters' values
+    and gradients into one contiguous float64 buffer each (``values`` and
+    ``grads``, in parameter order), and every ``p.value`` and ``p.grad``
+    becomes a view of its own shape into them. The moments ``m`` and ``v`` and
+    two scratch arrays are flat too and allocated once, so a step, the finite
+    check and ``zero_grad`` each run over whole buffers. In-place writes
+    (``load_state_arrays``, ``backward``'s accumulation) go through the views.
+    A parameter belongs to at most one optimizer.
+
+    A step computes, elementwise and in this order, ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``
+    with ``c = 1 - b**t``.
+    """
 
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
+        seen = set()
+        for p in self.params:
+            if p.owned or p in seen:
+                raise ValueError(
+                    f"parameter {p.name!r} already belongs to an optimizer")
+            if not p.trainable:
+                raise ValueError(f"parameter {p.name!r} is frozen")
+            seen.add(p)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        size = sum(p.value.size for p in self.params)
+        self.values = np.empty(size)
+        self.grads = np.empty(size)
+        lo = 0
+        for p in self.params:
+            hi = lo + p.value.size
+            self.values[lo:hi] = p.value.ravel()
+            self.grads[lo:hi] = p.grad.ravel()
+            p.value = self.values[lo:hi].reshape(p.value.shape)
+            p.grad = self.grads[lo:hi].reshape(p.grad.shape)
+            p.owned = True
+            lo = hi
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self):
-        ad.zero_grads(self.params)
+        self.grads.fill(0.0)
 
     def step(self, context: str = ""):
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                raise NonFiniteGradient(
-                    f"non-finite gradient for {p.name}"
-                    + (f" ({context})" if context else "")
-                )
+        if not np.isfinite(self.grads).all():
+            bad = next(p for p in self.params if not np.isfinite(p.grad).all())
+            raise NonFiniteGradient(
+                f"non-finite gradient for {bad.name}"
+                + (f" ({context})" if context else "")
+            )
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v = self.grads, self.m, self.v
+        s, r = self._scratch
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        s *= g
+        v += s
+        np.divide(m, 1 - b1 ** self.t, out=s)
+        s *= self.lr
+        np.divide(v, 1 - b2 ** self.t, out=r)
+        np.sqrt(r, out=r)
+        r += self.eps
+        s /= r
+        self.values -= s
 
 
 @dataclass(kw_only=True)

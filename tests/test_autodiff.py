@@ -156,6 +156,58 @@ class TestDropout:
         np.testing.assert_array_equal(x.grad, [[2.0, 0.0]])
 
 
+    def test_drawn_mask_matches_mask_divided_by_keep_rate(self):
+        rng = np.random.default_rng(6)
+        x = ad.Node(rng.uniform(-2, 2, (64, 32)))
+        rate = 0.3
+        out = ad.dropout(x, rate, training=True, rng=np.random.default_rng(5))
+        mask = (np.random.default_rng(5).random(x.shape) >= rate)
+        keep = mask.astype(np.float64) / (1.0 - rate)
+        assert out.value.tobytes() == (x.value * keep).tobytes()
+        out._backward(np.ones_like(out.value))
+        assert x.grad.tobytes() == (np.zeros(x.shape) + keep).tobytes()
+
+
+class TestFirstTouch:
+    """The first gradient into an intermediate node has the bytes of zeros
+    plus that gradient, in a buffer of the node's own."""
+
+    @pytest.mark.parametrize("shape,grad", [
+        ((2, 3), np.array([[1.5, -0.0, 0.0], [-2.0, 3.25, -0.0]])),
+        ((2, 3), np.array([[-0.0], [2.5]])),  # broadcast, like sum_rows'
+        ((), np.float64(-0.0)),
+        ((), np.array(1.25)),
+    ])
+    def test_first_write_is_zeros_plus_grad(self, shape, grad):
+        node = ad.scale(ad.Node(np.ones(shape)), 2.0)
+        assert node.grad is None
+        ad._accumulate(node, grad)
+        expected = np.zeros(shape)
+        expected += grad
+        assert isinstance(node.grad, np.ndarray)
+        assert (node.grad.dtype, node.grad.shape, node.grad.tobytes()) == \
+            (expected.dtype, expected.shape, expected.tobytes())
+        assert not np.shares_memory(node.grad, grad)
+
+    def test_add_parents_get_their_own_buffers(self):
+        """``add`` hands the same upstream array to both parents."""
+        x = ad.Node(np.ones((2, 2)))
+        a, b = ad.scale(x, 1.0), ad.scale(x, 1.0)
+        s = ad.add(a, b)
+        ad.backward(ad.mean_all(s))
+        for one, other in ((a, b), (a, s), (b, s)):
+            assert not np.shares_memory(one.grad, other.grad)
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 0.5))
+
+    def test_parameter_gradient_accumulates_in_place(self):
+        w = ad.Parameter(np.ones((3, 2)), "w")
+        buffer = w.grad
+        for _ in range(2):
+            ad.backward(ad.mean_all(ad.square(w)))
+        assert w.grad is buffer
+        np.testing.assert_array_equal(buffer, np.full((3, 2), 2 * 2 / 6))
+
+
 class TestBackward:
     def test_square(self):
         x = ad.Node([3.0])

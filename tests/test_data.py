@@ -256,6 +256,55 @@ class TestPreprocess:
                     == [a.tobytes() for a in want])
 
 
+def _good_records(n=3):
+    """``n`` hand-built records that ``preprocess`` accepts."""
+    base = {name: ("a" if kind == D.CATEGORICAL else "1") for name, kind
+            in D.ADULT_SCHEMA}
+    base.update({"income": "<=50K", "sex": "Female"})
+    return [dict(base, age=str(30 + i)) for i in range(n)]
+
+
+class TestPreprocessRejects:
+    """Hand-built records are held to the reader's rules."""
+
+    @pytest.mark.parametrize("column,value,expected", [
+        ("age", "nan", "a finite number"),
+        ("age", "inf", "a finite number"),
+        ("fnlwgt", "-inf", "a finite number"),
+        ("hours-per-week", "abc", "a finite number"),
+        ("capital-gain", None, "a finite number"),
+        ("income", "<=50K.", r"one of \['<=50K', '>50K'\]"),
+        ("income", "?", r"one of \['<=50K', '>50K'\]"),
+        ("sex", "F", r"one of \['\?', 'Female', 'Male'\]"),
+    ])
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_bad_cell_names_column_record_and_value(self, column, value,
+                                                    expected, fitted):
+        records = _good_records()
+        _, stats = D.preprocess(records)
+        records[1][column] = value
+        with pytest.raises(D.ParseError,
+                           match=rf"record 1: column '{column}' has "
+                                 rf"{re.escape(repr(value))}, expected "
+                                 rf"{expected}"):
+            D.preprocess(records, stats if fitted else None)
+
+    def test_first_bad_record_is_named(self):
+        records = _good_records(4)
+        records[2]["age"] = "nan"
+        records[3]["age"] = "inf"
+        with pytest.raises(D.ParseError, match="record 2: column 'age'"):
+            D.preprocess(records)
+
+    def test_missing_numbers_and_attributes_still_accepted(self):
+        records = _good_records()
+        records[0]["age"] = D.MISSING
+        records[1]["sex"] = D.MISSING
+        samples, stats = D.preprocess(records)
+        assert stats.num_mean["age"] == 31.5
+        assert len(samples) == 3
+
+
 @pytest.fixture(scope="module")
 def split(loaded):
     train, test = loaded
@@ -335,6 +384,27 @@ class TestSplitAndMask:
             assert np.array_equal(x[:, 0], index)
             assert np.array_equal(y, index % 2)
             assert np.array_equal(z, (index // 3) % 2)
+
+    def test_partitions_of_encoded_samples_match_stacked_rows(self, loaded):
+        """Partitions cut from the encoded matrix are byte-identical to
+        partitions stacked from a plain list of the same samples."""
+        train, test = loaded
+        samples, stats = D.preprocess(train)
+        test_samples, _ = D.preprocess(test, stats)
+        assert isinstance(samples, D.EncodedSamples)
+        assert all(s.x.base is samples.x for s in samples)
+        cut = D.split_and_mask(samples, 0.1, 0.2, seed=4,
+                               test_samples=test_samples)
+        stacked = D.split_and_mask(list(samples), 0.1, 0.2, seed=4,
+                                   test_samples=list(test_samples))
+        for name in ("lab_x", "lab_y", "lab_z", "unl_x", "unl_y",
+                     "_shadow_unl_z", "val_x", "val_y", "val_z", "test_x",
+                     "test_y", "test_z"):
+            a, b = getattr(cut, name), getattr(stacked, name)
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), name
+        # the test arrays are the split's own, not the dataset's
+        assert not np.shares_memory(cut.test_x, test_samples.x)
 
     def test_shadow_access_is_counted(self, split):
         before = split.shadow_reads

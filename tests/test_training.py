@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from fairvae import autodiff as ad
 from fairvae import data as D
@@ -75,6 +77,95 @@ class TestAdam:
         p.grad[...] = np.nan
         with pytest.raises(T.NonFiniteGradient, match="layer.weight.*batch 3"):
             opt.step(context="batch 3")
+
+
+class TestFlatAdam:
+    """Adam over flat buffers steps every parameter exactly as the
+    per-parameter reference does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes=st.lists(array_shapes(min_dims=0, max_dims=2, max_side=4),
+                           min_size=1, max_size=4),
+           steps=st.integers(1, 12), lr=st.sampled_from([0.01, 0.001, 0.5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_parameter_reference_exactly(self, shapes, steps, lr,
+                                                     seed):
+        rng = np.random.default_rng(seed)
+        theta0 = [rng.uniform(-1, 1, shape) for shape in shapes]
+        grads = []
+        for _ in range(steps):
+            step = []
+            for shape in shapes:
+                g = rng.uniform(-2, 2, shape)
+                kind = rng.integers(0, 4, shape)  # some zeros and -0.0s
+                g[kind == 1] = 0.0
+                g[kind == 2] = -0.0
+                step.append(g)
+            grads.append(step)
+        params = [ad.Parameter(t.copy(), f"p{i}") for i, t in enumerate(theta0)]
+        opt = T.Adam(params, lr=lr)
+        expected = [adam_reference(t, [step[i] for step in grads], lr=lr)
+                    for i, t in enumerate(theta0)]
+        for k, step in enumerate(grads):
+            opt.zero_grad()
+            for p, g in zip(params, step):
+                p.grad += g
+            opt.step()
+            for p, ref in zip(params, expected):
+                assert p.value.tobytes() == ref[k].tobytes()
+
+    def test_values_and_grads_stay_views_of_the_flat_buffers(self):
+        bundle = M.ModelBundle(M.BundleConfig(
+            input_dim=5, backbone="dnn", hidden_dim=4, latent_dim=2))
+        params = bundle.trainable_parameters()
+        state = bundle.state_arrays()
+        opt = T.Adam(params)
+        for p in params:
+            np.testing.assert_array_equal(p.value, state[p.name])
+
+        def assert_views():
+            for flat, attr in ((opt.values, "value"), (opt.grads, "grad")):
+                flat[:] = np.arange(flat.size)
+                lo = 0
+                for p in params:
+                    view = getattr(p, attr)
+                    assert view.base is flat
+                    np.testing.assert_array_equal(
+                        view.ravel(), np.arange(lo, lo + view.size))
+                    lo += view.size
+                assert lo == flat.size
+
+        assert_views()
+        bundle.load_state_arrays(state)
+        assert opt.values.tobytes() == np.concatenate(
+            [state[p.name].ravel() for p in params]).tobytes()
+        assert_views()
+        opt.zero_grad()
+        assert not opt.grads.any()
+        assert_views()
+
+    def test_a_parameter_belongs_to_one_optimizer(self):
+        p = ad.Parameter([1.0], "layer.weight")
+        q = ad.Parameter([2.0], "layer.bias")
+        T.Adam([p])
+        with pytest.raises(ValueError, match="'layer.weight' already belongs"):
+            T.Adam([q, p])
+        assert not q.owned  # the failed optimizer took nothing
+        with pytest.raises(ValueError, match="'layer.bias' already belongs"):
+            T.Adam([q, q])
+        with pytest.raises(ValueError, match="'frozen' is frozen"):
+            T.Adam([ad.Parameter([1.0], "frozen", trainable=False)])
+
+    def test_non_finite_gradient_names_the_first_parameter(self):
+        params = [ad.Parameter(np.ones(2), name) for name in ("a", "b", "c")]
+        opt = T.Adam(params)
+        params[2].grad[0] = np.inf
+        params[1].grad[1] = np.nan
+        with pytest.raises(T.NonFiniteGradient,
+                           match=r"for b \(epoch 2\)$"):
+            opt.step(context="epoch 2")
+        assert opt.t == 0
+        np.testing.assert_array_equal(opt.values, np.ones(6))
 
 
 class TestMethodSpec:
