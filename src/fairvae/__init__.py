@@ -10,7 +10,7 @@ group-fairness evaluation harness.
 from .data import (
     Batch,
     DatasetSplit,
-    Sample,
+    Samples,
     Stats,
     batches,
     load_adult,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam", "Batch", "BundleConfig", "DatasetSplit", "ExperimentConfig",
     "FairnessReport", "LossBreakdown", "MethodSpec", "ModelBundle",
-    "ObjectiveConfig", "Sample", "Stats", "TrainReport", "accuracy", "auc",
+    "ObjectiveConfig", "Samples", "Stats", "TrainReport", "accuracy", "auc",
     "batches", "config_hash", "demographic_parity_gap",
     "equal_opportunity_gap", "evaluate_checkpoint", "export_embeddings",
     "fairness_report", "joint_loss", "leakage_probe", "load_adult",

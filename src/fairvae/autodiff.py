@@ -392,15 +392,21 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
     dot = (a.value * b.value).sum(axis=1)
     cos = np.where(ok, dot / denom, 0.0)
 
-    def vjp(x, other, norm):
+    shared = []  # the terms of the upstream gradient that both vjps use
+
+    def vjp(x, other, norm, first):
         # d|cos|/dx = sign(cos) * (other / (|x||other|) - cos * x / |x|^2)
         def grad(up):
-            s = np.sign(cos) * up * ok
-            return ((s / denom)[:, None] * other.value
-                    - (s * cos / np.where(ok, norm * norm, 1.0))[:, None] * x.value)
+            if first:
+                s = np.sign(cos) * up * ok
+                shared[:] = (s / denom)[:, None], s * cos
+            return (shared[0] * other.value
+                    - (shared[1] / np.where(ok, norm * norm, 1.0))[:, None] * x.value)
         return grad
 
-    out = _node(np.abs(cos), "abs_cosine", (a, vjp(a, b, na)), (b, vjp(b, a, nb)))
+    # _node runs a's vjp first; b's makes the shared terms only if a's never runs
+    out = _node(np.abs(cos), "abs_cosine", (a, vjp(a, b, na, True)),
+                (b, vjp(b, a, nb, not a.requires_grad)))
     return out, int((~ok).sum())
 
 

@@ -63,58 +63,114 @@ CODED_VALUES = {
     SENSITIVE_COLUMN: frozenset({"Female", "Male", MISSING}),
 }
 
-RawRecord = dict  # column name -> stripped string value
+# the schema's column names, in file order
+NAMES = [name for name, _ in ADULT_SCHEMA]
 
 
-def _read_adult_file(path) -> list[RawRecord]:
-    names = [c for c, _ in ADULT_SCHEMA]
-    numeric = [(i, c) for i, (c, kind) in enumerate(ADULT_SCHEMA)
-               if kind == NUMERIC]
-    coded = [(names.index(c), c, allowed) for c, allowed in CODED_VALUES.items()]
-    label = names.index(LABEL_COLUMN)
-    records = []
+class Records:
+    """Adult records as a column table, checked once when it is built.
+
+    ``columns`` holds one tuple of stripped cells per schema column;
+    ``numbers`` holds each numeric column's present cells as floats and the
+    mask of where they are. A missing column raises ``SchemaError``. A
+    numeric cell that ``float()`` does not read as a finite number (``?`` is
+    missing), a categorical cell that is not a string, or a label or
+    attribute outside ``CODED_VALUES`` raises ``ParseError`` naming the
+    earliest bad record (``where``), its column and value.
+    """
+
+    def __init__(self, columns: dict, path=None, lines=None):
+        missing = [name for name in NAMES if name not in columns]
+        if missing:
+            raise SchemaError(f"no column {missing[0]!r}; expected {NAMES}")
+        self.columns = {name: tuple(columns[name]) for name in NAMES}
+        if len(set(map(len, self.columns.values()))) > 1:
+            raise SchemaError("columns differ in length")
+        self.path, self.lines = path, lines
+        self.numbers = {}
+        bad = []  # (record, column, expected) of each column's first bad cell
+        for name, kind in ADULT_SCHEMA:
+            cells = self.columns[name]
+            if kind == NUMERIC:
+                present = np.array([v != MISSING for v in cells], dtype=bool)
+                try:
+                    observed = np.array([float(v) for v in cells if v != MISSING])
+                except (TypeError, ValueError):
+                    observed = np.array([_float_or_nan(v) for v in cells
+                                         if v != MISSING])
+                self.numbers[name] = observed, present
+                finite = np.isfinite(observed)
+                if not finite.all():
+                    index = np.flatnonzero(present)[np.argmin(finite)]
+                    bad.append((int(index), name, "a finite number"))
+                continue
+            allowed = CODED_VALUES.get(name)
+            if (not all(issubclass(t, str) for t in set(map(type, cells)))
+                    or allowed and not allowed.issuperset(cells)):
+                index = next(i for i, v in enumerate(cells)
+                             if not isinstance(v, str)
+                             or allowed and v not in allowed)
+                bad.append((index, name, f"one of {sorted(allowed)}"
+                            if allowed else "a string"))
+        if bad:  # the earliest record; within it, the first column
+            index, name, expected = min(bad, key=itemgetter(0))
+            raise ParseError(f"{self.where(index)}: column {name!r} has "
+                             f"{self.columns[name][index]!r}, expected {expected}")
+
+    @classmethod
+    def of(cls, rows) -> "Records":
+        """Records built by hand: dicts keyed by column name."""
+        rows = list(rows)
+        try:
+            cells = list(zip(*map(itemgetter(*NAMES), rows)))
+        except KeyError as exc:
+            column = exc.args[0]
+            index = next(i for i, row in enumerate(rows) if column not in row)
+            raise SchemaError(f"record {index}: no column {column!r}") from None
+        return cls(dict(zip(NAMES, cells or [()] * len(NAMES))))
+
+    def __len__(self) -> int:
+        return len(self.columns[LABEL_COLUMN])
+
+    def where(self, i: int) -> str:
+        """``file:line`` for a file, ``record i`` for records built by hand."""
+        return f"record {i}" if self.path is None else f"{self.path}:{self.lines[i]}"
+
+
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _read_adult_file(path) -> Records:
+    rows, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("|"):
                 continue
-            fields = list(map(str.strip, line.split(",")))
-            if len(fields) != len(names):
-                raise SchemaError(
-                    f"{path}:{lineno}: expected {len(names)} fields, "
-                    f"got {len(fields)}"
-                )
-            # the test file suffixes labels with a period
-            fields[label] = fields[label].rstrip(".")
-            for i, col in numeric:
-                value = fields[i]
-                try:
-                    finite = value == MISSING or math.isfinite(float(value))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise ParseError(
-                        f"{path}:{lineno}: column {col!r} is not a finite "
-                        f"number: {value!r}"
-                    )
-            for i, col, allowed in coded:
-                if fields[i] not in allowed:
-                    raise ParseError(
-                        f"{path}:{lineno}: column {col!r} has {fields[i]!r}, "
-                        f"expected one of {sorted(allowed)}"
-                    )
-            records.append(dict(zip(names, fields)))
-    if not records:
+            fields = line.split(",")
+            if len(fields) != len(NAMES):
+                raise SchemaError(f"{path}:{lineno}: expected {len(NAMES)} "
+                                  f"fields, got {len(fields)}")
+            rows.append(fields)
+            lines.append(lineno)
+    if not rows:
         warnings.warn(f"{path}: no records found", stacklevel=2)
-    return records
+    columns = dict(zip(NAMES, [tuple(map(str.strip, cells)) for cells in zip(*rows)]
+                            or [()] * len(NAMES)))
+    # the test file suffixes labels with a period
+    columns[LABEL_COLUMN] = [v.rstrip(".") for v in columns[LABEL_COLUMN]]
+    return Records(columns, path, lines)
 
 
-def load_adult(train_path, test_path) -> tuple[list[RawRecord], list[RawRecord]]:
+def load_adult(train_path, test_path) -> tuple[Records, Records]:
     """Read the Adult train/test files (32,561 and 16,281 rows for the canonical pair).
 
-    Raises ``SchemaError`` for a row without 15 fields and ``ParseError``,
-    naming the file, line, column and value, for a numeric cell that is not a
-    finite number or a label or attribute outside ``CODED_VALUES``.
+    Raises ``SchemaError`` for a row without 15 fields, and ``ParseError``
+    (``Records``) naming the file, line, column and value of a bad cell.
     """
     return _read_adult_file(train_path), _read_adult_file(test_path)
 
@@ -142,112 +198,57 @@ class Stats:
 
 
 @dataclass
-class Sample:
-    """One encoded example: features, task label, sensitive attribute."""
+class Samples:
+    """Encoded examples: feature rows ``x``, task labels ``y`` and sensitive
+    attributes ``z``. Indexing indexes all three, so ``samples[i].x`` is one
+    row and ``samples[a:b]`` a slice."""
 
     x: np.ndarray
-    y: int
-    z: int
+    y: np.ndarray
+    z: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __getitem__(self, index) -> "Samples":
+        return Samples(self.x[index], self.y[index], self.z[index])
 
 
-class EncodedSamples(list):
-    """The samples ``preprocess`` returns: a list of ``Sample`` whose ``x`` are
-    the rows of the one matrix ``x``, kept with the label and attribute arrays
-    ``y`` and ``z`` so that partitions are cut from them by fancy indexing.
-    The arrays describe the list as built; a slice or copy is a plain list."""
-
-    def __init__(self, x: np.ndarray, y: list, z: list):
-        super().__init__(map(Sample, x, y, z))
-        self.x = x
-        self.y = np.array(y, dtype=int)
-        self.z = np.array(z, dtype=int)
-
-
-def _bad_cell(column: str, index: int, value, expected: str) -> ParseError:
-    return ParseError(f"record {index}: column {column!r} has {value!r}, "
-                      f"expected {expected}")
-
-
-def _observed_numbers(name: str, values) -> tuple[np.ndarray, np.ndarray]:
-    """The floats of a numeric column's present cells, and where they are.
-
-    Raises ``ParseError`` naming the first cell that is not a finite number."""
-    present = np.array([v != MISSING for v in values], dtype=bool)
-    try:
-        observed = np.array([float(v) for v in values if v != MISSING])
-    except (TypeError, ValueError):
-        observed = np.array([_float_or_nan(v) for v in values if v != MISSING])
-    finite = np.isfinite(observed)
-    if not finite.all():
-        index = int(np.flatnonzero(present)[np.argmin(finite)])
-        raise _bad_cell(name, index, values[index], "a finite number")
-    return observed, present
-
-
-def _float_or_nan(value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _check_codes(columns) -> None:
-    """Every label and attribute cell is one of ``CODED_VALUES``."""
-    for name, allowed in CODED_VALUES.items():
-        if not allowed.issuperset(columns[name]):
-            index = next(i for i, v in enumerate(columns[name])
-                         if v not in allowed)
-            raise _bad_cell(name, index, columns[name][index],
-                            f"one of {sorted(allowed)}")
-
-
-def _fit_stats(columns, numbers, include_sensitive: bool) -> Stats:
+def _fit_stats(records: Records, include_sensitive: bool) -> Stats:
     cat_vocab, cat_mode, num_mean, num_std = {}, {}, {}, {}
     for name, kind in ADULT_SCHEMA:
         if name == LABEL_COLUMN:
             continue
         if kind == CATEGORICAL:
-            counts = Counter(columns[name])
+            counts = Counter(records.columns[name])
             counts.pop(MISSING, None)
             cat_vocab[name] = sorted(counts)
             # deterministic mode: highest count, ties broken alphabetically
             cat_mode[name] = min(counts, key=lambda v: (-counts[v], v)) \
                 if counts else ""
         else:
-            observed = numbers[name][0]
-            mean = float(observed.mean()) if observed.size else 0.0
+            observed = records.numbers[name][0]
+            num_mean[name] = float(observed.mean()) if observed.size else 0.0
             std = float(observed.std()) if observed.size else 1.0
-            num_mean[name] = mean
             num_std[name] = std if std > 0 else 1.0
     return Stats(cat_vocab, cat_mode, num_mean, num_std, include_sensitive)
 
 
 def preprocess(records, stats: Stats | None = None,
-               include_sensitive: bool = False) -> tuple[EncodedSamples, Stats]:
+               include_sensitive: bool = False) -> tuple[Samples, Stats]:
     """Encode records as one-hot + standardized-numeric feature vectors.
 
-    Pass the train-split ``stats`` when encoding test data so vocabularies and
-    standardization constants come from training. Unknown categories encode as
-    an all-zero block; missing cells are imputed with the train mode/mean.
-
-    The encoding runs column by column into one float64 matrix: a numeric
-    column is standardized as a vector, a categorical column is looked up in
-    a value-to-index dict and its ones set in one assignment. Each sample's
-    ``x`` is a row of that matrix (``EncodedSamples``). Records built by hand
-    are held to the rules ``load_adult`` applies to a file: a numeric cell
-    that is not a finite number, or a label or attribute outside
-    ``CODED_VALUES``, raises ``ParseError`` naming the column, the record's
-    index and the value.
+    ``records`` is a ``Records`` table or a list of dicts built by hand, which
+    ``Records.of`` checks as a file is. Pass the train-split ``stats`` when
+    encoding test data so vocabularies and standardization constants come
+    from training. Unknown categories encode as an all-zero block; missing
+    cells are imputed with the train mode/mean. The encoding runs column by
+    column into one float64 matrix.
     """
-    names = [name for name, _ in ADULT_SCHEMA]
-    # transpose the records into one tuple of cells per column
-    cells = list(zip(*map(itemgetter(*names), records))) or [()] * len(names)
-    columns = dict(zip(names, cells))
-    _check_codes(columns)
-    numbers = {name: _observed_numbers(name, columns[name])
-               for name, kind in ADULT_SCHEMA if kind == NUMERIC}
+    if not isinstance(records, Records):
+        records = Records.of(records)
     if stats is None:
-        stats = _fit_stats(columns, numbers, include_sensitive)
+        stats = _fit_stats(records, include_sensitive)
     n = len(records)
     x = np.zeros((n, stats.feature_dim))
     rows = np.arange(n)
@@ -255,7 +256,7 @@ def preprocess(records, stats: Stats | None = None,
     for name, kind in stats.feature_columns:
         if kind == NUMERIC:
             mean = stats.num_mean[name]
-            observed, present = numbers[name]
+            observed, present = records.numbers[name]
             values = np.full(n, mean)
             values[present] = observed
             x[:, pos] = (values - mean) / stats.num_std[name]
@@ -265,28 +266,17 @@ def preprocess(records, stats: Stats | None = None,
             index = {v: i for i, v in enumerate(vocab)}
             index[MISSING] = index.get(stats.cat_mode[name], -1)
             # an unseen category (index -1) leaves its block all zeros
-            idx = np.fromiter(map(index.get, columns[name], repeat(-1)),
+            idx = np.fromiter(map(index.get, records.columns[name], repeat(-1)),
                               dtype=np.intp, count=n)
             known = idx >= 0
             x[rows[known], pos + idx[known]] = 1.0
             pos += len(vocab)
     sex_mode = stats.cat_mode[SENSITIVE_COLUMN]
-    y = [int(v == POSITIVE_LABEL) for v in columns[LABEL_COLUMN]]
-    z = [int((sex_mode if v == MISSING else v) == "Female")
-         for v in columns[SENSITIVE_COLUMN]]
-    return EncodedSamples(x, y, z), stats
-
-
-def _arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, z) of every sample: the arrays ``preprocess`` keeps with its
-    result, else stacked from the samples."""
-    if isinstance(samples, EncodedSamples):
-        return samples.x, samples.y, samples.z
-    if not len(samples):
-        return np.zeros((0, 0)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    return (np.stack([s.x for s in samples]),
-            np.array([s.y for s in samples], dtype=int),
-            np.array([s.z for s in samples], dtype=int))
+    y = np.array([v == POSITIVE_LABEL for v in records.columns[LABEL_COLUMN]],
+                 dtype=int)
+    z = np.array([(sex_mode if v == MISSING else v) == "Female"
+                  for v in records.columns[SENSITIVE_COLUMN]], dtype=int)
+    return Samples(x, y, z), stats
 
 
 class DatasetSplit:
@@ -375,12 +365,13 @@ class DatasetSplit:
         )
 
 
-def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
-                   test_samples=()) -> DatasetSplit:
+def split_and_mask(samples: Samples, val_frac: float, label_ratio: float,
+                   seed: int, test_samples: Samples | None = None) -> DatasetSplit:
     """Carve validation, then mask attributes for all but ``label_ratio`` of the rest.
 
     The shuffle is fully determined by ``seed``; exactly
     ``floor(label_ratio * N_post_validation)`` samples keep their attribute.
+    The split copies ``test_samples`` (none when None).
     """
     if not 0.0 < val_frac < 1.0:
         raise ConfigError(f"val_frac must be in (0, 1), got {val_frac}")
@@ -404,13 +395,11 @@ def split_and_mask(samples, val_frac: float, label_ratio: float, seed: int,
         )
     lab_index = np.sort(rest[:n_lab])
     unl_index = np.sort(rest[n_lab:])
-    arrays = _arrays(samples)
-    test = tuple(a.copy() for a in _arrays(test_samples))
-    return DatasetSplit(
-        *[tuple(a[index] for a in arrays)
-          for index in (lab_index, unl_index, val_index)],
-        test, lab_index, unl_index, val_index,
-    )
+    test = samples[:0] if test_samples is None else test_samples
+    parts = [samples[index] for index in (lab_index, unl_index, val_index)]
+    return DatasetSplit(*[(p.x, p.y, p.z) for p in parts],
+                        (test.x.copy(), test.y.copy(), test.z.copy()),
+                        lab_index, unl_index, val_index)
 
 
 @dataclass

@@ -226,10 +226,7 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
             f"{name}: training read {report.shadow_reads_during_training} "
             f"shadow attribute values"
         )
-    r_f, probs = M.bias_free_forward(bundle, split.test_x)
-    labels = probs.value.argmax(axis=1)
-    fairness = MX.fairness_report(split.test_y, labels, probs.value[:, 1],
-                                  split.test_z, r_f.value, seed=seed)
+    fairness = _test_report(bundle, split.test_x, split.test_y, split.test_z, seed)
     if cfg.save_checkpoints:
         os.makedirs(os.path.join(root, "checkpoints"), exist_ok=True)
         M.save_bundle(
@@ -444,6 +441,18 @@ def run_sweep(cfg: ExperimentConfig, axis: str) -> ResultsTable:
 # checkpoint consumers
 
 
+def _predict(bundle, x):
+    """One bias-free forward over the test features: the representation, the
+    positive-class probability and the predicted label of each row."""
+    r_f, probs = M.bias_free_forward(bundle, x)
+    return r_f.value, probs.value[:, 1], probs.value.argmax(axis=1)
+
+
+def _test_report(bundle, x, y, z, seed: int) -> MX.FairnessReport:
+    r_f, positive, labels = _predict(bundle, x)
+    return MX.fairness_report(y, labels, positive, z, r_f, seed=seed)
+
+
 def _load_test_set(checkpoint_header: dict, test_path):
     stats = D.Stats(**checkpoint_header["extra"]["stats"])
     samples, _ = D.preprocess(D._read_adult_file(test_path), stats,
@@ -454,11 +463,7 @@ def _load_test_set(checkpoint_header: dict, test_path):
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:
     """Load a checkpoint and produce a FairnessReport on an Adult-format file."""
     bundle, header = M.load_bundle(checkpoint_path)
-    x, y, z = _load_test_set(header, test_path)
-    r_f, probs = M.bias_free_forward(bundle, x)
-    labels = probs.value.argmax(axis=1)
-    return MX.fairness_report(y, labels, probs.value[:, 1], z, r_f.value,
-                              seed=seed)
+    return _test_report(bundle, *_load_test_set(header, test_path), seed)
 
 
 def export_embeddings(checkpoint_path, test_path, out_path) -> int:
@@ -466,14 +471,13 @@ def export_embeddings(checkpoint_path, test_path, out_path) -> int:
     true attribute, true label, predicted label. Returns the row count."""
     bundle, header = M.load_bundle(checkpoint_path)
     x, y, z = _load_test_set(header, test_path)
-    r_f, probs = M.bias_free_forward(bundle, x)
-    labels = probs.value.argmax(axis=1)
-    dim = r_f.value.shape[1]
+    r_f, _, labels = _predict(bundle, x)
+    dim = r_f.shape[1]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={header['config_hash']} seed={header['seed']}\n")
         fh.write(",".join([f"r_{i}" for i in range(dim)]
                           + ["attribute", "label", "predicted"]) + "\n")
         for i in range(len(y)):
-            fh.write(",".join([repr(float(v)) for v in r_f.value[i]]
+            fh.write(",".join([repr(float(v)) for v in r_f[i]]
                               + [str(z[i]), str(y[i]), str(labels[i])]) + "\n")
     return len(y)

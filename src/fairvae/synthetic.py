@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Sample
+from .data import Samples
 
 _WORKCLASS = ["Federal-gov", "Private", "Self-emp"]
 _EDUCATION = ["Bachelors", "Doctorate", "HS-grad", "Masters"]
@@ -84,7 +84,7 @@ def write_adult_like(train_path, test_path, n_train: int = 600,
 
 def make_shortcut_samples(n: int, seed: int, dim: int = 4,
                           shortcut_scale: float = 0.5,
-                          coord_noise: float = 0.5) -> list[Sample]:
+                          coord_noise: float = 0.5) -> Samples:
     """Samples whose attribute is encoded in feature coordinate ``dim - 2``.
 
     The coordinate carries the attribute plus Gaussian noise (a clean copy
@@ -101,4 +101,4 @@ def make_shortcut_samples(n: int, seed: int, dim: int = 4,
     score = (x[:, 0] + x[:, 1] + shortcut_scale * signed
              + 0.3 * rng.standard_normal(n))
     y = (score > 0).astype(int)
-    return [Sample(x=x[i], y=int(y[i]), z=int(z[i])) for i in range(n)]
+    return Samples(x, y, z)

@@ -372,6 +372,29 @@ def test_abs_row_cosine_zero_rows_contribute_zero():
     np.testing.assert_array_equal(a.grad[0], [0.0, 0.0])
 
 
+@pytest.mark.parametrize("tracked", ["a", "b", "both"])
+def test_abs_row_cosine_vjps_share_terms_per_upstream(tracked):
+    """Each operand's gradient has the same bits whichever operands track
+    gradients, and a second upstream gradient gets terms of its own."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((2, 5, 3))
+    ups = rng.standard_normal((2, 5))
+
+    def grads(which, upstreams):
+        a, b = (ad.Node(v) if name in which else ad.as_node(v)
+                for name, v in zip("ab", values))
+        out, _ = ad.abs_row_cosine(a, b)
+        for up in upstreams:
+            out._backward(up)
+        return {name: n.grad for name, n in zip("ab", (a, b)) if name in which}
+
+    which = "ab" if tracked == "both" else tracked
+    got = grads(which, ups)
+    for name in which:
+        want = grads(name, ups[:1])[name] + grads(name, ups[1:])[name]
+        assert got[name].tobytes() == want.tobytes(), name
+
+
 class TestGradientTracking:
     def test_which_nodes_track_gradients(self):
         assert ad.Node([1.0]).requires_grad

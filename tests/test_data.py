@@ -76,6 +76,16 @@ def _record(categories):
     return st.fixed_dictionaries(cells)
 
 
+# one cell that a file or a hand-built record may not hold
+_BAD_CELLS = [("age", "abc"), ("fnlwgt", "inf"), ("capital-loss", "nan"),
+              ("hours-per-week", "1e999"), ("income", "1"), ("sex", "F")]
+
+
+@pytest.fixture(scope="module")
+def records_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
 def _with_bad_cell(tmp_path, good_file, column, value):
     """A file holding the first row of ``good_file``, then that row with
     ``column`` set to ``value``."""
@@ -95,15 +105,15 @@ class TestLoadAdult:
 
     def test_test_banner_and_period_tolerated(self, loaded):
         _, test = loaded
-        assert all(not r["income"].endswith(".") for r in test)
-        assert {r["income"] for r in test} <= {"<=50K", ">50K"}
+        assert all(not v.endswith(".") for v in test.columns["income"])
+        assert set(test.columns["income"]) <= {"<=50K", ">50K"}
 
     def test_empty_file_warns(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("")
         with pytest.warns(UserWarning, match="no records"):
             records = D._read_adult_file(p)
-        assert records == []
+        assert len(records) == 0
 
     def test_wrong_column_count_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -125,8 +135,8 @@ class TestLoadAdult:
     def test_non_finite_numeric_names_cell(self, tmp_path, adult_files, value):
         p = _with_bad_cell(tmp_path, adult_files[0], "age", value)
         with pytest.raises(D.ParseError,
-                           match=rf"bad.csv:2: column 'age' is not a "
-                                 rf"finite number: '{value}'"):
+                           match=rf"bad.csv:2: column 'age' has "
+                                 rf"'{value}', expected a finite number"):
             D._read_adult_file(p)
 
     @pytest.mark.parametrize("column,value,allowed", [
@@ -184,7 +194,7 @@ class TestPreprocess:
     def test_unseen_category_encodes_as_zero_block(self, loaded):
         train, _ = loaded
         _, stats = D.preprocess(train)
-        record = dict(train[0])
+        record = {name: cells[0] for name, cells in train.columns.items()}
         record["marital-status"] = "Widowed-unseen"
         [sample], _ = D.preprocess([record], stats)
         start = 0
@@ -216,7 +226,7 @@ class TestPreprocess:
     def test_missing_categorical_imputed_with_mode(self, loaded):
         train, _ = loaded
         _, stats = D.preprocess(train)
-        record = dict(train[0])
+        record = {name: cells[0] for name, cells in train.columns.items()}
         record["workclass"] = "?"
         [sample], _ = D.preprocess([record], stats)
         mode_pos = stats.cat_vocab["workclass"].index(stats.cat_mode["workclass"])
@@ -304,6 +314,102 @@ class TestPreprocessRejects:
         assert stats.num_mean["age"] == 31.5
         assert len(samples) == 3
 
+    def test_missing_column_names_record_and_column(self):
+        records = _good_records()
+        del records[1]["age"]
+        with pytest.raises(D.SchemaError, match=r"^record 1: no column 'age'$"):
+            D.preprocess(records)
+
+    @pytest.mark.parametrize("value", [5, None, b"a"])
+    @pytest.mark.parametrize("fitted", [False, True])
+    def test_non_string_category_names_record_column_and_value(self, value,
+                                                                fitted):
+        records = _good_records()
+        _, stats = D.preprocess(records)
+        records[1]["workclass"] = value
+        with pytest.raises(D.ParseError,
+                           match=rf"^record 1: column 'workclass' has "
+                                 rf"{re.escape(repr(value))}, expected a "
+                                 rf"string$"):
+            D.preprocess(records, stats if fitted else None)
+
+    def test_str_subclass_cells_accepted(self):
+        records = _good_records()
+        records[0]["workclass"] = np.str_("a")
+        records[0]["sex"] = np.str_("Male")
+        samples, _ = D.preprocess(records)
+        assert samples.z.tolist() == [0, 1, 1]
+
+
+class TestRecords:
+    def test_missing_column_rejected(self):
+        columns = {name: () for name in D.NAMES if name != "sex"}
+        with pytest.raises(D.SchemaError, match="no column 'sex'"):
+            D.Records(columns)
+
+    def test_columns_of_unequal_length_rejected(self):
+        columns = dict(D.Records.of(_good_records()).columns)
+        columns["age"] = columns["age"][:2]
+        with pytest.raises(D.SchemaError, match="columns differ in length"):
+            D.Records(columns)
+
+    def test_earliest_bad_line_is_named_across_columns(self, tmp_path,
+                                                       adult_files):
+        with open(adult_files[0]) as fh:
+            lines = [fh.readline().strip() for _ in range(3)]
+        fields = [f.strip() for f in lines[2].split(",")]
+        fields[0] = "abc"  # age, line 3
+        lines[2] = ", ".join(fields)
+        fields = [f.strip() for f in lines[1].split(",")]
+        fields[-1] = "1"  # income, line 2
+        lines[1] = ", ".join(fields)
+        p = tmp_path / "two_bad.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(D.ParseError,
+                           match=r"two_bad.csv:2: column 'income' has '1'"):
+            D._read_adult_file(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=st.lists(_record(_SEEN), min_size=1, max_size=20),
+           banner=st.booleans(), period=st.booleans(),
+           include_sensitive=st.booleans(),
+           bad=st.one_of(st.none(), st.tuples(st.integers(0, 10**6),
+                                              st.sampled_from(_BAD_CELLS))))
+    def test_file_and_hand_built_records_agree(self, records_dir, records,
+                                               banner, period,
+                                               include_sensitive, bad):
+        """Records written to an Adult-format file and the same records
+        built by hand encode to the same bytes, or fail on the same cell."""
+        if bad is not None:
+            index, (column, value) = bad
+            index %= len(records)
+            records[index] = dict(records[index], **{column: value})
+        path = records_dir / "records.csv"
+        with open(path, "w") as fh:
+            if banner:
+                fh.write("|1x3 Cross validator\n")
+            for record in records:
+                fh.write(", ".join(record[name] for name in D.NAMES)
+                         + ("." if period else "") + "\n")
+        if bad is not None:
+            with pytest.raises(D.ParseError) as from_file:
+                D._read_adult_file(path)
+            with pytest.raises(D.ParseError) as by_hand:
+                D.preprocess(records)
+            cell = f": column {column!r} has {value!r}, expected "
+            assert str(by_hand.value).startswith(f"record {index}{cell}")
+            assert str(from_file.value) == (
+                f"{path}:{index + 1 + banner}"
+                + str(by_hand.value)[len(f"record {index}"):])
+            return
+        got = D.preprocess(D._read_adult_file(path),
+                           include_sensitive=include_sensitive)
+        want = D.preprocess(records, include_sensitive=include_sensitive)
+        assert [a.tobytes() for a in (got[0].x, got[0].y, got[0].z)] == \
+            [a.tobytes() for a in (want[0].x, want[0].y, want[0].z)]
+        assert json.dumps(asdict(got[1]), sort_keys=True) == \
+            json.dumps(asdict(want[1]), sort_keys=True)
+
 
 @pytest.fixture(scope="module")
 def split(loaded):
@@ -351,7 +457,8 @@ class TestSplitAndMask:
             D.split_and_mask(samples, 0.1, 0.0, seed=0)
 
     def test_ratio_flooring_to_zero_labeled_rows_rejected(self):
-        samples = [D.Sample(x=np.zeros(3), y=i % 2, z=i % 2) for i in range(300)]
+        parity = np.arange(300) % 2
+        samples = D.Samples(np.zeros((300, 3)), parity, parity)
         with pytest.raises(D.ConfigError,
                            match=r"label_ratio 0\.001 of 270 training rows .*"
                                  r"30 validation rows of 300.* 0 labeled rows"):
@@ -365,8 +472,8 @@ class TestSplitAndMask:
            seed=st.integers(0, 2**32 - 1))
     def test_partition_property(self, n, val_frac, label_ratio, seed):
         # x holds the row number, so each part's rows can be traced back
-        samples = [D.Sample(x=np.array([float(i)]), y=i % 2, z=(i // 3) % 2)
-                   for i in range(n)]
+        rows = np.arange(n)
+        samples = D.Samples(rows[:, None].astype(float), rows % 2, (rows // 3) % 2)
         n_val = math.floor(val_frac * n)
         n_lab = math.floor(label_ratio * (n - n_val))
         if n_lab == 0:
@@ -386,25 +493,29 @@ class TestSplitAndMask:
             assert np.array_equal(z, (index // 3) % 2)
 
     def test_partitions_of_encoded_samples_match_stacked_rows(self, loaded):
-        """Partitions cut from the encoded matrix are byte-identical to
-        partitions stacked from a plain list of the same samples."""
+        """Each partition is byte-identical to the encoded matrix's own rows
+        at its indices, stacked one by one."""
         train, test = loaded
         samples, stats = D.preprocess(train)
         test_samples, _ = D.preprocess(test, stats)
-        assert isinstance(samples, D.EncodedSamples)
-        assert all(s.x.base is samples.x for s in samples)
         cut = D.split_and_mask(samples, 0.1, 0.2, seed=4,
                                test_samples=test_samples)
-        stacked = D.split_and_mask(list(samples), 0.1, 0.2, seed=4,
-                                   test_samples=list(test_samples))
-        for name in ("lab_x", "lab_y", "lab_z", "unl_x", "unl_y",
-                     "_shadow_unl_z", "val_x", "val_y", "val_z", "test_x",
-                     "test_y", "test_z"):
-            a, b = getattr(cut, name), getattr(stacked, name)
-            assert (a.dtype, a.shape, a.tobytes()) == \
-                (b.dtype, b.shape, b.tobytes()), name
+        all_rows = np.arange(len(test_samples))
+        parts = {"lab": (cut.lab_index, samples), "unl": (cut.unl_index, samples),
+                 "val": (cut.val_index, samples), "test": (all_rows, test_samples)}
+        for part, (index, source) in parts.items():
+            rows = [source[int(i)] for i in index]
+            stacked = (np.stack([r.x for r in rows]),
+                       np.array([r.y for r in rows]), np.array([r.z for r in rows]))
+            z_name = "_shadow_unl_z" if part == "unl" else f"{part}_z"
+            for name, b in zip((f"{part}_x", f"{part}_y", z_name), stacked):
+                a = getattr(cut, name)
+                assert (a.dtype, a.shape, a.tobytes()) == \
+                    (b.dtype, b.shape, b.tobytes()), name
         # the test arrays are the split's own, not the dataset's
-        assert not np.shares_memory(cut.test_x, test_samples.x)
+        for name in ("x", "y", "z"):
+            assert not np.shares_memory(getattr(cut, f"test_{name}"),
+                                        getattr(test_samples, name))
 
     def test_shadow_access_is_counted(self, split):
         before = split.shadow_reads

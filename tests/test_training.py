@@ -11,7 +11,7 @@ from fairvae import data as D
 from fairvae import metrics as MX
 from fairvae import models as M
 from fairvae import training as T
-from fairvae.data import ConfigError, Sample
+from fairvae.data import ConfigError, Samples
 from fairvae.synthetic import make_shortcut_samples
 
 
@@ -192,7 +192,7 @@ def separable_samples(n, seed, dim=6):
     x[:, 0] += 1.5 * (2 * y - 1)
     x[:, 1] += 1.0 * (2 * y - 1)
     x[:, dim - 2] += 2.0 * z - 1.0
-    return [Sample(x=x[i], y=int(y[i]), z=int(z[i])) for i in range(n)]
+    return Samples(x, y, z)
 
 
 def tiny_split(n=18, seed=0, label_ratio=0.5):
