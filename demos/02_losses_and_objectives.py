@@ -9,7 +9,7 @@ Then flips one ablation switch to show that only its designated term moves.
 import numpy as np
 
 from fairvae import BundleConfig, ModelBundle, ObjectiveConfig
-from fairvae.data import Batch
+from fairvae.data import Samples
 from fairvae.objectives import joint_loss, labeled_loss, unlabeled_loss
 
 rng = np.random.default_rng(3)
@@ -18,9 +18,9 @@ cfg = BundleConfig(input_dim=6, backbone="dnn", hidden_dim=8, latent_dim=4,
 bundle = ModelBundle(cfg)
 objective = ObjectiveConfig()
 
-labeled = Batch(rng.uniform(-2, 2, (8, 6)), rng.integers(0, 2, 8),
-                rng.integers(0, 2, 8))
-unlabeled = Batch(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6), None)
+labeled = Samples(rng.uniform(-2, 2, (8, 6)), rng.integers(0, 2, 8),
+                  rng.integers(0, 2, 8))
+unlabeled = Samples(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6))
 eps_l = rng.standard_normal((8, 4))
 eps_u = rng.standard_normal((6, 4))
 

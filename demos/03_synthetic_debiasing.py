@@ -16,10 +16,10 @@ from fairvae.models import encode
 from fairvae.synthetic import make_shortcut_samples
 
 samples = make_shortcut_samples(1100, seed=3)
-split = split_and_mask(samples[:700], val_frac=0.1, label_ratio=0.5, seed=3,
-                       test_samples=samples[700:])
+split = split_and_mask(samples[:700], val_frac=0.1, label_ratio=0.5, seed=3)
+test = samples[700:]
 print(f"{split.n_labeled} attribute-labeled / {split.n_unlabeled} masked "
-      f"training samples, {len(split.test_y)} test samples")
+      f"training samples, {len(test)} test samples")
 
 print(f"\n{'method':10s} {'probe':>7s} {'test acc':>9s}   verdict")
 for method, lam, epochs in (("plain", 0.0, 100), ("dadv", 1.0, 200),
@@ -28,11 +28,11 @@ for method, lam, epochs in (("plain", 0.0, 100), ("dadv", 1.0, 200),
                       epochs=epochs, batch_size=32, hidden_dim=3, latent_dim=8,
                       lr=0.01, dropout_rate=0.0)
     bundle, report = train(spec, split)
-    r_f, _, _ = encode(bundle, split.test_x, training=False)
-    probe = leakage_probe(r_f.value, split.test_z, seed=5)
+    r_f, _, _ = encode(bundle, test.x, training=False)
+    probe = leakage_probe(r_f.value, test.z, seed=5)
     logits = (r_f.value @ bundle.task_head.out.weight.value
               + bundle.task_head.out.bias.value)
-    acc = float((logits.argmax(axis=1) == split.test_y).mean())
+    acc = float((logits.argmax(axis=1) == test.y).mean())
     leaky = "attribute recoverable" if probe > 0.75 else "attribute scrubbed"
     print(f"{method:10s} {probe:7.3f} {acc:9.3f}   {leaky}")
 

@@ -8,7 +8,6 @@ group-fairness evaluation harness.
 """
 
 from .data import (
-    Batch,
     DatasetSplit,
     Samples,
     Stats,
@@ -42,7 +41,7 @@ from .training import Adam, MethodSpec, TrainReport, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "Batch", "BundleConfig", "DatasetSplit", "ExperimentConfig",
+    "Adam", "BundleConfig", "DatasetSplit", "ExperimentConfig",
     "FairnessReport", "LossBreakdown", "MethodSpec", "ModelBundle",
     "ObjectiveConfig", "Samples", "Stats", "TrainReport", "accuracy", "auc",
     "batches", "config_hash", "demographic_parity_gap",

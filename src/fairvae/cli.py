@@ -3,7 +3,9 @@
 Configuration is a JSON file of ExperimentConfig keys; every field has a
 default and any can be overridden with ``--set key=value`` (values parsed as
 JSON, falling back to plain strings). Outputs go to ``output_dir``, which
-``--out`` sets. A config error exits with status 2.
+``--out`` sets. Input errors exit with status 2 and print ``error: ...``: a
+bad config value (``ConfigError``), a missing file, a malformed data file
+(``ParseError``, ``SchemaError``) or a damaged checkpoint (``CheckpointError``).
 """
 
 from __future__ import annotations
@@ -12,14 +14,16 @@ import argparse
 import json
 import sys
 
+from . import data as D
 from . import experiments as X
+from .models import CheckpointError
 
 
 def _parse_overrides(pairs):
     overrides = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise SystemExit(f"--set expects key=value, got {pair!r}")
+            raise D.ConfigError(f"--set expects key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         try:
             overrides[key] = json.loads(raw)
@@ -98,7 +102,8 @@ def main(argv=None) -> int:
             report = X.evaluate_checkpoint(args.checkpoint, args.test,
                                            seed=args.seed)
             print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    except (FileNotFoundError, X.D.ConfigError) as exc:
+    except (FileNotFoundError, D.ConfigError, D.ParseError, D.SchemaError,
+            CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

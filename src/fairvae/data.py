@@ -1,9 +1,11 @@
 """Adult-format tabular ingestion, preprocessing, splitting and attribute masking.
 
 The sensitive attribute (the ``sex`` column) is removed from the feature
-vector by default and kept as a separate target ``z``. Masking hides ``z``
-for a seed-deterministic share of the training set; the true values of masked
-samples are retained in a shadow field that only evaluation code should touch
+vector by default and kept as a separate target ``z``. One container,
+``Samples``, carries the encoded arrays from ``preprocess`` through the split
+to every mini-batch. Masking hides ``z`` for a seed-deterministic share of
+the training set: the split's unlabeled ``Samples`` have no ``z``, and their
+true values sit in a shadow field that only evaluation code should touch
 (reads are counted so experiments can assert training never looked).
 """
 
@@ -200,18 +202,19 @@ class Stats:
 @dataclass
 class Samples:
     """Encoded examples: feature rows ``x``, task labels ``y`` and sensitive
-    attributes ``z``. Indexing indexes all three, so ``samples[i].x`` is one
-    row and ``samples[a:b]`` a slice."""
+    attributes ``z`` (None where they are hidden). Indexing indexes each
+    array, so ``samples[i].x`` is one row and ``samples[a:b]`` a slice."""
 
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
+    z: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.y)
 
     def __getitem__(self, index) -> "Samples":
-        return Samples(self.x[index], self.y[index], self.z[index])
+        return Samples(self.x[index], self.y[index],
+                       None if self.z is None else self.z[index])
 
 
 def _fit_stats(records: Records, include_sensitive: bool) -> Stats:
@@ -280,17 +283,18 @@ def preprocess(records, stats: Stats | None = None,
 
 
 class DatasetSplit:
-    """Train partition (labeled / unlabeled / validation) plus the test set.
+    """The training pool cut into labeled, unlabeled and validation
+    ``Samples``, with each part's row indices into the pool.
 
-    Unlabeled samples expose only features and task labels; their true
-    attributes sit in a shadow array whose accessor counts every read.
+    ``unl`` is passed in with its true attributes and exposed without them
+    (``unl.z`` is None); they sit in a shadow whose accessor counts every read.
     """
 
-    def __init__(self, lab, unl, val, test, lab_index, unl_index, val_index):
-        self.lab_x, self.lab_y, self.lab_z = lab
-        self.unl_x, self.unl_y, self._shadow_unl_z = unl
-        self.val_x, self.val_y, self.val_z = val
-        self.test_x, self.test_y, self.test_z = test
+    def __init__(self, lab: Samples, unl: Samples, val: Samples,
+                 lab_index, unl_index, val_index):
+        self.lab, self.val = lab, val
+        self._unl = unl  # with the true attributes
+        self.unl = Samples(unl.x, unl.y)
         self.lab_index = lab_index
         self.unl_index = unl_index
         self.val_index = val_index
@@ -298,32 +302,31 @@ class DatasetSplit:
 
     @property
     def n_labeled(self) -> int:
-        return len(self.lab_y)
+        return len(self.lab)
 
     @property
     def n_unlabeled(self) -> int:
-        return len(self.unl_y)
+        return len(self.unl)
 
     @property
     def feature_dim(self) -> int:
-        return self.lab_x.shape[1]
+        return self.lab.x.shape[1]
 
     def shadow_unlabeled_attributes(self) -> np.ndarray:
         """True attributes of masked samples; for evaluation only (reads counted)."""
         self.shadow_reads += 1
-        return self._shadow_unl_z.copy()
+        return self._unl.z.copy()
 
-    def all_train_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Labeled + unlabeled features/labels in original dataset order.
+    def all_train(self) -> Samples:
+        """Labeled + unlabeled features and labels in original dataset order.
 
         Methods that ignore attribute labels train on this stream so their
         results cannot depend on the masking ratio.
         """
         idx = np.concatenate([self.lab_index, self.unl_index])
         order = np.argsort(idx, kind="stable")
-        x = np.concatenate([self.lab_x, self.unl_x])[order]
-        y = np.concatenate([self.lab_y, self.unl_y])[order]
-        return x, y
+        return Samples(np.concatenate([self.lab.x, self.unl.x])[order],
+                       np.concatenate([self.lab.y, self.unl.y])[order])
 
     def with_pseudo_labels(self, adopt_mask: np.ndarray,
                            pseudo_z: np.ndarray) -> "DatasetSplit":
@@ -336,17 +339,13 @@ class DatasetSplit:
                 f"adopt mask has shape {adopt_mask.shape}, expected "
                 f"({self.n_unlabeled},)"
             )
-        lab = (
-            np.concatenate([self.lab_x, self.unl_x[adopt_mask]]),
-            np.concatenate([self.lab_y, self.unl_y[adopt_mask]]),
-            np.concatenate([self.lab_z, np.asarray(pseudo_z, dtype=int)]),
-        )
+        adopted = self.unl[adopt_mask]
+        lab = Samples(np.concatenate([self.lab.x, adopted.x]),
+                      np.concatenate([self.lab.y, adopted.y]),
+                      np.concatenate([self.lab.z, np.asarray(pseudo_z, dtype=int)]))
         keep = ~adopt_mask
-        unl = (self.unl_x[keep], self.unl_y[keep], self._shadow_unl_z[keep])
         return DatasetSplit(
-            lab, unl,
-            (self.val_x, self.val_y, self.val_z),
-            (self.test_x, self.test_y, self.test_z),
+            lab, self._unl[keep], self.val,
             np.concatenate([self.lab_index, self.unl_index[adopt_mask]]),
             self.unl_index[keep], self.val_index,
         )
@@ -356,22 +355,16 @@ class DatasetSplit:
         if not 0.0 <= fraction <= 1.0:
             raise ConfigError(f"unlabeled fraction must be in [0, 1], got {fraction}")
         keep = int(math.floor(fraction * self.n_unlabeled))
-        return DatasetSplit(
-            (self.lab_x, self.lab_y, self.lab_z),
-            (self.unl_x[:keep], self.unl_y[:keep], self._shadow_unl_z[:keep]),
-            (self.val_x, self.val_y, self.val_z),
-            (self.test_x, self.test_y, self.test_z),
-            self.lab_index, self.unl_index[:keep], self.val_index,
-        )
+        return DatasetSplit(self.lab, self._unl[:keep], self.val, self.lab_index,
+                            self.unl_index[:keep], self.val_index)
 
 
 def split_and_mask(samples: Samples, val_frac: float, label_ratio: float,
-                   seed: int, test_samples: Samples | None = None) -> DatasetSplit:
+                   seed: int) -> DatasetSplit:
     """Carve validation, then mask attributes for all but ``label_ratio`` of the rest.
 
     The shuffle is fully determined by ``seed``; exactly
     ``floor(label_ratio * N_post_validation)`` samples keep their attribute.
-    The split copies ``test_samples`` (none when None).
     """
     if not 0.0 < val_frac < 1.0:
         raise ConfigError(f"val_frac must be in (0, 1), got {val_frac}")
@@ -395,66 +388,40 @@ def split_and_mask(samples: Samples, val_frac: float, label_ratio: float,
         )
     lab_index = np.sort(rest[:n_lab])
     unl_index = np.sort(rest[n_lab:])
-    test = samples[:0] if test_samples is None else test_samples
-    parts = [samples[index] for index in (lab_index, unl_index, val_index)]
-    return DatasetSplit(*[(p.x, p.y, p.z) for p in parts],
-                        (test.x.copy(), test.y.copy(), test.z.copy()),
-                        lab_index, unl_index, val_index)
-
-
-@dataclass
-class Batch:
-    """One mini-batch; ``z`` is None when attributes are masked."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray | None = None
-
-    def __len__(self):
-        return len(self.y)
+    indices = (lab_index, unl_index, val_index)
+    return DatasetSplit(*[samples[index] for index in indices], *indices)
 
 
 def _tiled_order(rng, n: int, total: int) -> np.ndarray:
+    """range(n) shuffled, then repeated cyclically to ``total`` entries."""
     perm = rng.permutation(n)
-    if n >= total:
-        return perm
-    reps = -(-total // n)
-    return np.tile(perm, reps)[:total]
+    return np.resize(perm, total) if n else perm
 
 
 def batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
-    """Yield (labeled, unlabeled) batch pairs, cycling the shorter set.
+    """Yield (labeled, unlabeled) ``Samples`` pairs, cycling the shorter set;
+    unlabeled batches carry no ``z`` and are empty when the pool is.
 
     Steps per epoch = ceil(max(|labeled|, |unlabeled|) / batch_size); both
     sets are reshuffled per epoch from (seed, epoch).
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    n_lab, n_unl = split.n_labeled, split.n_unlabeled
-    longer = max(n_lab, n_unl)
-    steps = -(-longer // batch_size)
+    longer = max(split.n_labeled, split.n_unlabeled)
     rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, 0xBA7C4]))
-    lab_order = _tiled_order(rng, n_lab, longer)
-    unl_order = _tiled_order(rng, n_unl, longer) if n_unl else np.zeros(0, dtype=int)
-    for i in range(steps):
-        lo, hi = i * batch_size, min((i + 1) * batch_size, longer)
-        li = lab_order[lo:hi]
-        lab = Batch(split.lab_x[li], split.lab_y[li], split.lab_z[li])
-        if n_unl:
-            ui = unl_order[lo:hi]
-            unl = Batch(split.unl_x[ui], split.unl_y[ui], None)
-        else:
-            unl = Batch(np.zeros((0, split.feature_dim)), np.zeros(0, dtype=int), None)
-        yield lab, unl
+    lab_order = _tiled_order(rng, split.n_labeled, longer)
+    unl_order = _tiled_order(rng, split.n_unlabeled, longer)
+    for lo in range(0, longer, batch_size):
+        yield (split.lab[lab_order[lo:lo + batch_size]],
+               split.unl[unl_order[lo:lo + batch_size]])
 
 
-def single_stream_batches(x: np.ndarray, y: np.ndarray, batch_size: int,
-                          seed: int, epoch: int):
-    """Plain mini-batches over one array pair, reshuffled per (seed, epoch)."""
+def single_stream_batches(samples: Samples, batch_size: int, seed: int,
+                          epoch: int):
+    """Plain mini-batches over one ``Samples``, reshuffled per (seed, epoch)."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, 0x51247]))
-    perm = rng.permutation(len(y))
-    for i in range(-(-len(y) // batch_size)):
-        idx = perm[i * batch_size:(i + 1) * batch_size]
-        yield Batch(x[idx], y[idx], None)
+    perm = rng.permutation(len(samples))
+    for lo in range(0, len(samples), batch_size):
+        yield samples[perm[lo:lo + batch_size]]

@@ -21,6 +21,7 @@ import os
 import traceback
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -188,6 +189,21 @@ def _cell_name(backbone, method, ratio, seed, **extra):
     return "_".join(str(p) for p in parts)
 
 
+@contextmanager
+def _cell_log(cfg: ExperimentConfig, name: str, seed: int):
+    """The step-record writer of ``logs/<name>.jsonl`` (None without logs),
+    the file open for the block's duration."""
+    if not cfg.save_logs:
+        yield None
+        return
+    os.makedirs(os.path.join(cfg.output_dir, "logs"), exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "logs", f"{name}.jsonl"), "w",
+              encoding="utf-8") as fh:
+        fh.write(json.dumps({"config_hash": config_hash(cfg),
+                             "cell": name, "seed": seed}) + "\n")
+        yield lambda record: fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
 def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
              seed: int, unlabeled_fraction: float | None = None,
              cell_name: str | None = None, **overrides) -> dict:
@@ -195,38 +211,23 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
     ``overrides`` replace the config's training settings for this cell (the
     ablation's ``objective``, the lambda sweep's ``grl_lambda``)."""
     name = cell_name or _cell_name(backbone, method, ratio, seed)
-    train_samples, test_samples, stats = load_dataset(cfg)
-    split = D.split_and_mask(train_samples, cfg.val_frac, ratio, seed,
-                             test_samples=test_samples)
-    if unlabeled_fraction is not None:
-        split = split.with_unlabeled_fraction(unlabeled_fraction)
-    root = cfg.output_dir
-    log_writer = None
-    log_fh = None
-    if cfg.save_logs:
-        os.makedirs(os.path.join(root, "logs"), exist_ok=True)
-        log_fh = open(os.path.join(root, "logs", f"{name}.jsonl"), "w",
-                      encoding="utf-8")
-        log_fh.write(json.dumps({"config_hash": config_hash(cfg),
-                                 "cell": name, "seed": seed}) + "\n")
-        def log_writer(record):
-            log_fh.write(json.dumps(record, sort_keys=True) + "\n")
     spec = T.MethodSpec(
         **{**M.settings(cfg, T.TrainingSettings), **overrides},
         backbone=backbone, method=method, seed=seed)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            bundle, report = T.train(spec, split, log_writer=log_writer)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    train_samples, test_samples, stats = load_dataset(cfg)
+    split = D.split_and_mask(train_samples, cfg.val_frac, ratio, seed)
+    if unlabeled_fraction is not None:
+        split = split.with_unlabeled_fraction(unlabeled_fraction)
+    root = cfg.output_dir
+    with _cell_log(cfg, name, seed) as log_writer, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bundle, report = T.train(spec, split, log_writer=log_writer)
     if report.shadow_reads_during_training != 0:
         raise RuntimeError(
             f"{name}: training read {report.shadow_reads_during_training} "
             f"shadow attribute values"
         )
-    fairness = _test_report(bundle, split.test_x, split.test_y, split.test_z, seed)
+    fairness = _test_report(bundle, test_samples, seed)
     if cfg.save_checkpoints:
         os.makedirs(os.path.join(root, "checkpoints"), exist_ok=True)
         M.save_bundle(
@@ -448,36 +449,35 @@ def _predict(bundle, x):
     return r_f.value, probs.value[:, 1], probs.value.argmax(axis=1)
 
 
-def _test_report(bundle, x, y, z, seed: int) -> MX.FairnessReport:
-    r_f, positive, labels = _predict(bundle, x)
-    return MX.fairness_report(y, labels, positive, z, r_f, seed=seed)
+def _test_report(bundle, test: D.Samples, seed: int) -> MX.FairnessReport:
+    r_f, positive, labels = _predict(bundle, test.x)
+    return MX.fairness_report(test.y, labels, positive, test.z, r_f, seed=seed)
 
 
-def _load_test_set(checkpoint_header: dict, test_path):
+def _load_test_set(checkpoint_header: dict, test_path) -> D.Samples:
     stats = D.Stats(**checkpoint_header["extra"]["stats"])
-    samples, _ = D.preprocess(D._read_adult_file(test_path), stats,
-                              include_sensitive=stats.include_sensitive)
-    return samples.x, samples.y, samples.z
+    return D.preprocess(D._read_adult_file(test_path), stats,
+                        include_sensitive=stats.include_sensitive)[0]
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:
     """Load a checkpoint and produce a FairnessReport on an Adult-format file."""
     bundle, header = M.load_bundle(checkpoint_path)
-    return _test_report(bundle, *_load_test_set(header, test_path), seed)
+    return _test_report(bundle, _load_test_set(header, test_path), seed)
 
 
 def export_embeddings(checkpoint_path, test_path, out_path) -> int:
     """Write one CSV row per test sample: bias-free representation values,
     true attribute, true label, predicted label. Returns the row count."""
     bundle, header = M.load_bundle(checkpoint_path)
-    x, y, z = _load_test_set(header, test_path)
-    r_f, _, labels = _predict(bundle, x)
+    test = _load_test_set(header, test_path)
+    r_f, _, labels = _predict(bundle, test.x)
     dim = r_f.shape[1]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_hash={header['config_hash']} seed={header['seed']}\n")
         fh.write(",".join([f"r_{i}" for i in range(dim)]
                           + ["attribute", "label", "predicted"]) + "\n")
-        for i in range(len(y)):
-            fh.write(",".join([repr(float(v)) for v in r_f[i]]
-                              + [str(z[i]), str(y[i]), str(labels[i])]) + "\n")
-    return len(y)
+        for row, z, y, label in zip(r_f, test.z, test.y, labels):
+            fh.write(",".join([repr(float(v)) for v in row]
+                              + [str(z), str(y), str(label)]) + "\n")
+    return len(test)

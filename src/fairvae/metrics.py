@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .objectives import task_loss
 
 
 class UndefinedMetric(ValueError):
@@ -146,9 +147,7 @@ def leakage_probe(representations, z, seed: int, train_frac: float = 0.7,
     # constants built once: no gradient flows into the inputs or the labels
     x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
     for _ in range(epochs):
-        probs = ad.softmax(ad.dense(x_train, weight, bias))
-        loss = ad.mean_all(ad.scale(
-            ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0))
+        loss = task_loss(target, ad.softmax(ad.dense(x_train, weight, bias)))
         opt.zero_grad()
         ad.backward(loss)
         opt.step(context="leakage probe")

@@ -361,11 +361,15 @@ def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
             fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
 
 
+class CheckpointError(ValueError):
+    """A file that is not a checkpoint, or a damaged or truncated one."""
+
+
 def _read_exact(fh, path, size: int, what: str) -> bytes:
     buf = fh.read(size)
     if len(buf) != size:
-        raise ValueError(f"{path}: truncated checkpoint: {what} needs {size} "
-                         f"bytes, the file holds {len(buf)}")
+        raise CheckpointError(f"{path}: truncated checkpoint: {what} needs "
+                              f"{size} bytes, the file holds {len(buf)}")
     return buf
 
 
@@ -379,18 +383,18 @@ def _parse_header(path, blob: bytes) -> tuple[dict, ModelBundle, list]:
         if listed != [(p.name, p.value.shape) for p in bundle.parameters()]:
             raise ValueError("its parameter list does not match its config")
     except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode/JSON errors
-        raise ValueError(f"{path}: the checkpoint header is damaged: "
-                         f"{type(exc).__name__}: {exc}") from None
+        raise CheckpointError(f"{path}: the checkpoint header is damaged: "
+                              f"{type(exc).__name__}: {exc}") from None
     return header, bundle, listed
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
     """Read a checkpoint; a damaged header, a truncated file or bytes past the
-    last parameter raise ``ValueError`` naming the file."""
+    last parameter raise ``CheckpointError`` naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
+            raise CheckpointError(f"{path}: not a model checkpoint")
         (hlen,) = struct.unpack("<I", _read_exact(fh, path, 4, "the header length"))
         header, bundle, listed = _parse_header(
             path, _read_exact(fh, path, hlen, "the header"))
@@ -401,7 +405,7 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
             state[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         leftover = len(fh.read())
         if leftover:
-            raise ValueError(
+            raise CheckpointError(
                 f"{path}: {leftover} bytes follow the last parameter "
                 f"{listed[-1][0]}; the header accounts for "
                 f"{fh.tell() - leftover} bytes, the file holds {fh.tell()}")

@@ -224,10 +224,10 @@ def _epsilon(bundle, rng, batch, latent_dim: int):
 
 def _validation_criterion(bundle, split: DatasetSplit) -> dict:
     """Accuracy minus demographic-parity gap on the validation split."""
-    labels = predict_labels(bundle, split.val_x)
-    acc = MX.accuracy(split.val_y, labels)
-    if len(np.unique(split.val_z)) == 2:
-        dp = MX.demographic_parity_gap(labels, split.val_z)
+    labels = predict_labels(bundle, split.val.x)
+    acc = MX.accuracy(split.val.y, labels)
+    if len(np.unique(split.val.z)) == 2:
+        dp = MX.demographic_parity_gap(labels, split.val.z)
     else:
         dp = 0.0
     return {"accuracy": acc, "dp_gap": dp, "criterion": acc - dp}
@@ -250,7 +250,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
     best_state = None
     step_index = 0
     if spec.method == "plain":
-        x_all, y_all = split.all_train_xy()
+        train_all = split.all_train()
 
     for epoch in range(spec.epochs):
         t0 = time.perf_counter()
@@ -258,7 +258,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
         steps = 0
         if spec.method == "plain":
             stream = ((b, None) for b in single_stream_batches(
-                x_all, y_all, spec.batch_size, spec.seed, epoch))
+                train_all, spec.batch_size, spec.seed, epoch))
         else:
             stream = batches(split, spec.batch_size, spec.seed, epoch)
         for lab, unl in stream:
@@ -321,8 +321,8 @@ def _train_attribute_predictor(spec: MethodSpec,
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step(context=context)
-        val_pred = _attribute_probs(bundle, split.val_x).value.argmax(axis=1)
-        acc = MX.accuracy(split.val_z, val_pred)
+        val_pred = _attribute_probs(bundle, split.val.x).value.argmax(axis=1)
+        acc = MX.accuracy(split.val.z, val_pred)
         if acc > best_acc:
             best_acc, best_state = acc, bundle.state_arrays()
     if best_state is not None:
@@ -340,7 +340,7 @@ def self_train(spec: MethodSpec, split: DatasetSplit,
     base_method = spec.method.removesuffix("_st")
 
     predictor = _train_attribute_predictor(spec, split)
-    probs = _attribute_probs(predictor, split.unl_x).value
+    probs = _attribute_probs(predictor, split.unl.x).value
     confident = probs.max(axis=1) >= spec.st_threshold
     pseudo = probs.argmax(axis=1)
 

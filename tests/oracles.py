@@ -202,7 +202,7 @@ def joint_loss_fd_check(rtol=1e-4, atol=1e-7):
     from fairvae import autodiff as ad
     from fairvae import models as M
     from fairvae import objectives as O
-    from fairvae.data import Batch
+    from fairvae.data import Samples
 
     cfg = M.BundleConfig(input_dim=6, backbone="dnn", hidden_dim=4,
                          fm_factors=3, latent_dim=3, grl_lambda=0.4,
@@ -217,8 +217,8 @@ def joint_loss_fd_check(rtol=1e-4, atol=1e-7):
 
     xl, yl, zl = batch_arrays(6, 1)
     xu, yu, _ = batch_arrays(5, 2)
-    lab = Batch(xl, yl, zl)
-    unl = Batch(xu, yu, None)
+    lab = Samples(xl, yl, zl)
+    unl = Samples(xu, yu)
     rng = np.random.default_rng(8)
     eps_l = rng.standard_normal((6, 3))
     eps_u = rng.standard_normal((5, 3))

@@ -21,7 +21,7 @@ from fairvae import metrics as MX
 from fairvae import models as M
 from fairvae import objectives as O
 from fairvae import autodiff as ad
-from fairvae.data import Batch
+from fairvae.data import Samples
 from fairvae.synthetic import write_adult_like
 
 import oracles
@@ -211,7 +211,7 @@ class TestProperties:
                                  latent_dim=3, dropout_rate=0.0, seed=seed)
             bundle = M.ModelBundle(cfg)
             n = int(rng.integers(2, 7))
-            batch = Batch(rng.uniform(-2, 2, (n, 5)), rng.integers(0, 2, n), None)
+            batch = Samples(rng.uniform(-2, 2, (n, 5)), rng.integers(0, 2, n))
             eps = rng.standard_normal((n, 3))
             _, br = O.unlabeled_loss(batch, bundle, O.ObjectiveConfig(), eps)
             # explicit two-branch evaluation

@@ -413,18 +413,17 @@ class TestRecords:
 
 @pytest.fixture(scope="module")
 def split(loaded):
-    train, test = loaded
-    train_samples, stats = D.preprocess(train)
-    test_samples, _ = D.preprocess(test, stats)
+    train, _ = loaded
+    train_samples, _ = D.preprocess(train)
     return D.split_and_mask(train_samples, val_frac=0.1, label_ratio=0.2,
-                            seed=3, test_samples=test_samples)
+                            seed=3)
 
 
 class TestSplitAndMask:
     def test_sizes(self, split):
         n = 400
         n_val = int(0.1 * n)
-        assert len(split.val_y) == n_val
+        assert len(split.val) == n_val
         assert split.n_labeled == int(0.2 * (n - n_val))
         assert split.n_labeled + split.n_unlabeled + n_val == n
 
@@ -481,9 +480,10 @@ class TestSplitAndMask:
                 D.split_and_mask(samples, val_frac, label_ratio, seed)
             return
         s = D.split_and_mask(samples, val_frac, label_ratio, seed)
-        parts = [(s.lab_index, s.lab_x, s.lab_y, s.lab_z),
-                 (s.unl_index, s.unl_x, s.unl_y, s._shadow_unl_z),
-                 (s.val_index, s.val_x, s.val_y, s.val_z)]
+        assert s.unl.z is None
+        parts = [(s.lab_index, s.lab.x, s.lab.y, s.lab.z),
+                 (s.unl_index, s.unl.x, s.unl.y, s.shadow_unlabeled_attributes()),
+                 (s.val_index, s.val.x, s.val.y, s.val.z)]
         assert [len(p[0]) for p in parts] == [n_lab, n - n_val - n_lab, n_val]
         rows = np.concatenate([p[0] for p in parts])
         assert sorted(rows.tolist()) == list(range(n))  # disjoint and covering
@@ -495,27 +495,20 @@ class TestSplitAndMask:
     def test_partitions_of_encoded_samples_match_stacked_rows(self, loaded):
         """Each partition is byte-identical to the encoded matrix's own rows
         at its indices, stacked one by one."""
-        train, test = loaded
-        samples, stats = D.preprocess(train)
-        test_samples, _ = D.preprocess(test, stats)
-        cut = D.split_and_mask(samples, 0.1, 0.2, seed=4,
-                               test_samples=test_samples)
-        all_rows = np.arange(len(test_samples))
-        parts = {"lab": (cut.lab_index, samples), "unl": (cut.unl_index, samples),
-                 "val": (cut.val_index, samples), "test": (all_rows, test_samples)}
-        for part, (index, source) in parts.items():
-            rows = [source[int(i)] for i in index]
+        train, _ = loaded
+        samples, _ = D.preprocess(train)
+        cut = D.split_and_mask(samples, 0.1, 0.2, seed=4)
+        hidden = D.Samples(cut.unl.x, cut.unl.y, cut.shadow_unlabeled_attributes())
+        parts = {"lab": (cut.lab_index, cut.lab), "unl": (cut.unl_index, hidden),
+                 "val": (cut.val_index, cut.val)}
+        for part, (index, got) in parts.items():
+            rows = [samples[int(i)] for i in index]
             stacked = (np.stack([r.x for r in rows]),
                        np.array([r.y for r in rows]), np.array([r.z for r in rows]))
-            z_name = "_shadow_unl_z" if part == "unl" else f"{part}_z"
-            for name, b in zip((f"{part}_x", f"{part}_y", z_name), stacked):
-                a = getattr(cut, name)
+            for name, b in zip("xyz", stacked):
+                a = getattr(got, name)
                 assert (a.dtype, a.shape, a.tobytes()) == \
-                    (b.dtype, b.shape, b.tobytes()), name
-        # the test arrays are the split's own, not the dataset's
-        for name in ("x", "y", "z"):
-            assert not np.shares_memory(getattr(cut, f"test_{name}"),
-                                        getattr(test_samples, name))
+                    (b.dtype, b.shape, b.tobytes()), f"{part}.{name}"
 
     def test_shadow_access_is_counted(self, split):
         before = split.shadow_reads
@@ -523,10 +516,40 @@ class TestSplitAndMask:
         assert split.shadow_reads == before + 1
         assert len(shadow) == split.n_unlabeled
 
+    def test_derived_splits_keep_unlabeled_z_hidden(self, split):
+        shadow = split.shadow_unlabeled_attributes()
+        adopt = np.arange(split.n_unlabeled) % 3 == 0
+        moved = split.with_pseudo_labels(adopt, 1 - shadow[adopt])
+        n = split.n_labeled
+        assert moved.n_labeled == n + adopt.sum() and moved.unl.z is None
+        assert np.array_equal(moved.lab.x[n:], split.unl.x[adopt])
+        assert np.array_equal(moved.lab.z[n:], 1 - shadow[adopt])
+        assert np.array_equal(moved.shadow_unlabeled_attributes(), shadow[~adopt])
+        half = split.with_unlabeled_fraction(0.5)
+        assert half.unl.z is None
+        assert np.array_equal(half.shadow_unlabeled_attributes(),
+                              shadow[:half.n_unlabeled])
+
+    def test_all_train_is_the_pool_in_dataset_order(self, loaded):
+        samples, _ = D.preprocess(loaded[0])
+        s = D.split_and_mask(samples, 0.1, 0.2, seed=2)
+        pool = s.all_train()
+        rows = np.sort(np.concatenate([s.lab_index, s.unl_index]))
+        assert pool.z is None
+        assert np.array_equal(pool.x, samples.x[rows])
+        assert np.array_equal(pool.y, samples.y[rows])
+
     def test_unlabeled_fraction_truncates(self, split):
         half = split.with_unlabeled_fraction(0.5)
         assert half.n_unlabeled == split.n_unlabeled // 2
         assert half.n_labeled == split.n_labeled
+
+
+class TestSamples:
+    def test_hidden_z_stays_none_when_indexed(self):
+        s = D.Samples(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0]))
+        assert s.z is None and s[1:].z is None and s[np.array([2, 0])].z is None
+        assert s[1].x.tolist() == [2.0, 3.0] and len(s[1:]) == 2
 
 
 class TestBatches:
@@ -548,6 +571,16 @@ class TestBatches:
         s = D.split_and_mask(samples, 0.1, 1.0, seed=1)
         for _, unl in D.batches(s, 64, seed=1, epoch=0):
             assert len(unl) == 0
+            assert unl.x.shape == (0, s.feature_dim) and unl.z is None
+
+    def test_single_stream_covers_each_row_once(self):
+        rows = np.arange(103)
+        pool = D.Samples(rows[:, None].astype(float), rows % 2)
+        got = list(D.single_stream_batches(pool, 25, seed=4, epoch=1))
+        assert [len(b) for b in got] == [25, 25, 25, 25, 3]
+        assert all(b.z is None for b in got)
+        seen = np.concatenate([b.x[:, 0] for b in got])
+        assert sorted(seen.tolist()) == rows.tolist()
 
     def test_same_seed_epoch_identical_order(self, split):
         def orders(epoch):

@@ -1,8 +1,10 @@
 import csv
+import gc
 import hashlib
 import json
 import os
 import re
+import sys
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -415,6 +417,34 @@ class TestCli:
         assert code == 2
         assert "fetch_adult" in capsys.readouterr().err
 
+    def test_set_without_value_exit_code(self, tmp_path, capsys):
+        code = cli_main(["run", "--set", "epochs", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: --set expects key=value, got 'epochs'\n"
+
+    def test_non_checkpoint_exit_code(self, dataset, tmp_path, capsys):
+        junk = tmp_path / "junk.ckpt"
+        junk.write_bytes(b"not a checkpoint")
+        code = cli_main(["eval", "--checkpoint", str(junk), "--test", dataset[1]])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {junk}: not a model checkpoint\n"
+
+    @pytest.mark.parametrize("line,message", [
+        ("39, State-gov, 77516", "expected 15 fields, got 3"),
+        ("abc, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, "
+         "Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K",
+         "column 'age' has 'abc', expected a finite number"),
+    ], ids=["SchemaError", "ParseError"])
+    def test_malformed_data_file_exit_code(self, dataset, tmp_path, capsys,
+                                           line, message):
+        bad = tmp_path / "bad.data"
+        bad.write_text(line + "\n")
+        code = cli_main(["run", "--train", str(bad), "--test", dataset[1],
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
+
 
 def _digest_after_header(path):
     """sha256 of a written table without its first line, which carries the
@@ -496,6 +526,23 @@ class TestFailedGridPoints:
 
 
 class TestFailureRecords:
+    @pytest.mark.parametrize("method,overrides", [
+        ("bogus", {}), ("plain", {"grl_lambda": -1.0})])
+    def test_rejected_spec_leaves_no_log(self, dataset, tmp_path, monkeypatch,
+                                         method, overrides):
+        """The spec is checked before the cell's log is opened: no file, and
+        no handle left for the garbage collector to warn about."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        cfg = tiny_config(dataset, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            with pytest.raises(ConfigError):
+                X.run_cell(cfg, "lr", method, 0.5, 0, **overrides)
+            gc.collect()
+        assert unraisable == []
+        assert not (tmp_path / "logs").exists()
+
     def test_non_finite_step_names_its_step(self, dataset, tmp_path):
         cfg = tiny_config(dataset, tmp_path, lr=float("nan"))
         with pytest.raises(ValueError,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fairvae import autodiff as ad
 from fairvae import models as M
 from fairvae import objectives as O
-from fairvae.data import Batch
+from fairvae.data import Samples
 from gradcheck import graph_nodes
 from toys import tiny_config, toy_batch, adversarial_wiring_outcome
 
@@ -215,9 +215,9 @@ def _joint_loss_gradients(backbone):
     batches, with dropout on."""
     bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
     rng = np.random.default_rng(3)
-    lab = Batch(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6),
-                rng.integers(0, 2, 6))
-    unl = Batch(rng.uniform(-2, 2, (5, 6)), rng.integers(0, 2, 5), None)
+    lab = Samples(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6),
+                  rng.integers(0, 2, 6))
+    unl = Samples(rng.uniform(-2, 2, (5, 6)), rng.integers(0, 2, 5))
     total, _ = O.joint_loss(lab, unl, bundle, O.ObjectiveConfig(),
                             rng.standard_normal((6, 3)),
                             rng.standard_normal((5, 3)), training=True, rng=rng)
@@ -356,6 +356,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"parameter task_head\.out\.weight "
                            r"needs 32 bytes, the file holds 29"):
             M.load_bundle(path)
+
+    def test_every_load_failure_is_a_checkpoint_error(self, tiny_checkpoint):
+        path, blob = tiny_checkpoint
+        for damaged in (b"not a checkpoint", blob[:-3], blob + b"\x00",
+                        blob[:12] + b"x" + blob[13:]):
+            path.write_bytes(damaged)
+            with pytest.raises(M.CheckpointError, match=re.escape(str(path))):
+                M.load_bundle(path)
 
     def test_trailing_byte_rejected(self, tiny_checkpoint):
         path, blob = tiny_checkpoint

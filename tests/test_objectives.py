@@ -6,7 +6,7 @@ import pytest
 from fairvae import autodiff as ad
 from fairvae import models as M
 from fairvae import objectives as O
-from fairvae.data import Batch
+from fairvae.data import Samples
 import oracles
 from toys import tiny_config, toy_batch
 
@@ -161,8 +161,8 @@ def setup():
     rng = np.random.default_rng(8)
     eps_l = rng.standard_normal((6, 3))
     eps_u = rng.standard_normal((5, 3))
-    lab = Batch(xl, yl, zl)
-    unl = Batch(xu, yu, None)
+    lab = Samples(xl, yl, zl)
+    unl = Samples(xu, yu)
     return bundle, config, lab, unl, eps_l, eps_u
 
 
@@ -241,9 +241,9 @@ class TestLabeledLoss:
     def test_duplicate_row_leaves_mean_unchanged(self, setup):
         bundle, config, lab, _, eps_l, _ = setup
         _, base = O.labeled_loss(lab, bundle, config, eps_l)
-        dup = Batch(np.concatenate([lab.x, lab.x]),
-                    np.concatenate([lab.y, lab.y]),
-                    np.concatenate([lab.z, lab.z]))
+        dup = Samples(np.concatenate([lab.x, lab.x]),
+                      np.concatenate([lab.y, lab.y]),
+                      np.concatenate([lab.z, lab.z]))
         _, doubled = O.labeled_loss(dup, bundle, config,
                                     np.concatenate([eps_l, eps_l]))
         assert doubled.total == pytest.approx(base.total, rel=1e-12)
@@ -335,14 +335,14 @@ class TestUnlabeledLoss:
 class TestJointLoss:
     def test_empty_unlabeled_equals_labeled(self, setup):
         bundle, config, lab, _, eps_l, _ = setup
-        empty = Batch(np.zeros((0, 6)), np.zeros(0, int), None)
+        empty = Samples(np.zeros((0, 6)), np.zeros(0, int))
         jt, jb = O.joint_loss(lab, empty, bundle, config, eps_l, None)
         lt, lb = O.labeled_loss(lab, bundle, config, eps_l)
         assert scalar(jt) == scalar(lt) and jb.total == lb.total
 
     def test_empty_labeled_equals_unlabeled(self, setup):
         bundle, config, _, unl, _, eps_u = setup
-        empty = Batch(np.zeros((0, 6)), np.zeros(0, int), np.zeros(0, int))
+        empty = Samples(np.zeros((0, 6)), np.zeros(0, int), np.zeros(0, int))
         jt, jb = O.joint_loss(empty, unl, bundle, config, None, eps_u)
         ut, ub = O.unlabeled_loss(unl, bundle, config, eps_u)
         assert scalar(jt) == scalar(ut) and jb.total == ub.total
@@ -356,8 +356,8 @@ class TestJointLoss:
 
     def test_both_empty_rejected(self, setup):
         bundle, config, _, _, _, _ = setup
-        empty_l = Batch(np.zeros((0, 6)), np.zeros(0, int), np.zeros(0, int))
-        empty_u = Batch(np.zeros((0, 6)), np.zeros(0, int), None)
+        empty_l = Samples(np.zeros((0, 6)), np.zeros(0, int), np.zeros(0, int))
+        empty_u = Samples(np.zeros((0, 6)), np.zeros(0, int))
         with pytest.raises(ValueError, match="non-empty"):
             O.joint_loss(empty_l, empty_u, bundle, config, None, None)
 

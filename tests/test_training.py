@@ -198,7 +198,7 @@ def separable_samples(n, seed, dim=6):
 def tiny_split(n=18, seed=0, label_ratio=0.5):
     samples = separable_samples(n, seed)
     return D.split_and_mask(samples, val_frac=1 / 9, label_ratio=label_ratio,
-                            seed=seed, test_samples=separable_samples(8, seed + 1))
+                            seed=seed)
 
 
 def toy_spec(method, **overrides):
@@ -308,8 +308,7 @@ class TestSelfTraining:
 
     def test_confident_predictor_adopts_and_labels_accurately(self):
         samples = separable_samples(120, seed=9)
-        split = D.split_and_mask(samples, 0.1, 0.3, seed=9,
-                                 test_samples=separable_samples(40, 10))
+        split = D.split_and_mask(samples, 0.1, 0.3, seed=9)
         spec = toy_spec("dadv_st", seed=9, epochs=30, batch_size=32,
                         st_threshold=0.8)
         bundle, report = T.train(spec, split)
@@ -333,7 +332,7 @@ class TestSelfTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             T.train(toy_spec("dadv_st", seed=5, epochs=2), split)
-        assert [n for n, _ in passes] == [len(split.val_y)] * 2 + [split.n_unlabeled]
+        assert [n for n, _ in passes] == [len(split.val)] * 2 + [split.n_unlabeled]
         for _, out in passes:
             assert not out.requires_grad and out.parents == ()
 
@@ -354,7 +353,8 @@ def debiasing_outcome():
     """
     samples = make_shortcut_samples(1100, seed=3)
     split = D.split_and_mask(samples[:700], val_frac=0.1, label_ratio=0.5,
-                             seed=3, test_samples=samples[700:])
+                             seed=3)
+    test = samples[700:]
     probes = {}
     for method, lam, epochs in (("plain", 0.0, 100), ("dadv", 1.0, 200),
                                 ("fairvae", 1.0, 200)):
@@ -363,8 +363,8 @@ def debiasing_outcome():
                             batch_size=32, hidden_dim=3, latent_dim=8,
                             lr=0.01, dropout_rate=0.0)
         bundle, _ = T.train(spec, split)
-        r_f, _, _ = M.encode(bundle, split.test_x, training=False)
-        probes[method] = MX.leakage_probe(r_f.value, split.test_z, seed=5)
+        r_f, _, _ = M.encode(bundle, test.x, training=False)
+        probes[method] = MX.leakage_probe(r_f.value, test.z, seed=5)
     return probes
 
 
