@@ -91,10 +91,6 @@ class Node:
             self.parents = ()
             self.grad = np.zeros_like(self.value) if requires_grad else None
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def detach(self) -> "Node":
         """A new leaf with a copy of this value; gradients stop here."""
         return Node(self.value.copy(), op="detach", requires_grad=False)
@@ -260,11 +256,11 @@ def concat_columns(parts) -> Node:
                    for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])])
 
 
-def log_clipped(a, lo: float = LOG_FLOOR, hi: float = 1.0) -> Node:
-    """log of a clipped to [lo, hi]; gradient is zero outside the clip range."""
+def log_clipped(a, hi: float = 1.0) -> Node:
+    """log of a clipped to [LOG_FLOOR, hi]; zero gradient outside that range."""
     a = as_node(a)
-    clipped = np.clip(a.value, lo, hi)
-    inside = ((a.value >= lo) & (a.value <= hi)).astype(np.float64)
+    clipped = np.clip(a.value, LOG_FLOOR, hi)
+    inside = ((a.value >= LOG_FLOOR) & (a.value <= hi)).astype(np.float64)
     return _node(np.log(clipped), "log", (a, lambda up: inside * up / clipped))
 
 
@@ -356,20 +352,18 @@ def reparameterize(mu, sigma, epsilon) -> Node:
                  (mu, lambda up: up), (sigma, lambda up: eps * up))
 
 
-def dropout(x, rate: float, mask=None, training: bool = False, rng=None) -> Node:
-    """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
+def dropout(x, rate: float, training: bool = False, rng=None) -> Node:
+    """Inverted dropout with a mask drawn from ``rng``: survivors scaled by
+    1/(1-rate); identity in eval mode."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = as_node(x)
     if not training or rate == 0.0:
         return x
-    if mask is None:
-        if rng is None:
-            raise ValueError("dropout in training mode needs a mask or an rng")
-        # one pass; the bits of the 0/1 mask divided by (1 - rate)
-        keep = (rng.random(x.value.shape) >= rate) * (1.0 / (1.0 - rate))
-    else:
-        keep = tensor(mask, ctx="dropout mask") / (1.0 - rate)
+    if rng is None:
+        raise ValueError("dropout in training mode needs an rng")
+    # one pass; the bits of the 0/1 mask divided by (1 - rate)
+    keep = (rng.random(x.value.shape) >= rate) * (1.0 / (1.0 - rate))
     return _node(x.value * keep, "dropout", (x, lambda up: keep * up))
 
 

@@ -4,8 +4,9 @@ Configuration is a JSON file of ExperimentConfig keys; every field has a
 default and any can be overridden with ``--set key=value`` (values parsed as
 JSON, falling back to plain strings). Outputs go to ``output_dir``, which
 ``--out`` sets. Input errors exit with status 2 and print ``error: ...``: a
-bad config value (``ConfigError``), a missing file, a malformed data file
-(``ParseError``, ``SchemaError``) or a damaged checkpoint (``CheckpointError``).
+bad config file or value (``ConfigError``), a missing file, a malformed data file
+(``ParseError``, ``SchemaError``), a damaged checkpoint (``CheckpointError``)
+or a test file on which a metric is undefined (``UndefinedMetric``).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 
 from . import data as D
 from . import experiments as X
+from .metrics import UndefinedMetric
 from .models import CheckpointError
 
 
@@ -103,7 +105,7 @@ def main(argv=None) -> int:
                                            seed=args.seed)
             print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     except (FileNotFoundError, D.ConfigError, D.ParseError, D.SchemaError,
-            CheckpointError) as exc:
+            CheckpointError, UndefinedMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -139,8 +139,15 @@ class ExperimentConfig(T.TrainingSettings):
 
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        """A UTF-8 JSON object; anything else raises ``ConfigError``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise D.ConfigError(f"{path}: not a UTF-8 JSON file: {exc}") from None
+        if not isinstance(raw, dict):
+            raise D.ConfigError(f"{path}: a config file must hold a JSON object, "
+                                f"got {raw!r}")
         return cls.from_dict({**raw, **(overrides or {})})
 
 
@@ -232,7 +239,7 @@ def run_cell(cfg: ExperimentConfig, backbone: str, method: str, ratio: float,
         os.makedirs(os.path.join(root, "checkpoints"), exist_ok=True)
         M.save_bundle(
             bundle, os.path.join(root, "checkpoints", f"{name}.ckpt"),
-            config_hash=config_hash(cfg), seed=seed,
+            config_hash=config_hash(cfg),
             extra={"cell": name, "stats": asdict(stats),
                    "method": method, "label_ratio": ratio},
         )

@@ -119,10 +119,11 @@ def auc(y_true, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def leakage_probe(representations, z, seed: int, train_frac: float = 0.7,
-                  epochs: int = 200, lr: float = 0.01) -> float:
+def leakage_probe(representations, z, seed: int) -> float:
     """Held-out accuracy of a fresh affine+softmax classifier predicting the
-    attribute from frozen representations; higher means more leakage."""
+    attribute from frozen representations; higher means more leakage. The
+    protocol is fixed: a seeded 70/30 split, then 200 full-batch Adam epochs
+    at lr 0.01 on the 70%, scored on the 30%."""
     from .training import Adam  # deferred: training imports this module
 
     reps = np.asarray(representations, dtype=float)
@@ -134,7 +135,7 @@ def leakage_probe(representations, z, seed: int, train_frac: float = 0.7,
         raise UndefinedMetric("leakage probe needs both groups present")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
     perm = rng.permutation(n)
-    n_train = int(train_frac * n)
+    n_train = int(0.7 * n)
     tr, te = perm[:n_train], perm[n_train:]
 
     d = reps.shape[1]
@@ -143,14 +144,14 @@ def leakage_probe(representations, z, seed: int, train_frac: float = 0.7,
     bias = ad.Parameter(np.zeros(2), "probe.bias")
     onehot = np.zeros((len(tr), 2))
     onehot[np.arange(len(tr)), z[tr]] = 1.0
-    opt = Adam([weight, bias], lr=lr)
+    opt = Adam([weight, bias], lr=0.01)
     # constants built once: no gradient flows into the inputs or the labels
     x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
-    for _ in range(epochs):
+    for _ in range(200):
         loss = task_loss(target, ad.softmax(ad.dense(x_train, weight, bias)))
         opt.zero_grad()
         ad.backward(loss)
-        opt.step(context="leakage probe")
+        opt.step()
     logits = reps[te] @ weight.value + bias.value
     return accuracy(z[te], logits.argmax(axis=1))
 

@@ -220,7 +220,6 @@ class VaePair:
         self.mu_layer = Dense(reg, "vae.mu", d, latent_dim)
         self.sigma_layer = Dense(reg, "vae.sigma", d, latent_dim)
         self.decoder = Dense(reg, "vae.decoder", 2 * slot_dim + latent_dim, d)
-        self.slot_dim = slot_dim
 
     def latent(self, x) -> tuple[ad.Node, ad.Node]:
         x = ad.as_node(x)
@@ -229,15 +228,6 @@ class VaePair:
     def decode(self, z_tilde_slot, z_hat_slot, h) -> ad.Node:
         return self.decoder(ad.concat_columns(
             [ad.as_node(z_tilde_slot), ad.as_node(z_hat_slot), h]))
-
-
-def _check_slot(slot, name: str) -> None:
-    value = slot.value if isinstance(slot, ad.Node) else np.asarray(slot, dtype=float)
-    if value.size and np.all(value == 0.0):
-        return  # disabled slot (ablation)
-    sums = value.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValueError(f"{name} slot rows must sum to 1 (within 1e-6)")
 
 
 class ModelBundle:
@@ -322,30 +312,19 @@ def predict_test(bundle: ModelBundle, x) -> ad.Node:
     return bias_free_forward(bundle, x)[1]
 
 
-def vae_forward(bundle: ModelBundle, x, z_tilde_in, z_hat_in, epsilon):
-    """Reconstruct x from [z_tilde slot, z_hat slot, reparameterized latent]."""
-    if bundle.vae is None:
-        raise ValueError("bundle was built without a VAE")
-    _check_slot(z_tilde_in, "z_tilde")
-    _check_slot(z_hat_in, "z_hat")
-    mu, sigma = bundle.vae.latent(x)
-    h = ad.reparameterize(mu, sigma, epsilon)
-    x_hat = bundle.vae.decode(z_tilde_in, z_hat_in, h)
-    return x_hat, mu, sigma
-
-
 # ---------------------------------------------------------------------------
 # checkpoint io: magic, u32 header length, JSON header, raw little-endian
 # float64 payloads in header order
 
 
 def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
-                seed: int | None = None, extra: dict | None = None) -> None:
+                extra: dict | None = None) -> None:
+    """Write a checkpoint; its header's seed is the bundle's."""
     params = bundle.parameters()
     header = {
         "config": asdict(bundle.cfg),
         "config_hash": config_hash,
-        "seed": bundle.cfg.seed if seed is None else seed,
+        "seed": bundle.cfg.seed,
         "extra": extra or {},
         "params": [
             {"name": p.name, "shape": list(p.value.shape), "trainable": p.trainable}

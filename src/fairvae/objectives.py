@@ -208,7 +208,9 @@ def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     z_slot = z1 if config.use_zhat_in_decoder else np.zeros((n, k))
     zt_slot = np.full((n, k), 1.0 / k) if config.use_ztilde_in_decoder \
         else np.zeros((n, k))
-    x_hat, mu, sigma = M.vae_forward(bundle, batch.x, zt_slot, z_slot, epsilon)
+    mu, sigma = bundle.vae.latent(batch.x)
+    h = ad.reparameterize(mu, sigma, epsilon)
+    x_hat = bundle.vae.decode(zt_slot, z_slot, h)
     s["reconstruction"] = reconstruction_loss(batch.x, x_hat)
     s["kl"] = kl_to_standard_normal(mu, sigma)
     s["log_prior"] = ad.as_node(LOG2)

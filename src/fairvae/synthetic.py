@@ -82,10 +82,8 @@ def write_adult_like(train_path, test_path, n_train: int = 600,
         fh.write("\n".join(rows) + "\n")
 
 
-def make_shortcut_samples(n: int, seed: int, dim: int = 4,
-                          shortcut_scale: float = 0.5,
-                          coord_noise: float = 0.5) -> Samples:
-    """Samples whose attribute is encoded in feature coordinate ``dim - 2``.
+def make_shortcut_samples(n: int, seed: int) -> Samples:
+    """Samples with 4 features whose attribute is encoded in coordinate 2.
 
     The coordinate carries the attribute plus Gaussian noise (a clean copy
     would let a discriminator saturate and stall the adversarial game), and
@@ -94,11 +92,10 @@ def make_shortcut_samples(n: int, seed: int, dim: int = 4,
     while a debiased model must not.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5C07]))
-    x = rng.standard_normal((n, dim))
+    x = rng.standard_normal((n, 4))
     z = (rng.random(n) < 0.5).astype(int)
     signed = 2.0 * z - 1.0
-    x[:, dim - 2] = signed + coord_noise * rng.standard_normal(n)
-    score = (x[:, 0] + x[:, 1] + shortcut_scale * signed
-             + 0.3 * rng.standard_normal(n))
+    x[:, 2] = signed + 0.5 * rng.standard_normal(n)
+    score = x[:, 0] + x[:, 1] + 0.5 * signed + 0.3 * rng.standard_normal(n)
     y = (score > 0).astype(int)
     return Samples(x, y, z)

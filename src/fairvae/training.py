@@ -46,14 +46,14 @@ from .data import ConfigError, DatasetSplit, batches, single_stream_batches
 METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
 
 
-class NonFiniteGradient(RuntimeError):
-    """A gradient turned NaN/Inf; the step is aborted with context."""
+class NonFiniteGradient(ValueError):
+    """A gradient turned NaN/Inf; the step is aborted."""
 
 
 @contextmanager
 def _step_context(context: str):
-    """Name the training step in a ValueError it raises (a non-finite value, a
-    shape mismatch): re-raised as the same type, chained from the original."""
+    """Name the training step in any ValueError it raises (a non-finite value
+    or gradient, a shape mismatch), re-raised as the same type and chained."""
     try:
         yield
     except ValueError as exc:
@@ -61,7 +61,7 @@ def _step_context(context: str):
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8.
+    """Adam with bias correction and fixed beta1=0.9, beta2=0.999, eps=1e-8.
 
     Flat storage: on construction the optimizer moves its parameters' values
     and gradients into one contiguous float64 buffer each (``values`` and
@@ -77,7 +77,7 @@ class Adam:
     with ``c = 1 - b**t``.
     """
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         seen = set()
         for p in self.params:
@@ -88,9 +88,6 @@ class Adam:
                 raise ValueError(f"parameter {p.name!r} is frozen")
             seen.add(p)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         size = sum(p.value.size for p in self.params)
         self.values = np.empty(size)
@@ -111,15 +108,12 @@ class Adam:
     def zero_grad(self):
         self.grads.fill(0.0)
 
-    def step(self, context: str = ""):
+    def step(self):
         if not np.isfinite(self.grads).all():
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
-            raise NonFiniteGradient(
-                f"non-finite gradient for {bad.name}"
-                + (f" ({context})" if context else "")
-            )
+            raise NonFiniteGradient(f"non-finite gradient for {bad.name}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         g, m, v = self.grads, self.m, self.v
         s, r = self._scratch
         m *= b1
@@ -133,7 +127,7 @@ class Adam:
         s *= self.lr
         np.divide(v, 1 - b2 ** self.t, out=r)
         np.sqrt(r, out=r)
-        r += self.eps
+        r += eps
         s /= r
         self.values -= s
 
@@ -262,8 +256,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
         else:
             stream = batches(split, spec.batch_size, spec.seed, epoch)
         for lab, unl in stream:
-            context = f"method={spec.method} epoch={epoch} step={steps}"
-            with _step_context(context):
+            with _step_context(f"method={spec.method} epoch={epoch} step={steps}"):
                 total, br = O.joint_loss(
                     lab, unl, bundle, spec.objective,
                     _epsilon(bundle, rng_eps, lab, spec.latent_dim),
@@ -271,7 +264,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
                     training=True, rng=rng_drop)
                 opt.zero_grad()
                 ad.backward(total)
-                opt.step(context=context)
+                opt.step()
             for key, value in br.as_dict().items():
                 agg[key] = agg.get(key, 0.0) + value
             if log_writer is not None:
@@ -311,16 +304,15 @@ def _train_attribute_predictor(spec: MethodSpec,
     rng_drop = _stream(spec.seed, 13)
     best_acc, best_state = -np.inf, None
     for epoch in range(spec.epochs):
-        context = f"attribute predictor epoch={epoch}"
         for lab, _ in batches(split, spec.batch_size, spec.seed + 7919, epoch):
-            with _step_context(context):
+            with _step_context(f"attribute predictor epoch={epoch}"):
                 r_b = ad.dropout(bundle.bias_aware.forward(lab.x),
                                  spec.dropout_rate, training=True, rng=rng_drop)
                 z_hat = bundle.attr_head(r_b)
                 loss = O.attribute_prediction_loss(O.one_hot(lab.z, 2), z_hat)
                 opt.zero_grad()
                 ad.backward(loss)
-                opt.step(context=context)
+                opt.step()
         val_pred = _attribute_probs(bundle, split.val.x).value.argmax(axis=1)
         acc = MX.accuracy(split.val.z, val_pred)
         if acc > best_acc:

@@ -181,10 +181,11 @@ def reference_losses(state, lab, unl, eps_lab, eps_unl, *, k=2,
 def elbo_term(x, z_slot, z_tilde_slot, bundle, epsilon):
     """Reconstruction + KL + constant uniform-prior term for the given slots."""
     from fairvae import autodiff as ad
-    from fairvae import models as M
     from fairvae import objectives as O
 
-    x_hat, mu, sigma = M.vae_forward(bundle, x, z_tilde_slot, z_slot, epsilon)
+    mu, sigma = bundle.vae.latent(x)
+    x_hat = bundle.vae.decode(z_tilde_slot, z_slot,
+                              ad.reparameterize(mu, sigma, epsilon))
     return ad.add(
         ad.add(O.reconstruction_loss(x, x_hat),
                O.kl_to_standard_normal(mu, sigma)),

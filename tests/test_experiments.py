@@ -367,7 +367,7 @@ class TestCheckpointConsumers:
                 p.value[...] = 0.0
         zeroed = tmp_path / "zeroed.ckpt"
         M.save_bundle(bundle, zeroed, config_hash=header["config_hash"],
-                      seed=header["seed"], extra=header["extra"])
+                      extra=header["extra"])
         out = tmp_path / "emb_zero.csv"
         X.export_embeddings(zeroed, dataset[1], out)
         rows = out.read_text().splitlines()[2:]
@@ -429,6 +429,47 @@ class TestCli:
         code = cli_main(["eval", "--checkpoint", str(junk), "--test", dataset[1]])
         assert code == 2
         assert capsys.readouterr().err == f"error: {junk}: not a model checkpoint\n"
+
+    def test_eval_on_empty_test_file_exit_code(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        empty = tmp_path / "empty.test"
+        empty.write_text("")
+        with pytest.warns(UserWarning, match="no records found"):
+            code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(empty)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: group z=0 is empty\n"
+        out = tmp_path / "emb.csv"
+        with pytest.warns(UserWarning, match="no records found"):
+            code = cli_main(["export-embeddings", "--checkpoint", ckpt,
+                             "--test", str(empty), "--out", str(out)])
+        assert code == 0 and f"wrote 0 rows to {out}" in capsys.readouterr().out
+
+    def test_eval_on_one_group_exit_code(self, dataset, trained, tmp_path,
+                                         capsys):
+        _, ckpt = trained
+        males = tmp_path / "males.test"
+        lines = Path(dataset[1]).read_text().splitlines(keepends=True)
+        males.write_text("".join(line for line in lines if ", Male," in line))
+        code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(males)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: group z=1 is empty\n"
+
+    @pytest.mark.parametrize("content,message", [
+        (b"{bad", "not a UTF-8 JSON file: Expecting property name"),
+        (b"[1, 2]", "a config file must hold a JSON object, got [1, 2]"),
+        (b'"x"', "a config file must hold a JSON object, got 'x'"),
+        (b"\xff\xfe{", "not a UTF-8 JSON file: 'utf-8' codec can't decode"),
+    ], ids=["JSONDecodeError", "list", "string", "UnicodeDecodeError"])
+    def test_config_file_not_a_json_object_exit_code(self, dataset, tmp_path,
+                                                     capsys, content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code = cli_main(["run", "--config", str(path), "--train", dataset[0],
+                         "--test", dataset[1], "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line,message", [
         ("39, State-gov, 77516", "expected 15 fields, got 3"),

@@ -75,8 +75,9 @@ class TestAdam:
         p = ad.Parameter([1.0], "layer.weight")
         opt = T.Adam([p])
         p.grad[...] = np.nan
-        with pytest.raises(T.NonFiniteGradient, match="layer.weight.*batch 3"):
-            opt.step(context="batch 3")
+        with pytest.raises(T.NonFiniteGradient, match="layer.weight.*batch 3"), \
+                T._step_context("batch 3"):
+            opt.step()
 
 
 class TestFlatAdam:
@@ -162,8 +163,8 @@ class TestFlatAdam:
         params[2].grad[0] = np.inf
         params[1].grad[1] = np.nan
         with pytest.raises(T.NonFiniteGradient,
-                           match=r"for b \(epoch 2\)$"):
-            opt.step(context="epoch 2")
+                           match=r"for b \(epoch 2\)$"), T._step_context("epoch 2"):
+            opt.step()
         assert opt.t == 0
         np.testing.assert_array_equal(opt.values, np.ones(6))
 
@@ -241,6 +242,24 @@ class TestTrainBasics:
         _, report = T.train(toy_spec("dadv", epochs=6), split)
         assert len(report.val_history) == 6
         assert report.selected_epoch >= 3
+
+    def test_selection_subtracts_the_parity_gap(self, monkeypatch):
+        """Of an epoch that predicts the task label (accuracy 1, the label's
+        own parity gap) and one that predicts the attribute (gap 1), the
+        restored epoch is the one with the larger accuracy minus gap, which
+        accuracy plus gap would not pick."""
+        split = D.split_and_mask(separable_samples(200, seed=4), val_frac=0.5,
+                                 label_ratio=0.5, seed=4)
+        val = split.val
+        predictions = iter([val.y, val.y, val.y, val.z])
+        monkeypatch.setattr(T, "predict_labels", lambda bundle, x: next(predictions))
+        _, report = T.train(toy_spec("plain", backbone="lr", epochs=4), split)
+        history = report.val_history
+        assert (history[2]["accuracy"], history[3]["dp_gap"]) == (1.0, 1.0)
+        assert history[2]["dp_gap"] == MX.demographic_parity_gap(val.y, val.z)
+        assert report.selected_epoch == 2
+        assert max((2, 3), key=lambda e: history[e]["accuracy"]
+                   + history[e]["dp_gap"]) == 3
 
     def test_shadow_attributes_untouched_by_training(self):
         split = tiny_split()
