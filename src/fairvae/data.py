@@ -159,8 +159,6 @@ def _read_adult_file(path) -> Records:
                                   f"fields, got {len(fields)}")
             rows.append(fields)
             lines.append(lineno)
-    if not rows:
-        warnings.warn(f"{path}: no records found", stacklevel=2)
     columns = dict(zip(NAMES, [tuple(map(str.strip, cells)) for cells in zip(*rows)]
                             or [()] * len(NAMES)))
     # the test file suffixes labels with a period
@@ -173,8 +171,13 @@ def load_adult(train_path, test_path) -> tuple[Records, Records]:
 
     Raises ``SchemaError`` for a row without 15 fields, and ``ParseError``
     (``Records``) naming the file, line, column and value of a bad cell.
+    Warns, at the caller's line, for a file that holds no records.
     """
-    return _read_adult_file(train_path), _read_adult_file(test_path)
+    records = _read_adult_file(train_path), _read_adult_file(test_path)
+    for r in records:
+        if not len(r):
+            warnings.warn(f"{r.path}: no records found", stacklevel=2)
+    return records
 
 
 @dataclass

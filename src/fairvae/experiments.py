@@ -468,9 +468,13 @@ def _load_test_set(checkpoint_header: dict, test_path) -> D.Samples:
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:
-    """Load a checkpoint and produce a FairnessReport on an Adult-format file."""
+    """Load a checkpoint and produce a FairnessReport on an Adult-format file.
+    Raises ``UndefinedMetric`` naming the file when it holds no records."""
     bundle, header = M.load_bundle(checkpoint_path)
-    return _test_report(bundle, _load_test_set(header, test_path), seed)
+    test = _load_test_set(header, test_path)
+    if not len(test):
+        raise MX.UndefinedMetric(f"{test_path}: holds no records to evaluate")
+    return _test_report(bundle, test, seed)
 
 
 def export_embeddings(checkpoint_path, test_path, out_path) -> int:

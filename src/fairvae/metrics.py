@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .objectives import task_loss
 
 
 class UndefinedMetric(ValueError):
@@ -45,6 +44,17 @@ def accuracy(y_true, y_pred) -> float:
     return float((y_true == y_pred).mean())
 
 
+def _attribute(z, who: str) -> np.ndarray:
+    """``z`` as an int array, rejecting any value other than 0 or 1 with the
+    first bad row named."""
+    z = np.asarray(z)
+    bad = np.flatnonzero((z != 0) & (z != 1))
+    if len(bad):
+        raise UndefinedMetric(
+            f"{who}: attribute in row {bad[0]} is {z[bad[0]]}, not 0 or 1")
+    return z.astype(int)
+
+
 def _group_positive_rates(y_pred, z):
     rates = []
     for g in (0, 1):
@@ -58,7 +68,7 @@ def _group_positive_rates(y_pred, z):
 def demographic_parity_gap(y_pred, z) -> float:
     """|P(pred=1 | z=0) - P(pred=1 | z=1)|."""
     y_pred = np.asarray(y_pred)
-    z = np.asarray(z)
+    z = _attribute(z, "demographic parity gap")
     r0, r1 = _group_positive_rates(y_pred, z)
     return abs(r0 - r1)
 
@@ -77,7 +87,7 @@ def equal_opportunity_gap(y_true, y_pred, z) -> float:
     """|TPR(z=0) - TPR(z=1)| where TPR = P(pred=1 | y=1, group)."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    z = np.asarray(z)
+    z = _attribute(z, "equal opportunity gap")
     t0, t1 = _group_tprs(y_true, y_pred, z)
     return abs(t0 - t1)
 
@@ -119,21 +129,16 @@ def auc(y_true, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-def leakage_probe(representations, z, seed: int) -> float:
-    """Held-out accuracy of a fresh affine+softmax classifier predicting the
-    attribute from frozen representations; higher means more leakage. The
-    protocol is fixed: a seeded 70/30 split, then 200 full-batch Adam epochs
-    at lr 0.01 on the 70%, scored on the 30%."""
+def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
+    """The probe's seeded split and its fit on the 70%: returns the weight,
+    the bias and the held-out rows. Each epoch runs, in plain numpy, the calls
+    the graph of ``task_loss(onehot, softmax(dense(x, w, b)))`` runs, in its
+    order and with its ``+ 0.0`` first touches, so the weights keep the
+    graph's bits; the loss value, which nothing reads, is skipped."""
     from .training import Adam  # deferred: training imports this module
 
-    reps = np.asarray(representations, dtype=float)
-    z = np.asarray(z, dtype=int)
-    n = len(z)
-    if n < 50:
-        raise UndefinedMetric(f"leakage probe needs at least 50 samples, got {n}")
-    if len(np.unique(z)) < 2:
-        raise UndefinedMetric("leakage probe needs both groups present")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
+    n = len(z)
     perm = rng.permutation(n)
     n_train = int(0.7 * n)
     tr, te = perm[:n_train], perm[n_train:]
@@ -142,17 +147,55 @@ def leakage_probe(representations, z, seed: int) -> float:
     limit = np.sqrt(6.0 / (d + 2))
     weight = ad.Parameter(rng.uniform(-limit, limit, (d, 2)), "probe.weight")
     bias = ad.Parameter(np.zeros(2), "probe.bias")
-    onehot = np.zeros((len(tr), 2))
-    onehot[np.arange(len(tr)), z[tr]] = 1.0
     opt = Adam([weight, bias], lr=0.01)
-    # constants built once: no gradient flows into the inputs or the labels
-    x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
+    x = reps[tr]
+    # gradient of the mean cross-entropy with respect to log p: -1/n at each
+    # row's true class and +0.0 elsewhere
+    up_log = np.zeros((n_train, 2))
+    up_log[np.arange(n_train), z[tr]] = -1.0 * (1.0 / n_train)
     for _ in range(200):
-        loss = task_loss(target, ad.softmax(ad.dense(x_train, weight, bias)))
+        logits = x @ weight.value
+        logits += bias.value
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        p = e / e.sum(axis=1, keepdims=True)
+        clipped = np.clip(p, ad.LOG_FLOOR, 1.0)
+        inside = ((p >= ad.LOG_FLOOR) & (p <= 1.0)).astype(np.float64)
+        g = inside * up_log / clipped + 0.0
+        g = p * (g - (g * p).sum(axis=1, keepdims=True)) + 0.0
         opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
-    logits = reps[te] @ weight.value + bias.value
+        weight.grad += x.T @ g
+        bias.grad += g.sum(axis=0)
+        opt.step()  # raises NonFiniteGradient on a non-finite epoch
+    return weight.value, bias.value, te
+
+
+def leakage_probe(representations, z, seed: int) -> float:
+    """Held-out accuracy of a fresh affine+softmax classifier predicting the
+    attribute from frozen representations; higher means more leakage. The
+    protocol is fixed: a seeded 70/30 split, then 200 full-batch Adam epochs
+    at lr 0.01 on the 70%, scored on the 30%. The fit runs in plain numpy,
+    without an autodiff graph (``_fit_probe``).
+
+    Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
+    than 0 or 1, a single group, or a representation row that is not finite.
+    """
+    reps = np.asarray(representations, dtype=float)
+    z = _attribute(z, "leakage probe")
+    n = len(z)
+    if reps.ndim != 2 or len(reps) != n:
+        raise UndefinedMetric(
+            f"leakage probe needs one representation row per attribute "
+            f"value, got shape {reps.shape} for {n} values")
+    if n < 50:
+        raise UndefinedMetric(f"leakage probe needs at least 50 samples, got {n}")
+    if len(np.unique(z)) < 2:
+        raise UndefinedMetric("leakage probe needs both groups present")
+    bad = np.flatnonzero(~np.isfinite(reps).all(axis=1))
+    if len(bad):
+        raise UndefinedMetric(
+            f"leakage probe: representation row {bad[0]} is not finite")
+    weight, bias, te = _fit_probe(reps, z, seed)
+    logits = reps[te] @ weight + bias
     return accuracy(z[te], logits.argmax(axis=1))
 
 
@@ -161,7 +204,7 @@ def fairness_report(y_true, y_pred, scores, z, representations,
     """Full evaluation bundle for one model on one test set."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    z = np.asarray(z)
+    z = _attribute(z, "fairness report")
     r0, r1 = _group_positive_rates(y_pred, z)
     t0, t1 = _group_tprs(y_true, y_pred, z)
     return FairnessReport(

@@ -108,12 +108,14 @@ class TestLoadAdult:
         assert all(not v.endswith(".") for v in test.columns["income"])
         assert set(test.columns["income"]) <= {"<=50K", ">50K"}
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_warns(self, adult_files, tmp_path):
+        """The warning names the empty file and points at the caller's line."""
         p = tmp_path / "empty.csv"
         p.write_text("")
-        with pytest.warns(UserWarning, match="no records"):
-            records = D._read_adult_file(p)
+        with pytest.warns(UserWarning, match=f"{p}: no records") as caught:
+            _, records = D.load_adult(adult_files[0], p)
         assert len(records) == 0
+        assert [w.filename for w in caught] == [__file__]
 
     def test_wrong_column_count_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"

@@ -431,17 +431,19 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {junk}: not a model checkpoint\n"
 
     def test_eval_on_empty_test_file_exit_code(self, trained, tmp_path, capsys):
+        """One ``error:`` line naming the file, and no warning before it."""
         _, ckpt = trained
         empty = tmp_path / "empty.test"
         empty.write_text("")
-        with pytest.warns(UserWarning, match="no records found"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(empty)])
-        assert code == 2
-        assert capsys.readouterr().err == "error: group z=0 is empty\n"
+        assert code == 2 and caught == []
+        assert capsys.readouterr().err == \
+            f"error: {empty}: holds no records to evaluate\n"
         out = tmp_path / "emb.csv"
-        with pytest.warns(UserWarning, match="no records found"):
-            code = cli_main(["export-embeddings", "--checkpoint", ckpt,
-                             "--test", str(empty), "--out", str(out)])
+        code = cli_main(["export-embeddings", "--checkpoint", ckpt,
+                         "--test", str(empty), "--out", str(out)])
         assert code == 0 and f"wrote 0 rows to {out}" in capsys.readouterr().out
 
     def test_eval_on_one_group_exit_code(self, dataset, trained, tmp_path,

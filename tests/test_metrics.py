@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+import oracles
 from fairvae import metrics as MX
 
 
@@ -51,6 +52,12 @@ class TestDemographicParity:
         with pytest.raises(MX.UndefinedMetric, match="z=1"):
             MX.demographic_parity_gap(np.array([1, 0]), np.array([0, 0]))
 
+    def test_attribute_outside_0_1_names_row(self):
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "demographic parity gap: attribute in row 2 is 2, not 0 or 1")):
+            MX.demographic_parity_gap(np.array([1, 0, 1, 1]),
+                                      np.array([0, 1, 2, 1]))
+
     def test_constant_predictor_gap_is_zero(self):
         rng = np.random.default_rng(0)
         z = rng.integers(0, 2, 100)
@@ -78,6 +85,12 @@ class TestEqualOpportunity:
         z = np.array([0, 0, 1, 1])
         with pytest.raises(MX.UndefinedMetric, match="z=1"):
             MX.equal_opportunity_gap(y, p, z)
+
+    def test_attribute_outside_0_1_names_row(self):
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "equal opportunity gap: attribute in row 0 is 0.5, not 0 or 1")):
+            MX.equal_opportunity_gap(np.ones(4, dtype=int), np.ones(4, dtype=int),
+                                     np.array([0.5, 1, 0, 1]))
 
     def test_perfect_predictor_gap_is_zero(self):
         rng = np.random.default_rng(1)
@@ -185,6 +198,52 @@ class TestLeakageProbe:
         with pytest.raises(MX.UndefinedMetric, match="50"):
             MX.leakage_probe(np.zeros((10, 4)), np.array([0, 1] * 5), seed=0)
 
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(50, 600), d=st.integers(1, 64),
+           share=st.floats(0.02, 0.98),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
+    def test_fit_matches_graph_reference_bits(self, n, d, share, scale,
+                                              data_seed, seed):
+        """The graph-free fit gives the graph-built fit's weights, bias and
+        accuracy bit for bit. Imbalanced groups are drawn with ``share``; at
+        scale 1e4 one class of nearly every row has p < LOG_FLOOR, where the
+        clipped log passes no gradient."""
+        rng = np.random.default_rng(data_seed)
+        reps = scale * rng.standard_normal((n, d))
+        z = (rng.random(n) < share).astype(int)
+        z[:2] = [0, 1]
+        weight, bias, _ = MX._fit_probe(reps, z, seed)
+        ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
+            reps, z, seed)
+        assert weight.tobytes() == ref_weight.tobytes()
+        assert bias.tobytes() == ref_bias.tobytes()
+        assert MX.leakage_probe(reps, z, seed) == ref_accuracy
+
+    @pytest.mark.parametrize("row", [0, 199])
+    def test_non_finite_representation_names_row(self, row):
+        """Row 0 falls in the fitted 70% at seed 0, row 199 in the held-out
+        30%, which were scored silently before."""
+        rng = np.random.default_rng(12)
+        reps = rng.standard_normal((200, 4))
+        z = rng.integers(0, 2, 200)
+        reps[row, 2] = np.nan
+        with pytest.raises(MX.UndefinedMetric,
+                           match=f"leakage probe: representation row {row} "):
+            MX.leakage_probe(reps, z, seed=0)
+
+    def test_attribute_outside_0_1_names_row(self):
+        z = np.array([0, 1] * 50)
+        z[37] = 2
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "leakage probe: attribute in row 37 is 2, not 0 or 1")):
+            MX.leakage_probe(np.zeros((100, 3)), z, seed=0)
+
+    @pytest.mark.parametrize("shape", [(100,), (99, 3), (101, 3)])
+    def test_representation_shape_must_match(self, shape):
+        with pytest.raises(MX.UndefinedMetric, match="one representation row"):
+            MX.leakage_probe(np.zeros(shape), np.array([0, 1] * 50), seed=0)
+
 
 class TestFairnessReport:
     def test_gaps_consistent_with_group_stats(self):
@@ -202,6 +261,15 @@ class TestFairnessReport:
         assert report.opp_gap == pytest.approx(
             abs(report.tpr_group0 - report.tpr_group1), abs=1e-12)
         assert report.n_group0 + report.n_group1 == n
+
+    def test_attribute_outside_0_1_names_report_and_row(self):
+        z = np.array([0, 1] * 50)
+        z[5] = -1
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "fairness report: attribute in row 5 is -1, not 0 or 1")):
+            MX.fairness_report(np.array([0, 1] * 50), np.array([1, 0] * 50),
+                               np.linspace(0, 1, 100), z, np.zeros((100, 3)),
+                               seed=0)
 
 
 def test_import_loads_scipy_special_only():
