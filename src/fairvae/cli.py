@@ -4,9 +4,11 @@ Configuration is a JSON file of ExperimentConfig keys; every field has a
 default and any can be overridden with ``--set key=value`` (values parsed as
 JSON, falling back to plain strings). Outputs go to ``output_dir``, which
 ``--out`` sets. Input errors exit with status 2 and print ``error: ...``: a
-bad config file or value (``ConfigError``), a missing file, a malformed data file
-(``ParseError``, ``SchemaError``), a damaged checkpoint (``CheckpointError``)
-or a test file on which a metric is undefined (``UndefinedMetric``).
+bad config file or value (``ConfigError``, a negative ``--seed`` too), a file
+that cannot be read or written (``OSError``), a malformed data file
+(``ParseError``, ``SchemaError``), a damaged checkpoint or one without
+encoding statistics (``CheckpointError``) or a test file on which a metric is
+undefined (``UndefinedMetric``).
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def main(argv=None) -> int:
             report = X.evaluate_checkpoint(args.checkpoint, args.test,
                                            seed=args.seed)
             print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-    except (FileNotFoundError, D.ConfigError, D.ParseError, D.SchemaError,
+    except (OSError, D.ConfigError, D.ParseError, D.SchemaError,
             CheckpointError, UndefinedMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -370,6 +370,7 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
     """Run a cell list (serially or in the process pool), aggregate the rows
     by ``group_keys`` and write ``<stem>_raw.csv``, ``_agg.csv`` and ``.txt``."""
     load_dataset(cfg)  # fail fast with the download hint if files are missing
+    os.makedirs(cfg.output_dir, exist_ok=True)  # and if the output is a file
     tasks = [(cfg, cell) for cell in cells]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -383,7 +384,6 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
         group_keys=group_keys,
     )
     root = cfg.output_dir
-    os.makedirs(root, exist_ok=True)
     _write_csv(os.path.join(root, f"{stem}_raw.csv"), rows, table.comment())
     _write_csv(os.path.join(root, f"{stem}_agg.csv"), table.aggregated,
                table.comment())
@@ -461,17 +461,28 @@ def _test_report(bundle, test: D.Samples, seed: int) -> MX.FairnessReport:
     return MX.fairness_report(test.y, labels, positive, test.z, r_f, seed=seed)
 
 
-def _load_test_set(checkpoint_header: dict, test_path) -> D.Samples:
-    stats = D.Stats(**checkpoint_header["extra"]["stats"])
+def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
+    """The test file encoded with the checkpoint's training statistics; a
+    checkpoint without them raises ``CheckpointError`` naming its file."""
+    try:
+        stats = D.Stats(**header["extra"]["stats"])
+    except (KeyError, TypeError):
+        raise M.CheckpointError(
+            f"{checkpoint_path}: the checkpoint holds no encoding statistics "
+            f"(extra.stats); save it with extra={{'stats': asdict(stats)}}"
+        ) from None
     return D.preprocess(D._read_adult_file(test_path), stats,
                         include_sensitive=stats.include_sensitive)[0]
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:
     """Load a checkpoint and produce a FairnessReport on an Adult-format file.
-    Raises ``UndefinedMetric`` naming the file when it holds no records."""
+    Raises ``UndefinedMetric`` naming the file when it holds no records, and
+    ``ConfigError`` for a seed that is not an int >= 0."""
+    if not (M.is_int(seed) and seed >= 0):
+        raise D.ConfigError(f"seed must be an int >= 0, got {seed!r}")
     bundle, header = M.load_bundle(checkpoint_path)
-    test = _load_test_set(header, test_path)
+    test = _load_test_set(checkpoint_path, header, test_path)
     if not len(test):
         raise MX.UndefinedMetric(f"{test_path}: holds no records to evaluate")
     return _test_report(bundle, test, seed)
@@ -481,7 +492,7 @@ def export_embeddings(checkpoint_path, test_path, out_path) -> int:
     """Write one CSV row per test sample: bias-free representation values,
     true attribute, true label, predicted label. Returns the row count."""
     bundle, header = M.load_bundle(checkpoint_path)
-    test = _load_test_set(header, test_path)
+    test = _load_test_set(checkpoint_path, header, test_path)
     r_f, _, labels = _predict(bundle, test.x)
     dim = r_f.shape[1]
     with open(out_path, "w", encoding="utf-8") as fh:

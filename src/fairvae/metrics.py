@@ -132,8 +132,8 @@ def auc(y_true, scores) -> float:
 def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     """The probe's seeded split and its fit on the 70%: returns the weight,
     the bias and the held-out rows. Each epoch runs, in plain numpy, the calls
-    the graph of ``task_loss(onehot, softmax(dense(x, w, b)))`` runs, in its
-    order and with its ``+ 0.0`` first touches, so the weights keep the
+    the graph of ``cross_entropy(onehot, softmax(dense(x, w, b)))`` runs, in
+    its order and with its ``+ 0.0`` first touches, so the weights keep the
     graph's bits; the loss value, which nothing reads, is skipped."""
     from .training import Adam  # deferred: training imports this module
 

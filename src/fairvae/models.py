@@ -1,10 +1,11 @@
 """Model zoo: feature backbones, dual encoders, prediction heads, VAE pair.
 
-A ``ModelBundle`` owns every parameter of one model instance. Which parts
-exist is driven by flags so the same class serves the whole method ladder:
-a single-encoder task model, the adversarial variant (discriminator on the
-shared representation), the decomposed dual-encoder variant, and the full
-semi-supervised VAE model.
+A ``ModelBundle`` owns every parameter of one model instance. Its config
+names a step of the method ladder, and the step decides which parts exist:
+a single-encoder task model (``plain``), plus a discriminator on the shared
+representation (``adv``), plus a bias-aware encoder and attribute predictor
+(``dadv``), plus the semi-supervised VAE (``fairvae``). Labels and attributes
+are binary by construction (``CLASSES``).
 
 Parameters are initialized from a per-parameter RNG derived from
 (bundle seed, sha256 of the parameter name), so two bundles sharing a seed
@@ -26,6 +27,11 @@ from . import autodiff as ad
 from .data import ConfigError
 
 BACKBONE_KINDS = ("lr", "dnn", "fm")
+
+# the method ladder's steps; each adds parts to the one before it
+LADDER = ("plain", "adv", "dadv", "fairvae")
+
+CLASSES = 2  # of every label and attribute: head widths, VAE slots, metrics
 
 CHECKPOINT_MAGIC = b"FVAE\x01"
 
@@ -74,14 +80,12 @@ class ArchitectureSettings:
     latent_dim: int = 32
     grl_lambda: float = 0.4
     dropout_rate: float = 0.2
-    head_hidden: int = 0          # 0 = single affine attribute/discriminator heads
 
     def __post_init__(self):
         check_types(self)  # every field, a subclass's included
         for key in ("hidden_dim", "fm_factors", "latent_dim"):
             require(self, key, lambda v: v >= 1, ">= 1")
-        for key in ("grl_lambda", "head_hidden"):
-            require(self, key, lambda v: v >= 0, ">= 0")
+        require(self, "grl_lambda", lambda v: v >= 0, ">= 0")
         require(self, "dropout_rate", lambda v: 0 <= v < 1, "in [0, 1)")
 
 
@@ -95,12 +99,14 @@ def settings(obj, base) -> dict:
 class BundleConfig(ArchitectureSettings):
     input_dim: int
     backbone: str = "dnn"
-    task_classes: int = 2
-    attr_classes: int = 2
-    with_bias_aware: bool = True
-    with_discriminator: bool = True
-    with_vae: bool = True
+    method: str = "fairvae"
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.method not in LADDER:
+            raise ConfigError(
+                f"unknown method {self.method!r}; expected one of {LADDER}")
 
 
 def _param_rng(seed: int, name: str) -> np.random.Generator:
@@ -197,29 +203,24 @@ class Backbone:
 
 
 class Head:
-    """Softmax classifier head; optionally one hidden ReLU layer."""
+    """Softmax classifier head: one affine layer onto the classes, so the
+    task head's logits on r = r_f + r_b split over the two encoders."""
 
-    def __init__(self, reg: _Registry, name: str, d_in: int, d_out: int,
-                 hidden: int = 0):
-        self.hidden_layer = Dense(reg, f"{name}.hidden", d_in, hidden) if hidden else None
-        self.out = Dense(reg, f"{name}.out", hidden or d_in, d_out)
-
-    def logits(self, x) -> ad.Node:
-        if self.hidden_layer is not None:
-            x = ad.relu(self.hidden_layer(x))
-        return self.out(x)
+    def __init__(self, reg: _Registry, name: str, d_in: int):
+        self.out = Dense(reg, f"{name}.out", d_in, CLASSES)
 
     def __call__(self, x) -> ad.Node:
-        return ad.softmax(self.logits(x))
+        return ad.softmax(self.out(x))
 
 
 class VaePair:
-    """Gaussian encoder (tanh mean, softplus scale) and affine decoder."""
+    """Gaussian encoder (tanh mean, softplus scale) and affine decoder, which
+    reads two attribute slots of ``CLASSES`` columns each and the latent."""
 
-    def __init__(self, reg: _Registry, d: int, latent_dim: int, slot_dim: int):
+    def __init__(self, reg: _Registry, d: int, latent_dim: int):
         self.mu_layer = Dense(reg, "vae.mu", d, latent_dim)
         self.sigma_layer = Dense(reg, "vae.sigma", d, latent_dim)
-        self.decoder = Dense(reg, "vae.decoder", 2 * slot_dim + latent_dim, d)
+        self.decoder = Dense(reg, "vae.decoder", 2 * CLASSES + latent_dim, d)
 
     def latent(self, x) -> tuple[ad.Node, ad.Node]:
         x = ad.as_node(x)
@@ -231,7 +232,8 @@ class VaePair:
 
 
 class ModelBundle:
-    """All parameters of one model instance plus its structural flags."""
+    """All parameters of one model instance: the parts of its ladder step,
+    absent ones None."""
 
     def __init__(self, cfg: BundleConfig):
         self.cfg = cfg
@@ -239,22 +241,16 @@ class ModelBundle:
         self._registry = reg
         self.bias_free = Backbone(reg, "bias_free", cfg.backbone, cfg.input_dim,
                                   cfg.hidden_dim, cfg.fm_factors)
-        self.bias_aware = None
-        self.attr_head = None
-        if cfg.with_bias_aware:
+        self.task_head = Head(reg, "task_head", cfg.hidden_dim)
+        self.disc_head = self.bias_aware = self.attr_head = self.vae = None
+        if cfg.method != "plain":
+            self.disc_head = Head(reg, "disc_head", cfg.hidden_dim)
+        if cfg.method in ("dadv", "fairvae"):
             self.bias_aware = Backbone(reg, "bias_aware", cfg.backbone,
                                        cfg.input_dim, cfg.hidden_dim, cfg.fm_factors)
-            self.attr_head = Head(reg, "attr_head", cfg.hidden_dim,
-                                  cfg.attr_classes, cfg.head_hidden)
-        self.disc_head = None
-        if cfg.with_discriminator:
-            self.disc_head = Head(reg, "disc_head", cfg.hidden_dim,
-                                  cfg.attr_classes, cfg.head_hidden)
-        # the task head stays affine so it can be applied to either encoder
-        self.task_head = Head(reg, "task_head", cfg.hidden_dim, cfg.task_classes)
-        self.vae = None
-        if cfg.with_vae:
-            self.vae = VaePair(reg, cfg.input_dim, cfg.latent_dim, cfg.attr_classes)
+            self.attr_head = Head(reg, "attr_head", cfg.hidden_dim)
+        if cfg.method == "fairvae":
+            self.vae = VaePair(reg, cfg.input_dim, cfg.latent_dim)
 
     def parameters(self) -> list[ad.Parameter]:
         return [self._registry.params[name]

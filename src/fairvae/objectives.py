@@ -87,21 +87,12 @@ def one_hot(labels, k: int) -> np.ndarray:
 # marginalization needs them
 
 
-def _ce_rows(target, probs) -> ad.Node:
+def cross_entropy(target, probs) -> ad.Node:
+    """Mean cross-entropy of class probabilities against one-hot targets: the
+    task, adversarial and attr_pred terms."""
     target = ad.as_node(target)
-    return ad.scale(ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0)
-
-
-def attribute_prediction_loss(z_onehot, z_hat) -> ad.Node:
-    return ad.mean_all(_ce_rows(z_onehot, z_hat))
-
-
-def adversarial_loss(z_onehot, z_tilde) -> ad.Node:
-    return ad.mean_all(_ce_rows(z_onehot, z_tilde))
-
-
-def task_loss(y_onehot, y_hat) -> ad.Node:
-    return ad.mean_all(_ce_rows(y_onehot, y_hat))
+    return ad.mean_all(ad.scale(
+        ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0))
 
 
 def orthogonality_loss(r_f, r_b) -> ad.Node:
@@ -184,23 +175,21 @@ def labeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     a discriminator, attr_pred and orthogonality with a bias-aware encoder,
     and with a VAE the ELBO, whose decoder sees the true attribute one-hot in
     the bias-aware slot and a uniform vector in the discriminator slot."""
-    uses_z = any(part is not None
-                 for part in (bundle.disc_head, bundle.attr_head, bundle.vae))
+    uses_z = bundle.cfg.method != "plain"  # every other part reads z
     if uses_z and batch.z is None:
         raise ValueError("labeled loss requires observed attributes")
     if len(batch) == 0:
         raise ValueError("labeled loss got an empty batch")
-    n = len(batch)
-    k = bundle.cfg.attr_classes
+    n, k = len(batch), M.CLASSES
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
     z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 
-    s = {"task": task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)}
+    s = {"task": cross_entropy(one_hot(batch.y, k), y_hat)}
     z1 = one_hot(batch.z, k) if uses_z else None
     if z_tilde is not None:
-        s["adversarial"] = adversarial_loss(z1, z_tilde)
+        s["adversarial"] = cross_entropy(z1, z_tilde)
     if z_hat is not None:
-        s["attr_pred"] = attribute_prediction_loss(z1, z_hat)
+        s["attr_pred"] = cross_entropy(z1, z_hat)
         s["orthogonality"] = orthogonality_loss(r_f, r_b)
     if bundle.vae is None:
         return _compose(s, _LABELED_ORDER)
@@ -232,15 +221,14 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
         raise ValueError("unlabeled loss got observed attributes")
     if len(batch) == 0:
         raise ValueError("unlabeled loss got an empty batch")
-    n = len(batch)
-    k = bundle.cfg.attr_classes
+    n, k = len(batch), M.CLASSES
     r_f, r_b, r = M.encode(bundle, batch.x, training=training, rng=rng)
     if bundle.vae is None:
         y_hat = bundle.task_head(r)
     else:
         z_hat, z_tilde, y_hat = M.predict_heads(bundle, r_f, r_b, r)
 
-    s = {"task": task_loss(one_hot(batch.y, bundle.cfg.task_classes), y_hat)}
+    s = {"task": cross_entropy(one_hot(batch.y, k), y_hat)}
     if r_b is not None:
         s["orthogonality"] = orthogonality_loss(r_f, r_b)
     if bundle.vae is None:

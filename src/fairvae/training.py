@@ -194,14 +194,12 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
 
 
 def _build_bundle(spec: MethodSpec, input_dim: int) -> M.ModelBundle:
-    base = spec.method.removesuffix("_st")
+    method = spec.method.removesuffix("_st")
     arch = M.settings(spec, M.ArchitectureSettings)
-    if base == "plain":
+    if method == "plain":
         arch["grl_lambda"] = 0.0  # plain has no discriminator to reverse into
     return M.ModelBundle(M.BundleConfig(
-        **arch, input_dim=input_dim, backbone=spec.backbone,
-        with_bias_aware=base in ("dadv", "fairvae"),
-        with_discriminator=base != "plain", with_vae=base == "fairvae",
+        **arch, input_dim=input_dim, backbone=spec.backbone, method=method,
         seed=spec.seed))
 
 
@@ -309,7 +307,7 @@ def _train_attribute_predictor(spec: MethodSpec,
                 r_b = ad.dropout(bundle.bias_aware.forward(lab.x),
                                  spec.dropout_rate, training=True, rng=rng_drop)
                 z_hat = bundle.attr_head(r_b)
-                loss = O.attribute_prediction_loss(O.one_hot(lab.z, 2), z_hat)
+                loss = O.cross_entropy(O.one_hot(lab.z, M.CLASSES), z_hat)
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()

@@ -309,11 +309,11 @@ def reference_encode(records, stats):
 def graph_leakage_probe(representations, z, seed):
     """The leakage probe fitted through the autodiff graph: the same seeded
     70/30 split, initialisation and 200 full-batch Adam epochs on
-    ``objectives.task_loss`` as ``metrics.leakage_probe``. Returns the fitted
-    weight and bias arrays and the held-out accuracy."""
+    ``objectives.cross_entropy`` as ``metrics.leakage_probe``. Returns the
+    fitted weight and bias arrays and the held-out accuracy."""
     from fairvae import autodiff as ad
     from fairvae.metrics import accuracy
-    from fairvae.objectives import task_loss
+    from fairvae.objectives import cross_entropy
     from fairvae.training import Adam
 
     reps = np.asarray(representations, dtype=float)
@@ -333,7 +333,7 @@ def graph_leakage_probe(representations, z, seed):
     opt = Adam([weight, bias], lr=0.01)
     x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
     for _ in range(200):
-        loss = task_loss(target, ad.softmax(ad.dense(x_train, weight, bias)))
+        loss = cross_entropy(target, ad.softmax(ad.dense(x_train, weight, bias)))
         opt.zero_grad()
         ad.backward(loss)
         opt.step()

@@ -188,9 +188,7 @@ class TestProperties:
             mu = rng.uniform(-2, 2, (n, 3))
             sg = rng.uniform(0.1, 2, (n, 3))
             pairs = [
-                (O.attribute_prediction_loss(t, ad.Node(p)), oracles.ce_mean(t, p)),
-                (O.adversarial_loss(t, ad.Node(p)), oracles.ce_mean(t, p)),
-                (O.task_loss(t, ad.Node(p)), oracles.ce_mean(t, p)),
+                (O.cross_entropy(t, ad.Node(p)), oracles.ce_mean(t, p)),
                 (O.orthogonality_loss(ad.Node(a), ad.Node(b)),
                  oracles.orth_mean(a, b)),
                 (O.reconstruction_loss(x, ad.Node(xh)), oracles.recon_mean(x, xh)),

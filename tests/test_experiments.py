@@ -488,6 +488,51 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
 
+    def test_test_path_is_a_directory_exit_code(self, trained, tmp_path, capsys):
+        _, ckpt = trained
+        code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and str(tmp_path) in err
+
+    def test_output_path_is_a_file_exit_code(self, dataset, tmp_path, capsys,
+                                             monkeypatch):
+        """Rejected before any cell trains."""
+        out = tmp_path / "taken"
+        out.write_text("")
+        ran = []
+        monkeypatch.setattr(X, "run_cell", lambda cfg, **cell: ran.append(cell))
+        code = cli_main(["run", "--train", dataset[0], "--test", dataset[1],
+                         "--out", str(out), *TINY_CLI_SETS])
+        assert code == 2 and ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "File exists" in err and str(out) in err
+
+    @pytest.mark.parametrize("extra", [None, {"stats": {"cat_vocab": {}}}],
+                             ids=["no-extra", "partial-stats"])
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    def test_checkpoint_without_stats_exit_code(self, dataset, trained,
+                                                tmp_path, capsys, verb, extra):
+        _, ckpt = trained
+        bare = tmp_path / "bare.ckpt"
+        M.save_bundle(M.load_bundle(ckpt)[0], bare, extra=extra)
+        argv = [verb, "--checkpoint", str(bare), "--test", dataset[1]]
+        if verb == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb.csv")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bare}: the checkpoint holds no encoding "
+                              f"statistics (extra.stats)") and err.count("\n") == 1
+
+    def test_negative_seed_exit_code(self, dataset, trained, capsys):
+        _, ckpt = trained
+        code = cli_main(["eval", "--checkpoint", ckpt, "--test", dataset[1],
+                         "--seed", "-1"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed must be an int >= 0, got -1\n"
+
 
 def _digest_after_header(path):
     """sha256 of a written table without its first line, which carries the
@@ -703,7 +748,7 @@ class TestBoundaryChecks:
         ids=["ExperimentConfig", "MethodSpec", "BundleConfig"])
     @pytest.mark.parametrize("key,value", [
         ("dropout_rate", 1.0), ("hidden_dim", True), ("hidden_dim", 0),
-        ("grl_lambda", -0.1), ("head_hidden", 1.5)])
+        ("grl_lambda", -0.1)])
     def test_shared_settings_checked_on_every_class(self, make, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be"):
             make(**{key: value})
@@ -712,7 +757,7 @@ class TestBoundaryChecks:
 @settings(max_examples=60, deadline=None)
 @given(values=st.fixed_dictionaries({
     "hidden_dim": st.integers(1, 512), "fm_factors": st.integers(1, 64),
-    "latent_dim": st.integers(1, 64), "head_hidden": st.integers(0, 64),
+    "latent_dim": st.integers(1, 64),
     "grl_lambda": st.floats(0.0, 100.0) | st.integers(0, 100),
     "dropout_rate": st.floats(0.0, 1.0, exclude_max=True),
     "st_threshold": st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fairvae import autodiff as ad
 from fairvae import models as M
 from fairvae import objectives as O
-from fairvae.data import Samples
+from fairvae.data import ConfigError, Samples
 from gradcheck import graph_nodes
 from toys import tiny_config, toy_batch, adversarial_wiring_outcome
 
@@ -139,11 +139,11 @@ class TestPredictHeads:
         lam = 0.4
 
         def encoder_grads(reversal: bool):
-            bundle = M.ModelBundle(tiny_config(grl_lambda=lam, with_vae=False))
+            bundle = M.ModelBundle(tiny_config(grl_lambda=lam, method="dadv"))
             r_f, r_b, r = M.encode(bundle, x)
             rep = ad.gradient_reversal(r_f, lam) if reversal else r_f
             z_tilde = bundle.disc_head(rep)
-            loss = O.adversarial_loss(O.one_hot(z, 2), z_tilde)
+            loss = O.cross_entropy(O.one_hot(z, 2), z_tilde)
             ad.backward(loss)
             return {p.name: p.grad.copy()
                     for p in bundle.parameters() if p.name.startswith("bias_free")}
@@ -259,9 +259,9 @@ class TestTaskHeadLinearity:
         bundle = M.ModelBundle(tiny_config())
         x, _, _ = toy_batch()
         r_f, r_b, r = M.encode(bundle, x)
-        joint = bundle.task_head.logits(r).value
-        parts = (bundle.task_head.logits(r_f).value
-                 + bundle.task_head.logits(r_b).value
+        joint = bundle.task_head.out(r).value
+        parts = (bundle.task_head.out(r_f).value
+                 + bundle.task_head.out(r_b).value
                  - bundle.task_head.out.bias.value)
         np.testing.assert_allclose(joint, parts, atol=1e-9)
 
@@ -331,8 +331,7 @@ class TestSerialization:
     @pytest.fixture
     def tiny_checkpoint(self, tmp_path):
         bundle = M.ModelBundle(tiny_config(
-            input_dim=2, hidden_dim=2, backbone="lr", with_bias_aware=False,
-            with_discriminator=False, with_vae=False))
+            input_dim=2, hidden_dim=2, backbone="lr", method="plain"))
         path = tmp_path / "tiny.ckpt"
         M.save_bundle(bundle, path)
         return path, path.read_bytes()
@@ -389,11 +388,46 @@ class TestSerialization:
             M.load_bundle(path)
 
 
+    @pytest.mark.parametrize("key,value", [("task_classes", 2),
+                                           ("with_vae", True)])
+    def test_header_with_removed_key_rejected(self, tiny_checkpoint, key, value):
+        """A checkpoint whose config still carries a key of the part flags or
+        class counts, which a method name replaced, names the file and key."""
+        path, blob = tiny_checkpoint
+        start = len(M.CHECKPOINT_MAGIC) + 4
+        (hlen,) = struct.unpack("<I", blob[len(M.CHECKPOINT_MAGIC):start])
+        header = json.loads(blob[start:start + hlen])
+        header["config"][key] = value
+        head = json.dumps(header, sort_keys=True).encode()
+        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<I", len(head))
+                         + head + blob[start + hlen:])
+        with pytest.raises(M.CheckpointError, match=re.escape(
+                f"{path}: the checkpoint header is damaged: TypeError") + f".*'{key}'"):
+            M.load_bundle(path)
+
+
+class TestLadderParts:
+    @pytest.mark.parametrize("method,parts", [
+        ("plain", set()), ("adv", {"disc_head"}),
+        ("dadv", {"disc_head", "bias_aware", "attr_head"}),
+        ("fairvae", {"disc_head", "bias_aware", "attr_head", "vae"})])
+    def test_method_builds_its_parts(self, method, parts):
+        bundle = M.ModelBundle(tiny_config(method=method))
+        present = {name for name in ("disc_head", "bias_aware", "attr_head", "vae")
+                   if getattr(bundle, name) is not None}
+        assert present == parts
+
+    @pytest.mark.parametrize("method", ["adv_st", "vae", ""])
+    def test_unknown_method_rejected(self, method):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"unknown method {method!r}; expected one of {M.LADDER}")):
+            tiny_config(method=method)
+
+
 class TestInitialization:
     def test_shared_components_init_identically_across_variants(self):
         full = M.ModelBundle(tiny_config(seed=5))
-        slim = M.ModelBundle(tiny_config(seed=5, with_bias_aware=False,
-                                         with_vae=False))
+        slim = M.ModelBundle(tiny_config(seed=5, method="adv"))
         full_state = full.state_arrays()
         for p in slim.parameters():
             np.testing.assert_array_equal(p.value, full_state[p.name])
@@ -416,9 +450,7 @@ def checkpoint_path(tmp_path_factory):
            hidden_dim=st.integers(1, 5), fm_factors=st.integers(1, 3),
            latent_dim=st.integers(1, 3), grl_lambda=st.floats(0.0, 5.0),
            dropout_rate=st.floats(0.0, 0.9),
-           head_hidden=st.sampled_from([0, 3]),
-           with_bias_aware=st.booleans(), with_discriminator=st.booleans(),
-           with_vae=st.booleans(), seed=st.integers(0, 2**32 - 1)),
+           method=st.sampled_from(M.LADDER), seed=st.integers(0, 2**32 - 1)),
        rows=st.integers(1, 4))
 def test_checkpoint_round_trip(checkpoint_path, cfg, rows):
     """save_bundle then load_bundle gives back the config, every parameter

@@ -25,21 +25,20 @@ def expected_total(br, config):
 
 
 class TestCrossEntropyTerms:
-    @pytest.mark.parametrize("fn", [O.attribute_prediction_loss,
-                                    O.adversarial_loss, O.task_loss])
-    def test_hand_values(self, fn):
-        assert scalar(fn(np.array([[1.0, 0.0]]), ad.Node([[1.0, 0.0]]))) == 0.0
-        assert scalar(fn(np.array([[1.0, 0.0]]), ad.Node([[0.5, 0.5]]))) \
+    def test_hand_values(self):
+        ce = O.cross_entropy
+        assert scalar(ce(np.array([[1.0, 0.0]]), ad.Node([[1.0, 0.0]]))) == 0.0
+        assert scalar(ce(np.array([[1.0, 0.0]]), ad.Node([[0.5, 0.5]]))) \
             == pytest.approx(math.log(2), abs=1e-12)
-        assert scalar(fn(np.array([[0.0, 1.0]]), ad.Node([[0.25, 0.75]]))) \
+        assert scalar(ce(np.array([[0.0, 1.0]]), ad.Node([[0.25, 0.75]]))) \
             == pytest.approx(-math.log(0.75), abs=1e-12)
 
     def test_lambda_zero_blocks_encoder_gradient(self):
         x, _, z = toy_batch()
-        bundle = M.ModelBundle(tiny_config(grl_lambda=0.0, with_vae=False))
+        bundle = M.ModelBundle(tiny_config(grl_lambda=0.0, method="dadv"))
         r_f, r_b, r = M.encode(bundle, x)
         _, z_tilde, _ = M.predict_heads(bundle, r_f, r_b, r)
-        ad.backward(O.adversarial_loss(O.one_hot(z, 2), z_tilde))
+        ad.backward(O.cross_entropy(O.one_hot(z, 2), z_tilde))
         for p in bundle.parameters():
             if p.name.startswith("bias_free"):
                 assert np.all(p.grad == 0.0), p.name
@@ -134,7 +133,7 @@ class TestTermsAgainstOracles:
             n = int(rng.integers(1, 9))
             t = oracles.one_hot_np(rng.integers(0, 2, n), 2)
             p = oracles.softmax_np(rng.uniform(-4, 4, (n, 2)))
-            assert scalar(O.task_loss(t, ad.Node(p))) \
+            assert scalar(O.cross_entropy(t, ad.Node(p))) \
                 == pytest.approx(oracles.ce_mean(t, p), abs=1e-10)
             a = rng.uniform(-2, 2, (n, 5))
             b = rng.uniform(-2, 2, (n, 5))

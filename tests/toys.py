@@ -33,12 +33,12 @@ def adversarial_wiring_outcome(lr=0.05, seed=0):
     x, _, z = toy_batch(n=16, seed=seed)
 
     def fresh_bundle():
-        return M.ModelBundle(tiny_config(with_vae=False, seed=seed))
+        return M.ModelBundle(tiny_config(method="dadv", seed=seed))
 
     def adv_loss(bundle):
         r_f, r_b, r = M.encode(bundle, x)
         _, z_tilde, _ = M.predict_heads(bundle, r_f, r_b, r)
-        return O.adversarial_loss(O.one_hot(z, 2), z_tilde)
+        return O.cross_entropy(O.one_hot(z, 2), z_tilde)
 
     def step(bundle, param_filter):
         params = bundle.trainable_parameters()
