@@ -34,6 +34,11 @@ pass releases each intermediate value as soon as nothing else holds it.
 Everything is float64 and single-threaded per graph; there is no broadcasting
 machinery beyond what the ops here need (matrix/vector shapes, row-wise
 reductions, bias rows).
+
+scipy is imported lazily: the softplus derivative and the sigmoid are
+``scipy.special.expit``, whose module loads on the first call, so a process
+that never takes one of those (evaluation, export, any model without the VAE)
+never imports scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import expit
 
 LOG_FLOOR = 1e-12  # probabilities are clipped to [LOG_FLOOR, 1] before log
 
@@ -287,11 +291,19 @@ def dense(x, weight: Parameter, bias: Parameter) -> Node:
                  (bias, lambda up: up.sum(axis=0)))
 
 
+def _expit(v):
+    """``scipy.special.expit``; its module (about 0.3 s to import) loads on
+    the first call, not with this one."""
+    from scipy.special import expit
+
+    return expit(v)
+
+
 _ACTIVATIONS = {
     "relu": (lambda v: np.maximum(v, 0.0), lambda v, out: (v > 0).astype(np.float64)),
     "tanh": (np.tanh, lambda v, out: 1.0 - out * out),
-    "softplus": (lambda v: np.logaddexp(0.0, v), lambda v, out: expit(v)),
-    "sigmoid": (expit, lambda v, out: out * (1.0 - out)),
+    "softplus": (lambda v: np.logaddexp(0.0, v), lambda v, out: _expit(v)),
+    "sigmoid": (_expit, lambda v, out: out * (1.0 - out)),
 }
 
 
@@ -442,8 +454,3 @@ def _topological_order(root: Node) -> list[Node]:
                 stack.append((parent, False))
     order.reverse()
     return order
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad[...] = 0.0

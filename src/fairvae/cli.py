@@ -6,9 +6,9 @@ JSON, falling back to plain strings). Outputs go to ``output_dir``, which
 ``--out`` sets. Input errors exit with status 2 and print ``error: ...``: a
 bad config file or value (``ConfigError``, a negative ``--seed`` too), a file
 that cannot be read or written (``OSError``), a malformed data file
-(``ParseError``, ``SchemaError``), a damaged checkpoint or one without
-encoding statistics (``CheckpointError``) or a test file on which a metric is
-undefined (``UndefinedMetric``).
+(``ParseError``, ``SchemaError``), a damaged checkpoint, one another version
+wrote or one without encoding statistics (``CheckpointError``) or a test file
+on which a metric is undefined (``UndefinedMetric``).
 """
 
 from __future__ import annotations

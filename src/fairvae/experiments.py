@@ -20,7 +20,6 @@ import hashlib
 import os
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -373,6 +372,9 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
     os.makedirs(cfg.output_dir, exist_ok=True)  # and if the output is a file
     tasks = [(cfg, cell) for cell in cells]
     if cfg.workers > 1:
+        # deferred: the process pool's modules are a serial run's waste
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
     else:

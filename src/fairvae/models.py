@@ -337,7 +337,8 @@ def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
 
 
 class CheckpointError(ValueError):
-    """A file that is not a checkpoint, or a damaged or truncated one."""
+    """A file that is not a checkpoint, one that another version of fairvae
+    wrote, or a damaged or truncated one."""
 
 
 def _read_exact(fh, path, size: int, what: str) -> bytes:
@@ -350,13 +351,25 @@ def _read_exact(fh, path, size: int, what: str) -> bytes:
 
 def _parse_header(path, blob: bytes) -> tuple[dict, ModelBundle, list]:
     """Decode the JSON header, build its bundle and list its (name, shape)
-    pairs; any failure is reported as a damaged header naming the file."""
+    pairs. A config whose keys are not ``BundleConfig``'s fields is reported
+    with those keys, as another version of fairvae may have written it; any
+    other failure is reported as a damaged header. Both errors name the
+    file."""
     try:
         header = json.loads(blob.decode())
+        keys, expected = set(header["config"]), {f.name for f in fields(BundleConfig)}
+        if keys != expected:
+            raise CheckpointError(  # a flipped byte in a key reads the same
+                f"{path}: the checkpoint header is damaged, or the file was "
+                "written by another version of fairvae (unknown config keys "
+                f"{sorted(keys - expected)}, missing config keys "
+                f"{sorted(expected - keys)}); retrain the model with this version")
         bundle = ModelBundle(BundleConfig(**header["config"]))
         listed = [(meta["name"], tuple(meta["shape"])) for meta in header["params"]]
         if listed != [(p.name, p.value.shape) for p in bundle.parameters()]:
             raise ValueError("its parameter list does not match its config")
+    except CheckpointError:
+        raise
     except (ValueError, KeyError, TypeError) as exc:  # incl. Unicode/JSON errors
         raise CheckpointError(f"{path}: the checkpoint header is damaged: "
                               f"{type(exc).__name__}: {exc}") from None

@@ -227,7 +227,8 @@ def joint_loss_fd_check(rtol=1e-4, atol=1e-7):
     eps_u = rng.standard_normal((5, 3))
 
     params = bundle.trainable_parameters()
-    ad.zero_grads(params)
+    for p in params:
+        p.grad[...] = 0.0
     total, _ = O.joint_loss(lab, unl, bundle, config, eps_l, eps_u)
     ad.backward(total)
     analytic = {p.name: p.grad.copy() for p in params}

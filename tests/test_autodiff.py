@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from fairvae import autodiff as ad
 from gradcheck import check_grads, fd_grads, graph_nodes
@@ -31,7 +34,8 @@ class TestDense:
         # with all-ones upstream, dW = x^T @ 1
         np.testing.assert_allclose(w.grad, x.value.T @ np.ones((5, 4)))
         # and against finite differences of sum(x @ w + b)
-        ad.zero_grads([w, b])
+        for p in (w, b):
+            p.grad[...] = 0.0
         numeric = fd_grads(
             lambda: float((x.value @ w.value + b.value).sum()), [w, b])
         np.testing.assert_allclose(x.value.T @ np.ones((5, 4)), numeric[0],
@@ -56,6 +60,19 @@ class TestActivations:
     def test_softplus_at_zero(self):
         out = ad.activation(ad.Node([[0.0]]), "softplus")
         np.testing.assert_allclose(out.value, [[math.log(2)]], atol=1e-12)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.one_of(
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-800.0, 800.0),
+                          st.sampled_from([0.0, -0.0, 700.5, -700.5, 745.2, -745.2]))))
+    def test_softplus_gradient_is_scipy_expit_bytes(self, v):
+        """The deferred import calls ``scipy.special.expit`` itself, so the
+        gradient keeps its bytes, past |v| = 700 and at -0.0 too."""
+        x = ad.Node(v)
+        out = ad.softplus(x)
+        out._backward(np.ones_like(out.value))
+        assert x.grad.tobytes() == expit(v).tobytes()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="gelu"):
@@ -342,7 +359,7 @@ def test_gradient_reversal_fd_is_negated():
     def build():
         return ad.mean_all(ad.gradient_reversal(p, lam))
 
-    ad.zero_grads([p])
+    p.grad[...] = 0.0
     ad.backward(build())
     numeric = fd_grads(lambda: float(build().value), [p])[0]
     np.testing.assert_allclose(p.grad, -lam * numeric, rtol=1e-5, atol=1e-10)
@@ -408,7 +425,8 @@ class TestGradientTracking:
         frozen = ad.Parameter(rng.uniform(-1, 1, (4, 2)), "frozen", trainable=False)
 
         def weight_grad(x):
-            ad.zero_grads([w, b])
+            for p in (w, b):
+                p.grad[...] = 0.0
             root = ad.mean_all(ad.square(ad.matmul(ad.dense(x, w, b), frozen)))
             ad.backward(root)
             return w.grad.copy()

@@ -374,35 +374,51 @@ class TestSerialization:
                     f"{path}: the checkpoint header is damaged")):
                 M.load_bundle(path)
 
-    def test_header_without_config_rejected(self, tiny_checkpoint):
+    @staticmethod
+    def _rewrite_header(tiny_checkpoint, edit):
+        """Rewrite the checkpoint with ``edit`` applied to its header dict."""
         path, blob = tiny_checkpoint
         start = len(M.CHECKPOINT_MAGIC) + 4
         (hlen,) = struct.unpack("<I", blob[len(M.CHECKPOINT_MAGIC):start])
         header = json.loads(blob[start:start + hlen])
-        del header["config"]
+        edit(header)
         head = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<I", len(head))
                          + head + blob[start + hlen:])
+        return path
+
+    def test_header_without_config_rejected(self, tiny_checkpoint):
+        path = self._rewrite_header(tiny_checkpoint,
+                                    lambda header: header.pop("config"))
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: the checkpoint header is damaged: KeyError")):
             M.load_bundle(path)
-
 
     @pytest.mark.parametrize("key,value", [("task_classes", 2),
                                            ("with_vae", True)])
     def test_header_with_removed_key_rejected(self, tiny_checkpoint, key, value):
         """A checkpoint whose config still carries a key of the part flags or
-        class counts, which a method name replaced, names the file and key."""
-        path, blob = tiny_checkpoint
-        start = len(M.CHECKPOINT_MAGIC) + 4
-        (hlen,) = struct.unpack("<I", blob[len(M.CHECKPOINT_MAGIC):start])
-        header = json.loads(blob[start:start + hlen])
-        header["config"][key] = value
-        head = json.dumps(header, sort_keys=True).encode()
-        path.write_bytes(M.CHECKPOINT_MAGIC + struct.pack("<I", len(head))
-                         + head + blob[start + hlen:])
+        class counts, which a method name replaced, names the file and key
+        and asks for a retrain."""
+        path = self._rewrite_header(
+            tiny_checkpoint, lambda header: header["config"].update({key: value}))
         with pytest.raises(M.CheckpointError, match=re.escape(
-                f"{path}: the checkpoint header is damaged: TypeError") + f".*'{key}'"):
+                f"{path}: the checkpoint header is damaged, or the file was "
+                "written by another version of fairvae (unknown config keys "
+                f"['{key}'], missing config keys []); retrain the model with "
+                "this version")):
+            M.load_bundle(path)
+
+    def test_header_with_missing_key_rejected(self, tiny_checkpoint):
+        """A checkpoint written before a config field existed names the file
+        and the missing key."""
+        path = self._rewrite_header(
+            tiny_checkpoint, lambda header: header["config"].pop("method"))
+        with pytest.raises(M.CheckpointError, match=re.escape(
+                f"{path}: the checkpoint header is damaged, or the file was "
+                "written by another version of fairvae (unknown config keys "
+                "[], missing config keys ['method']); retrain the model with "
+                "this version")):
             M.load_bundle(path)
 
 

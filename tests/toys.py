@@ -42,7 +42,8 @@ def adversarial_wiring_outcome(lr=0.05, seed=0):
 
     def step(bundle, param_filter):
         params = bundle.trainable_parameters()
-        ad.zero_grads(params)
+        for p in params:
+            p.grad[...] = 0.0
         loss = adv_loss(bundle)
         ad.backward(loss)
         for p in params:
