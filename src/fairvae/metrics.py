@@ -44,6 +44,15 @@ def accuracy(y_true, y_pred) -> float:
     return float((y_true == y_pred).mean())
 
 
+def _same_length(who: str, **arrays) -> None:
+    """Raise ``UndefinedMetric`` naming ``who`` and every input's length
+    unless all ``arrays`` have one length."""
+    lengths = {name: len(a) for name, a in arrays.items()}
+    if len(set(lengths.values())) > 1:
+        raise UndefinedMetric(f"{who} needs inputs of one length, got " + ", ".join(
+            f"{name} {length}" for name, length in lengths.items()))
+
+
 def _attribute(z, who: str) -> np.ndarray:
     """``z`` as an int array, rejecting any value other than 0 or 1 with the
     first bad row named."""
@@ -69,6 +78,7 @@ def demographic_parity_gap(y_pred, z) -> float:
     """|P(pred=1 | z=0) - P(pred=1 | z=1)|."""
     y_pred = np.asarray(y_pred)
     z = _attribute(z, "demographic parity gap")
+    _same_length("demographic parity gap", y_pred=y_pred, z=z)
     r0, r1 = _group_positive_rates(y_pred, z)
     return abs(r0 - r1)
 
@@ -88,6 +98,7 @@ def equal_opportunity_gap(y_true, y_pred, z) -> float:
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     z = _attribute(z, "equal opportunity gap")
+    _same_length("equal opportunity gap", y_true=y_true, y_pred=y_pred, z=z)
     t0, t1 = _group_tprs(y_true, y_pred, z)
     return abs(t0 - t1)
 
@@ -118,6 +129,7 @@ def auc(y_true, scores) -> float:
     """
     y_true = np.asarray(y_true)
     scores = np.asarray(scores, dtype=float)
+    _same_length("auc", y_true=y_true, scores=scores)
     n_pos = int((y_true == 1).sum())
     n_neg = int((y_true == 0).sum())
     if n_pos == 0 or n_neg == 0:
@@ -131,10 +143,25 @@ def auc(y_true, scores) -> float:
 
 def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     """The probe's seeded split and its fit on the 70%: returns the weight,
-    the bias and the held-out rows. Each epoch runs, in plain numpy, the calls
-    the graph of ``cross_entropy(onehot, softmax(dense(x, w, b)))`` runs, in
-    its order and with its ``+ 0.0`` first touches, so the weights keep the
-    graph's bits; the loss value, which nothing reads, is skipped."""
+    the bias and the held-out rows. Each epoch runs in plain numpy and gives
+    the bits of the graph of ``cross_entropy(onehot, softmax(dense(x, w,
+    b)))``: ``x @ w``, the exp and the division are the graph's calls, and
+    the loss value, which nothing reads, is skipped. Where the calls differ,
+    the bits do not:
+
+    - a row's max and its two sums are column arithmetic, ``max(l0, l1)``
+      and ``a0 + a1``: a reduction over two values makes that one operation;
+    - the bias gradient is ``add.accumulate(g)[-1]``: numpy reduces axis 0
+      of a C-contiguous ``n x 2`` array by adding its rows in order, which
+      is what the accumulate does;
+    - the weight gradient is ``(g.T @ x).T`` in place of ``x.T @ g``:
+      OpenBLAS sums each output over the rows in the same order (checked
+      against the graph fit, above 2,000 rows too);
+    - ``log_clipped``'s upper bound and its ``p <= 1`` test are dropped: a
+      softmax of two finite values is at most 1, as ``e0 + e1 >= e0``;
+    - the ``+ 0.0`` first touches are dropped: they change only the sign of
+      a zero, and adding into the zeroed gradient buffers makes every zero
+      positive."""
     from .training import Adam  # deferred: training imports this module
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
@@ -156,15 +183,15 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     for _ in range(200):
         logits = x @ weight.value
         logits += bias.value
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        clipped = np.clip(p, ad.LOG_FLOOR, 1.0)
-        inside = ((p >= ad.LOG_FLOOR) & (p <= 1.0)).astype(np.float64)
-        g = inside * up_log / clipped + 0.0
-        g = p * (g - (g * p).sum(axis=1, keepdims=True)) + 0.0
+        e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
+        p = e / (e[:, :1] + e[:, 1:])
+        inside = (p >= ad.LOG_FLOOR).astype(np.float64)
+        g = inside * up_log / np.maximum(p, ad.LOG_FLOOR)
+        gp = g * p
+        g = p * (g - (gp[:, :1] + gp[:, 1:]))
         opt.zero_grad()
-        weight.grad += x.T @ g
-        bias.grad += g.sum(axis=0)
+        weight.grad += (g.T @ x).T
+        bias.grad += np.add.accumulate(g)[-1]
         opt.step()  # raises NonFiniteGradient on a non-finite epoch
     return weight.value, bias.value, te
 
@@ -204,7 +231,10 @@ def fairness_report(y_true, y_pred, scores, z, representations,
     """Full evaluation bundle for one model on one test set."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
+    scores = np.asarray(scores, dtype=float)
     z = _attribute(z, "fairness report")
+    _same_length("fairness report", y_true=y_true, y_pred=y_pred, scores=scores,
+                 z=z)
     r0, r1 = _group_positive_rates(y_pred, z)
     t0, t1 = _group_tprs(y_true, y_pred, z)
     return FairnessReport(

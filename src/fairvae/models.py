@@ -310,13 +310,16 @@ def predict_test(bundle: ModelBundle, x) -> ad.Node:
 
 # ---------------------------------------------------------------------------
 # checkpoint io: magic, u32 header length, JSON header, raw little-endian
-# float64 payloads in header order
+# float64 payloads in header order; the header's payload_sha256 is the
+# sha256 of those payload bytes
 
 
 def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
                 extra: dict | None = None) -> None:
     """Write a checkpoint; its header's seed is the bundle's."""
     params = bundle.parameters()
+    payload = b"".join(np.ascontiguousarray(p.value, dtype="<f8").tobytes()
+                       for p in params)
     header = {
         "config": asdict(bundle.cfg),
         "config_hash": config_hash,
@@ -326,14 +329,14 @@ def save_bundle(bundle: ModelBundle, path, config_hash: str = "",
             {"name": p.name, "shape": list(p.value.shape), "trainable": p.trainable}
             for p in params
         ],
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for p in params:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+        fh.write(payload)
 
 
 class CheckpointError(ValueError):
@@ -377,8 +380,10 @@ def _parse_header(path, blob: bytes) -> tuple[dict, ModelBundle, list]:
 
 
 def load_bundle(path) -> tuple[ModelBundle, dict]:
-    """Read a checkpoint; a damaged header, a truncated file or bytes past the
-    last parameter raise ``CheckpointError`` naming the file."""
+    """Read a checkpoint; a damaged header, a truncated file, bytes past the
+    last parameter, or parameter bytes whose sha256 is not the header's
+    ``payload_sha256`` (or a header without one) raise ``CheckpointError``
+    naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -386,10 +391,17 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
         (hlen,) = struct.unpack("<I", _read_exact(fh, path, 4, "the header length"))
         header, bundle, listed = _parse_header(
             path, _read_exact(fh, path, hlen, "the header"))
-        state = {}
+        if "payload_sha256" not in header:
+            raise CheckpointError(
+                f"{path}: the checkpoint header holds no payload_sha256, so its "
+                "parameters cannot be checked; the file is damaged or was "
+                "written by an older version of fairvae; retrain the model "
+                "with this version")
+        state, digest = {}, hashlib.sha256()
         for name, shape in listed:
             count = int(np.prod(shape)) if shape else 1
             buf = _read_exact(fh, path, 8 * count, f"parameter {name}")
+            digest.update(buf)
             state[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         leftover = len(fh.read())
         if leftover:
@@ -397,5 +409,9 @@ def load_bundle(path) -> tuple[ModelBundle, dict]:
                 f"{path}: {leftover} bytes follow the last parameter "
                 f"{listed[-1][0]}; the header accounts for "
                 f"{fh.tell() - leftover} bytes, the file holds {fh.tell()}")
+    if digest.hexdigest() != header["payload_sha256"]:
+        raise CheckpointError(
+            f"{path}: the parameter bytes do not match the header's "
+            "payload_sha256; the file is damaged; retrain the model")
     bundle.load_state_arrays(state)
     return bundle, header

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -65,6 +66,13 @@ class TestDemographicParity:
         assert MX.demographic_parity_gap(np.ones(100, dtype=int), z) == 0.0
         assert MX.demographic_parity_gap(np.zeros(100, dtype=int), z) == 0.0
 
+    def test_unequal_lengths_named(self):
+        with pytest.raises(MX.UndefinedMetric, match=re.escape(
+                "demographic parity gap needs inputs of one length, got "
+                "y_pred 105, z 100")):
+            MX.demographic_parity_gap(np.ones(105, dtype=int),
+                                      np.array([0, 1] * 50))
+
 
 class TestEqualOpportunity:
     def test_equal_tprs(self):
@@ -99,6 +107,14 @@ class TestEqualOpportunity:
         y[:2] = 1  # ensure positives in both groups
         z = np.array([0, 1] * 100)
         assert MX.equal_opportunity_gap(y, y, z) == 0.0
+
+    def test_unequal_lengths_named(self):
+        with pytest.raises(MX.UndefinedMetric, match=re.escape(
+                "equal opportunity gap needs inputs of one length, got "
+                "y_true 100, y_pred 105, z 100")):
+            MX.equal_opportunity_gap(np.ones(100, dtype=int),
+                                     np.ones(105, dtype=int),
+                                     np.array([0, 1] * 50))
 
 
 class TestAuc:
@@ -139,6 +155,11 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(MX.UndefinedMetric):
             MX.auc(np.ones(5, dtype=int), np.random.default_rng(0).random(5))
+
+    def test_unequal_lengths_named(self):
+        with pytest.raises(MX.UndefinedMetric, match=re.escape(
+                "auc needs inputs of one length, got y_true 100, scores 90")):
+            MX.auc(np.array([0, 1] * 50), np.linspace(0, 1, 90))
 
 
 class TestPermutationInvariance:
@@ -199,27 +220,77 @@ class TestLeakageProbe:
         with pytest.raises(MX.UndefinedMetric, match="50"):
             MX.leakage_probe(np.zeros((10, 4)), np.array([0, 1] * 5), seed=0)
 
-    @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(50, 600), d=st.integers(1, 64),
-           share=st.floats(0.02, 0.98),
-           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]),
-           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
-    def test_fit_matches_graph_reference_bits(self, n, d, share, scale,
-                                              data_seed, seed):
-        """The graph-free fit gives the graph-built fit's weights, bias and
-        accuracy bit for bit. Imbalanced groups are drawn with ``share``; at
-        scale 1e4 one class of nearly every row has p < LOG_FLOOR, where the
-        clipped log passes no gradient."""
-        rng = np.random.default_rng(data_seed)
+    @staticmethod
+    def _representations(rng, n, d, scale, relu):
+        """Gaussian rows, or rows shaped like a ReLU encoder's output: exact
+        zeros, dead columns and repeated rows."""
         reps = scale * rng.standard_normal((n, d))
-        z = (rng.random(n) < share).astype(int)
-        z[:2] = [0, 1]
+        if relu:
+            reps = np.maximum(reps, 0.0)
+            reps[:, rng.random(d) < 0.25] = 0.0
+            reps[rng.random(n) < 0.25] = reps[0]
+        return reps
+
+    def _assert_fit_matches_graph(self, reps, z, seed):
         weight, bias, _ = MX._fit_probe(reps, z, seed)
         ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
             reps, z, seed)
         assert weight.tobytes() == ref_weight.tobytes()
         assert bias.tobytes() == ref_bias.tobytes()
         assert MX.leakage_probe(reps, z, seed) == ref_accuracy
+
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(50, 600), d=st.integers(1, 64),
+           share=st.floats(0.02, 0.98),
+           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), relu=st.booleans(),
+           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
+    def test_fit_matches_graph_reference_bits(self, n, d, share, scale, relu,
+                                              data_seed, seed):
+        """The graph-free fit gives the graph-built fit's weights, bias and
+        accuracy bit for bit. Imbalanced groups are drawn with ``share``; at
+        scale 1e4 one class of nearly every row has p < LOG_FLOOR, where the
+        clipped log passes no gradient."""
+        rng = np.random.default_rng(data_seed)
+        reps = self._representations(rng, n, d, scale, relu)
+        z = (rng.random(n) < share).astype(int)
+        z[:2] = [0, 1]
+        self._assert_fit_matches_graph(reps, z, seed)
+
+    @pytest.mark.parametrize("n,d,relu", [(3000, 28, False), (3000, 103, True)])
+    def test_large_fit_matches_graph_reference_bits(self, n, d, relu):
+        """A fit on 2,100 rows, above the 2,000 where OpenBLAS may take
+        another kernel path for the weight gradient's product."""
+        rng = np.random.default_rng(n)
+        reps = self._representations(rng, n, d, 1.0, relu)
+        self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3)
+
+    _edge_values = st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                         745.0, -745.0, 1e4, -1e4]),
+        st.floats(-1e300, 1e300))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_edge_values, _edge_values), min_size=1,
+                         max_size=300))
+    def test_column_forms_match_axis_reductions_bytes(self, rows):
+        """The fit's two-column arithmetic gives numpy's axis reductions'
+        bits once added into a zero buffer, as the fit's gradients are:
+        signed zeros, subnormals and saturated softmax inputs included. The
+        max feeds ``exp(a - max)``, which is compared as the fit uses it."""
+        a = np.array(rows)
+
+        def into_zeros(v):
+            buf = np.zeros_like(v)
+            buf += v
+            return buf.tobytes()
+
+        col_max = np.maximum(a[:, :1], a[:, 1:])
+        axis_max = a.max(axis=1, keepdims=True)
+        assert into_zeros(col_max) == into_zeros(axis_max)
+        assert np.exp(a - col_max).tobytes() == np.exp(a - axis_max).tobytes()
+        assert (into_zeros(a[:, :1] + a[:, 1:])
+                == into_zeros(a.sum(axis=1, keepdims=True)))
+        assert into_zeros(np.add.accumulate(a)[-1]) == into_zeros(a.sum(axis=0))
 
     @pytest.mark.parametrize("row", [0, 199])
     def test_non_finite_representation_names_row(self, row):
@@ -271,6 +342,14 @@ class TestFairnessReport:
             MX.fairness_report(np.array([0, 1] * 50), np.array([1, 0] * 50),
                                np.linspace(0, 1, 100), z, np.zeros((100, 3)),
                                seed=0)
+
+    def test_unequal_lengths_named(self):
+        with pytest.raises(MX.UndefinedMetric, match=re.escape(
+                "fairness report needs inputs of one length, got y_true 100, "
+                "y_pred 100, scores 90, z 100")):
+            MX.fairness_report(np.array([0, 1] * 50), np.array([1, 0] * 50),
+                               np.linspace(0, 1, 90), np.array([0, 1] * 50),
+                               np.zeros((100, 3)), seed=0)
 
 
 def test_import_defers_scipy_to_the_first_vae_gradient():

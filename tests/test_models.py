@@ -421,6 +421,24 @@ class TestSerialization:
                 "this version")):
             M.load_bundle(path)
 
+    def test_flipped_parameter_bit_rejected(self, tiny_checkpoint):
+        """One bit flipped in the last parameter byte leaves the file's
+        layout intact; only the payload checksum sees it."""
+        path, blob = tiny_checkpoint
+        path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0x01]))
+        with pytest.raises(M.CheckpointError, match=re.escape(
+                f"{path}: the parameter bytes do not match the header's "
+                "payload_sha256; the file is damaged; retrain the model")):
+            M.load_bundle(path)
+
+    def test_header_without_checksum_rejected(self, tiny_checkpoint):
+        path = self._rewrite_header(tiny_checkpoint,
+                                    lambda header: header.pop("payload_sha256"))
+        with pytest.raises(M.CheckpointError, match=re.escape(
+                f"{path}: the checkpoint header holds no payload_sha256")) as err:
+            M.load_bundle(path)
+        assert "retrain the model with this version" in str(err.value)
+
 
 class TestLadderParts:
     @pytest.mark.parametrize("method,parts", [
