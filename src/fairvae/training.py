@@ -263,6 +263,8 @@ def train(spec: MethodSpec, split: DatasetSplit,
                 opt.zero_grad()
                 ad.backward(total)
                 opt.step()
+                # release this step's graph before joint_loss builds the next
+                del total
             for key, value in br.as_dict().items():
                 agg[key] = agg.get(key, 0.0) + value
             if log_writer is not None:
@@ -311,6 +313,7 @@ def _train_attribute_predictor(spec: MethodSpec,
                 opt.zero_grad()
                 ad.backward(loss)
                 opt.step()
+                del r_b, z_hat, loss  # as in train: one step's graph at a time
         val_pred = _attribute_probs(bundle, split.val.x).value.argmax(axis=1)
         acc = MX.accuracy(split.val.z, val_pred)
         if acc > best_acc:

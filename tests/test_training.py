@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fairvae import autodiff as ad
 from fairvae import data as D
 from fairvae import metrics as MX
 from fairvae import models as M
+from fairvae import objectives as O
 from fairvae import training as T
 from fairvae.data import ConfigError, Samples
 from fairvae.synthetic import make_shortcut_samples
@@ -267,6 +269,42 @@ class TestTrainBasics:
             _, report = T.train(toy_spec(method), split)
             assert report.shadow_reads_during_training == 0
         assert split.shadow_reads == 0
+
+
+class TestGraphRelease:
+    """When a step's loss is built, no earlier step's graph is alive. A
+    ``Node`` takes no weak reference, so each root's ``value`` array, which
+    only the root holds, stands for its graph."""
+
+    @staticmethod
+    def _roots_alive_at_build(monkeypatch, build_name):
+        """Patch ``ad.backward`` to keep a weak reference to each root's value,
+        and ``O.<build_name>`` to count the live ones on every call."""
+        roots, alive = [], []
+        backward, build = ad.backward, getattr(O, build_name)
+
+        def tracking_backward(root):
+            backward(root)
+            roots.append(weakref.ref(root.value))
+
+        def counting_build(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in roots))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(ad, "backward", tracking_backward)
+        monkeypatch.setattr(O, build_name, counting_build)
+        return alive
+
+    def test_train_releases_each_step_graph(self, monkeypatch):
+        alive = self._roots_alive_at_build(monkeypatch, "joint_loss")
+        T.train(toy_spec("fairvae", epochs=2, batch_size=4), tiny_split())
+        assert len(alive) >= 4 and alive == [0] * len(alive)
+
+    def test_attribute_predictor_releases_each_step_graph(self, monkeypatch):
+        alive = self._roots_alive_at_build(monkeypatch, "cross_entropy")
+        T._train_attribute_predictor(
+            toy_spec("dadv_st", epochs=2, batch_size=4), tiny_split())
+        assert len(alive) >= 4 and alive == [0] * len(alive)
 
 
 class TestReproducibility:
