@@ -47,6 +47,14 @@ class TestDense:
             ad.dense(ad.Node(np.zeros((2, 2))), w, b)
 
 
+@pytest.fixture(scope="module")
+def expit():
+    """scipy is the reference only: tests that take this skip without it.
+    Loaded once, outside hypothesis's timed examples, since a cold
+    ``import scipy.special`` takes about as long as the 200 ms deadline."""
+    return pytest.importorskip("scipy.special").expit
+
+
 class TestActivations:
     def test_relu(self):
         out = ad.activation(ad.Node([[-1.0, 2.0]]), "relu")
@@ -61,15 +69,29 @@ class TestActivations:
                           st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(-800.0, 800.0),
                           st.sampled_from([0.0, -0.0, 700.5, -700.5, 745.2, -745.2]))))
-    def test_softplus_gradient_is_scipy_expit_bytes(self, v):
+    def test_softplus_gradient_is_scipy_expit_bytes(self, expit, v):
         """The per-element ``math.exp`` logistic has ``scipy.special.expit``'s
-        bytes, past |v| = 709 (where ``exp`` overflows) and at -0.0 too.
-        scipy is the reference only, so the test skips without it."""
-        expit = pytest.importorskip("scipy.special").expit
+        bytes, past |v| = 709 (where ``exp`` overflows) and at -0.0 too."""
         x = ad.Node(v)
         out = ad.softplus(x)
         out._backward(np.ones_like(out.value))
         assert x.grad.tobytes() == expit(v).tobytes()
+
+    def test_softplus_gradient_saturates_exactly(self):
+        """Without scipy too: the logistic is exactly 0.0 where ``math.exp``
+        overflows (v < -709.78), exactly 1.0 far right, exactly 0.5 at ±0,
+        and non-decreasing in between, with no numpy overflow warning."""
+        v = np.array([[-1e308, -745.2, -709.79, -709.78, -700.5, -1.0, -0.0],
+                      [0.0, 1.0, 700.5, 709.78, 709.79, 745.2, 1e308]])
+        x = ad.Node(v)
+        out = ad.softplus(x)
+        out._backward(np.ones_like(out.value))
+        g = x.grad.ravel()
+        assert g[:3].tolist() == [0.0, 0.0, 0.0]
+        assert 0.0 < g[3] < 1e-300  # exp(709.78) is finite: a subnormal
+        assert g[6:8].tolist() == [0.5, 0.5]
+        assert g[-4:].tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert np.all(np.diff(g) >= 0.0)
 
     def test_unknown_kind_rejected(self):
         for kind in ("gelu", "sigmoid"):
