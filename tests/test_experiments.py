@@ -588,14 +588,70 @@ def _run_stem(cfg, stem):
     return X.run_sweep(cfg, stem.removeprefix("sweep_"))
 
 
+# recorded on the same runs before the step log became the only per-epoch
+# record of the loss terms: one digest over the step-log bodies and one over
+# the checkpoints' payload_sha256, each over the files in sorted order
+STEP_LOG_PINS = {
+    "ablation": (
+        10, "c9a19e8731626bb0fceef7e7907d1cd9c4aa8d3f46bfc5a295e3b55e8818dad6"),
+    "results": (
+        4, "0041d351d91256392f62cb041ac3bcafde12de36e7b383cd88e46a17819d9c70"),
+    "sweep_lambda": (
+        4, "60f6d1629851b36af896da375de47028ecf2e9499040b57453f2e49454d3323e"),
+    "sweep_unlabeled_fraction": (
+        4, "55635891904832537bd6d31d01aec6891ee3e900ed54cec28275e83abae36591"),
+}
+CHECKPOINT_PINS = {
+    "ablation": (
+        10, "f6775afc759985391e3ba84b539f6e09b7feabca6114aca7ce34e6c6454023ef"),
+    "results": (
+        4, "2432fa8e34441936dc1ad7f8a9116f351f7b1d864f6ad0e0e1960319a981302a"),
+    "sweep_lambda": (
+        4, "4a4431f8df13204c3319bd3227f7c34cd13b94a78df38cb8cd460baf4083aa0a"),
+    "sweep_unlabeled_fraction": (
+        4, "791adddc46ca83e9239e809ca1cde04a5a13536c942abd4c151f65c3e9b9de5c"),
+}
+
+
+@pytest.fixture(scope="module")
+def stem_output(dataset, tmp_path_factory):
+    """The output directory of one tiny-config run per stem, run once."""
+    outputs = {}
+
+    def run(stem):
+        if stem not in outputs:
+            out = tmp_path_factory.mktemp(stem)
+            _run_stem(tiny_config(dataset, out), stem)
+            outputs[stem] = out
+        return outputs[stem]
+    return run
+
+
 class TestRunnerPins:
     @pytest.mark.parametrize("stem", sorted(RUNNER_PINS))
-    def test_tables_match_pins(self, dataset, tmp_path, stem):
-        _run_stem(tiny_config(dataset, tmp_path), stem)
+    def test_tables_match_pins(self, stem_output, stem):
+        out = stem_output(stem)
         digests = {f"{stem}{suffix}": _digest_after_header(
-            tmp_path / f"{stem}{suffix}")
+            out / f"{stem}{suffix}")
             for suffix in ("_raw.csv", "_agg.csv", ".txt")}
         assert digests == RUNNER_PINS[stem]
+
+    @pytest.mark.parametrize("stem", sorted(RUNNER_PINS))
+    def test_step_logs_match_pins(self, stem_output, stem):
+        """Every term of every step, each log read after its header line."""
+        logs = sorted((stem_output(stem) / "logs").iterdir())
+        digest = hashlib.sha256()
+        for path in logs:
+            digest.update(_digest_after_header(path).encode())
+        assert (len(logs), digest.hexdigest()) == STEP_LOG_PINS[stem]
+
+    @pytest.mark.parametrize("stem", sorted(RUNNER_PINS))
+    def test_checkpoints_match_pins(self, stem_output, stem):
+        paths = sorted((stem_output(stem) / "checkpoints").iterdir())
+        digest = hashlib.sha256()
+        for path in paths:
+            digest.update(M.load_bundle(path)[1]["payload_sha256"].encode())
+        assert (len(paths), digest.hexdigest()) == CHECKPOINT_PINS[stem]
 
 
 class TestFailedGridPoints:
