@@ -309,33 +309,22 @@ def _expit(v: np.ndarray) -> np.ndarray:
                     ).reshape(v.shape)
 
 
-_ACTIVATIONS = {
-    "relu": (lambda v: np.maximum(v, 0.0), lambda v, out: (v > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda v, out: 1.0 - out * out),
-    "softplus": (lambda v: np.logaddexp(0.0, v), lambda v, out: _expit(v)),
-}
-
-
-def activation(x, kind: str) -> Node:
+def relu(x) -> Node:
     x = as_node(x)
-    try:
-        fwd, deriv = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation kind: {kind!r}") from None
-    value = fwd(x.value)
-    return _node(value, kind, (x, lambda up: deriv(x.value, value) * up))
+    return _node(np.maximum(x.value, 0.0), "relu",
+                 (x, lambda up: (x.value > 0).astype(np.float64) * up))
 
 
-def relu(x):
-    return activation(x, "relu")
+def tanh(x) -> Node:
+    x = as_node(x)
+    value = np.tanh(x.value)
+    return _node(value, "tanh", (x, lambda up: (1.0 - value * value) * up))
 
 
-def tanh(x):
-    return activation(x, "tanh")
-
-
-def softplus(x):
-    return activation(x, "softplus")
+def softplus(x) -> Node:
+    x = as_node(x)
+    return _node(np.logaddexp(0.0, x.value), "softplus",
+                 (x, lambda up: _expit(x.value) * up))
 
 
 def softmax(x) -> Node:

@@ -1,7 +1,10 @@
 """Adult-format tabular ingestion, preprocessing, splitting and attribute masking.
 
-The sensitive attribute (the ``sex`` column) is removed from the feature
-vector by default and kept as a separate target ``z``. One container,
+The sensitive attribute (the ``sex`` column) is left out of the feature
+vector and kept as a separate target ``z``: fitted statistics always encode
+without it. ``Stats.include_sensitive`` records the encoding, so a checkpoint
+says which one it was trained on; an encoding with ``sex`` in ``x`` is asked
+for as ``dataclasses.replace(stats, include_sensitive=True)``. One container,
 ``Samples``, carries the encoded arrays from ``preprocess`` through the split
 to every mini-batch. Masking hides ``z`` for a seed-deterministic share of
 the training set: the split's unlabeled ``Samples`` have no ``z``, and their
@@ -182,7 +185,9 @@ def load_adult(train_path, test_path) -> tuple[Records, Records]:
 
 @dataclass
 class Stats:
-    """Train-split statistics that define the feature encoding."""
+    """Train-split statistics that define the feature encoding. They cover
+    every feature column, ``sex`` included; ``include_sensitive`` says whether
+    ``sex`` is encoded into ``x`` (never when fitted)."""
 
     cat_vocab: dict
     cat_mode: dict
@@ -220,7 +225,7 @@ class Samples:
                        None if self.z is None else self.z[index])
 
 
-def _fit_stats(records: Records, include_sensitive: bool) -> Stats:
+def _fit_stats(records: Records) -> Stats:
     cat_vocab, cat_mode, num_mean, num_std = {}, {}, {}, {}
     for name, kind in ADULT_SCHEMA:
         if name == LABEL_COLUMN:
@@ -237,24 +242,24 @@ def _fit_stats(records: Records, include_sensitive: bool) -> Stats:
             num_mean[name] = float(observed.mean()) if observed.size else 0.0
             std = float(observed.std()) if observed.size else 1.0
             num_std[name] = std if std > 0 else 1.0
-    return Stats(cat_vocab, cat_mode, num_mean, num_std, include_sensitive)
+    return Stats(cat_vocab, cat_mode, num_mean, num_std)
 
 
-def preprocess(records, stats: Stats | None = None,
-               include_sensitive: bool = False) -> tuple[Samples, Stats]:
+def preprocess(records, stats: Stats | None = None) -> tuple[Samples, Stats]:
     """Encode records as one-hot + standardized-numeric feature vectors.
 
     ``records`` is a ``Records`` table or a list of dicts built by hand, which
     ``Records.of`` checks as a file is. Pass the train-split ``stats`` when
     encoding test data so vocabularies and standardization constants come
     from training. Unknown categories encode as an all-zero block; missing
-    cells are imputed with the train mode/mean. The encoding runs column by
-    column into one float64 matrix.
+    cells are imputed with the train mode/mean. The encoded columns are
+    ``stats.feature_columns``. The encoding runs column by column into one
+    float64 matrix.
     """
     if not isinstance(records, Records):
         records = Records.of(records)
     if stats is None:
-        stats = _fit_stats(records, include_sensitive)
+        stats = _fit_stats(records)
     n = len(records)
     x = np.zeros((n, stats.feature_dim))
     rows = np.arange(n)
@@ -380,6 +385,9 @@ def split_and_mask(samples: Samples, val_frac: float, label_ratio: float,
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     perm = rng.permutation(n)
     n_val = int(math.floor(val_frac * n))
+    if n_val == 0:
+        raise ConfigError(f"val_frac {val_frac} of {n} rows keeps 0 validation "
+                          f"rows; model selection needs at least 1")
     val_index = np.sort(perm[:n_val])
     rest = perm[n_val:]
     n_lab = int(math.floor(label_ratio * len(rest)))

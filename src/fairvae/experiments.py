@@ -98,7 +98,6 @@ class ExperimentConfig(T.TrainingSettings):
     val_frac: float = 0.1
     sweep_backbone: str = "fm"   # the ablation and both sweeps run here
     sweep_ratio: float = 0.2
-    include_sensitive_feature: bool = False
     workers: int = 1
     save_checkpoints: bool = True
     save_logs: bool = True
@@ -162,13 +161,13 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-# per-process cache of preprocessed datasets, keyed by paths + flags; each
+# per-process cache of preprocessed datasets, keyed by the two paths; each
 # entry keeps the files' (size, mtime) so a file rewritten in place is reloaded
 _DATA_CACHE: dict = {}
 
 
 def load_dataset(cfg: ExperimentConfig):
-    key = (cfg.train_path, cfg.test_path, cfg.include_sensitive_feature)
+    key = (cfg.train_path, cfg.test_path)
     stamp = []
     for path in (cfg.train_path, cfg.test_path):
         try:
@@ -181,10 +180,8 @@ def load_dataset(cfg: ExperimentConfig):
     cached = _DATA_CACHE.get(key)
     if cached is None or cached[0] != stamp:
         train_records, test_records = D.load_adult(cfg.train_path, cfg.test_path)
-        train_samples, stats = D.preprocess(
-            train_records, include_sensitive=cfg.include_sensitive_feature)
-        test_samples, _ = D.preprocess(
-            test_records, stats, include_sensitive=cfg.include_sensitive_feature)
+        train_samples, stats = D.preprocess(train_records)
+        test_samples, _ = D.preprocess(test_records, stats)
         _DATA_CACHE[key] = (stamp, (train_samples, test_samples, stats))
     return _DATA_CACHE[key][1]
 
@@ -473,8 +470,7 @@ def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
             f"{checkpoint_path}: the checkpoint holds no encoding statistics "
             f"(extra.stats); save it with extra={{'stats': asdict(stats)}}"
         ) from None
-    return D.preprocess(D._read_adult_file(test_path), stats,
-                        include_sensitive=stats.include_sensitive)[0]
+    return D.preprocess(D._read_adult_file(test_path), stats)[0]
 
 
 def evaluate_checkpoint(checkpoint_path, test_path, seed: int = 0) -> MX.FairnessReport:

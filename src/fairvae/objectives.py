@@ -12,9 +12,9 @@ Sign conventions: the adversarial term is recorded raw; its minus-lambda
 weighting is realized structurally by the gradient-reversal layer inside the
 discriminator path, so the scalar being minimized contains +adversarial while
 the encoder receives the reversed, scaled gradient. Entropy terms on
-unlabeled data enter the minimized total with negative sign (both entropies
-are pushed up); ``negate_entropy_zhat`` flips the bias-aware one for the
-ablation study that rewards confident attribute predictions instead.
+unlabeled data enter the minimized total with negative sign, so both
+entropies are pushed up, as the classifier entropy is in the unlabeled bound
+of the M2 model (Kingma et al. 2014) that the semi-supervised VAE follows.
 
 On unlabeled data the reconstruction objective is marginalized over the
 enumerable attribute classes, weighted by the bias-aware predictor's class
@@ -44,7 +44,6 @@ class ObjectiveConfig:
     use_ztilde_in_decoder: bool = True
     use_entropy_zhat: bool = True
     use_entropy_ztilde: bool = True
-    negate_entropy_zhat: bool = False
 
     def __post_init__(self):
         M.check_types(self)
@@ -257,8 +256,7 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     if config.use_entropy_zhat:
         ent_attr = entropy(z_hat)
         raw["entropy_attr"] = float(ent_attr.value)
-        sign = 1.0 if config.negate_entropy_zhat else -1.0
-        s["entropy_attr"] = ad.scale(ent_attr, sign)
+        s["entropy_attr"] = ad.scale(ent_attr, -1.0)
     if config.use_entropy_ztilde:
         ent_adv = entropy(z_tilde)
         raw["entropy_adv"] = float(ent_adv.value)
@@ -282,7 +280,4 @@ def joint_loss(labeled_batch, unlabeled_batch, bundle: M.ModelBundle,
     if len(sides) == 1:
         return sides[0]
     (lab_total, lab_break), (unl_total, unl_break) = sides
-    combined = lab_break + unl_break
-    total = ad.add(lab_total, unl_total)
-    combined.total = float(total.value)
-    return total, combined
+    return ad.add(lab_total, unl_total), lab_break + unl_break

@@ -177,10 +177,9 @@ class MethodSpec(TrainingSettings):
 
 @dataclass
 class TrainReport:
-    method: str
-    backbone: str
-    seed: int
-    epoch_losses: list = field(default_factory=list)
+    """What a run records besides its step log (``train``'s ``log_writer``,
+    which receives every loss term of every step)."""
+
     val_history: list = field(default_factory=list)
     selected_epoch: int = -1
     epoch_seconds: list = field(default_factory=list)
@@ -234,8 +233,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
     opt = Adam(bundle.trainable_parameters(), lr=spec.lr)
     rng_drop = _stream(spec.seed, 11)
     rng_eps = _stream(spec.seed, 12)
-    report = TrainReport(method=spec.method, backbone=spec.backbone,
-                         seed=spec.seed)
+    report = TrainReport()
     shadow_before = split.shadow_reads
     burn_in = spec.epochs // 2  # compare converged checkpoints only
     best_criterion = -np.inf
@@ -246,15 +244,13 @@ def train(spec: MethodSpec, split: DatasetSplit,
 
     for epoch in range(spec.epochs):
         t0 = time.perf_counter()
-        agg: dict[str, float] = {}
-        steps = 0
         if spec.method == "plain":
             stream = ((b, None) for b in single_stream_batches(
                 train_all, spec.batch_size, spec.seed, epoch))
         else:
             stream = batches(split, spec.batch_size, spec.seed, epoch)
-        for lab, unl in stream:
-            with _step_context(f"method={spec.method} epoch={epoch} step={steps}"):
+        for step, (lab, unl) in enumerate(stream):
+            with _step_context(f"method={spec.method} epoch={epoch} step={step}"):
                 total, br = O.joint_loss(
                     lab, unl, bundle, spec.objective,
                     _epsilon(bundle, rng_eps, lab, spec.latent_dim),
@@ -265,15 +261,11 @@ def train(spec: MethodSpec, split: DatasetSplit,
                 opt.step()
                 # release this step's graph before joint_loss builds the next
                 del total
-            for key, value in br.as_dict().items():
-                agg[key] = agg.get(key, 0.0) + value
             if log_writer is not None:
                 log_writer({"step": step_index, "epoch": epoch,
                             "lambda": spec.grl_lambda, "lr": spec.lr,
                             **br.as_dict()})
-            steps += 1
             step_index += 1
-        report.epoch_losses.append({k: v / steps for k, v in agg.items()})
         val = _validation_criterion(bundle, split)
         report.val_history.append(val)
         report.epoch_seconds.append(time.perf_counter() - t0)
@@ -349,7 +341,6 @@ def self_train(spec: MethodSpec, split: DatasetSplit,
 
     bundle, report = train(replace(spec, method=base_method), aug_split,
                            log_writer=log_writer)
-    report.method = spec.method
     # diagnostic only, computed after the optimization phase
     if confident.any():
         shadow = split.shadow_unlabeled_attributes()

@@ -101,8 +101,7 @@ def _decode(state, zt, zh, h):
 
 def reference_losses(state, lab, unl, eps_lab, eps_unl, *, k=2,
                      use_zhat=True, use_ztilde=True, use_ent_zhat=True,
-                     use_ent_ztilde=True, negate_ent_zhat=False,
-                     zt_pin_unl=None):
+                     use_ent_ztilde=True, zt_pin_unl=None):
     """Straight-line forward of the dnn-backbone joint objective.
 
     Returns a dict with every term plus ``std`` (all terms whose gradients
@@ -169,12 +168,11 @@ def reference_losses(state, lab, unl, eps_lab, eps_unl, *, k=2,
     out["ent_attr"] = entropy_mean(z_hat_u) if use_ent_zhat else 0.0
     out["ent_adv"] = entropy_mean(z_tilde_u) if use_ent_ztilde else 0.0
 
-    sign_attr = 1.0 if negate_ent_zhat else -1.0
     out["std"] = (out["attr"] + out["orth_lab"] + out["task_lab"]
                   + out["recon_lab"] + out["kl_lab"] + out["prior_lab"]
                   + out["orth_unl"] + out["task_unl"] + out["recon_unl"]
                   + out["kl_unl"] + out["prior_unl"]
-                  + sign_attr * out["ent_attr"])
+                  - out["ent_attr"])
     out["adv"] = out["adv_lab"] - out["ent_adv"]
     out["total"] = out["std"] + out["adv"]
     return out

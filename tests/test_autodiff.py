@@ -57,11 +57,11 @@ def expit():
 
 class TestActivations:
     def test_relu(self):
-        out = ad.activation(ad.Node([[-1.0, 2.0]]), "relu")
+        out = ad.relu(ad.Node([[-1.0, 2.0]]))
         np.testing.assert_array_equal(out.value, [[0.0, 2.0]])
 
     def test_softplus_at_zero(self):
-        out = ad.activation(ad.Node([[0.0]]), "softplus")
+        out = ad.softplus(ad.Node([[0.0]]))
         np.testing.assert_allclose(out.value, [[math.log(2)]], atol=1e-12)
 
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -92,11 +92,6 @@ class TestActivations:
         assert g[6:8].tolist() == [0.5, 0.5]
         assert g[-4:].tolist() == [1.0, 1.0, 1.0, 1.0]
         assert np.all(np.diff(g) >= 0.0)
-
-    def test_unknown_kind_rejected(self):
-        for kind in ("gelu", "sigmoid"):
-            with pytest.raises(ValueError, match=kind):
-                ad.activation(ad.Node([[0.0]]), kind)
 
 
 class TestSoftmax:

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,15 @@ def _encoded(samples, width):
     return (np.array([s.x for s in samples], dtype=float).reshape(-1, width),
             np.array([s.y for s in samples], dtype=np.int64),
             np.array([s.z for s in samples], dtype=np.int64))
+
+
+def _fit(records, include_sensitive: bool):
+    """Fit statistics on ``records`` and encode them, with ``sex`` in ``x``
+    when ``include_sensitive``: fitting leaves it out, so the fitted
+    statistics are replaced to put it back."""
+    _, stats = D.preprocess(records)
+    return D.preprocess(records,
+                        replace(stats, include_sensitive=include_sensitive))
 
 
 # sha256 prefixes of the row-by-row encoder's output for the adult_files
@@ -163,9 +172,11 @@ class TestPreprocess:
         samples, stats = D.preprocess(train)
         assert not any(n == "sex" for n, _ in stats.feature_columns)
         assert {s.z for s in samples} == {0, 1}
-        # re-including it for ablation widens the feature vector
-        samples_inc, stats_inc = D.preprocess(train, include_sensitive=True)
+        # an encoding that keeps it widens the feature vector
+        stats_inc = replace(stats, include_sensitive=True)
+        samples_inc, _ = D.preprocess(train, stats_inc)
         assert stats_inc.feature_dim == stats.feature_dim + 2
+        assert samples_inc.x.shape == (len(train), stats.feature_dim + 2)
 
     def test_standardization_center(self):
         records = []
@@ -238,10 +249,8 @@ class TestPreprocess:
     @pytest.mark.parametrize("include_sensitive", [False, True])
     def test_encoding_pinned(self, loaded, include_sensitive):
         train, test = loaded
-        train_samples, stats = D.preprocess(
-            train, include_sensitive=include_sensitive)
-        test_samples, _ = D.preprocess(test, stats,
-                                       include_sensitive=include_sensitive)
+        train_samples, stats = _fit(train, include_sensitive)
+        test_samples, _ = D.preprocess(test, stats)
         digests = {}
         for part, samples in (("train", train_samples), ("test", test_samples)):
             x, y, z = _encoded(samples, stats.feature_dim)
@@ -257,11 +266,10 @@ class TestPreprocess:
            include_sensitive=st.booleans())
     def test_matches_row_by_row_reference(self, train, other,
                                           include_sensitive):
-        samples, stats = D.preprocess(train, include_sensitive=include_sensitive)
+        samples, stats = _fit(train, include_sensitive)
         assert (stats.cat_vocab, stats.cat_mode, stats.num_mean,
                 stats.num_std) == oracles.reference_stats(train, D.ADULT_SCHEMA)
-        other_samples, _ = D.preprocess(other, stats,
-                                        include_sensitive=include_sensitive)
+        other_samples, _ = D.preprocess(other, stats)
         for records, got in ((train, samples), (other, other_samples)):
             want = oracles.reference_encode(records, stats)
             assert ([a.tobytes() for a in _encoded(got, stats.feature_dim)]
@@ -404,9 +412,8 @@ class TestRecords:
                 f"{path}:{index + 1 + banner}"
                 + str(by_hand.value)[len(f"record {index}"):])
             return
-        got = D.preprocess(D._read_adult_file(path),
-                           include_sensitive=include_sensitive)
-        want = D.preprocess(records, include_sensitive=include_sensitive)
+        got = _fit(D._read_adult_file(path), include_sensitive)
+        want = _fit(records, include_sensitive)
         assert [a.tobytes() for a in (got[0].x, got[0].y, got[0].z)] == \
             [a.tobytes() for a in (want[0].x, want[0].y, want[0].z)]
         assert json.dumps(asdict(got[1]), sort_keys=True) == \
@@ -466,6 +473,17 @@ class TestSplitAndMask:
             D.split_and_mask(samples, 0.1, 0.001, seed=0)
         assert D.split_and_mask(samples, 0.1, 1 / 270, seed=0).n_labeled == 1
 
+    def test_val_frac_flooring_to_zero_validation_rows_rejected(self):
+        """Caught at the split, not when the first epoch's validation finds
+        no rows to score."""
+        parity = np.arange(60) % 2
+        samples = D.Samples(np.zeros((60, 3)), parity, parity)
+        with pytest.raises(D.ConfigError,
+                           match=r"val_frac 0\.01 of 60 rows keeps 0 "
+                                 r"validation rows"):
+            D.split_and_mask(samples, 0.01, 0.5, seed=0)
+        assert len(D.split_and_mask(samples, 1 / 60, 0.5, seed=0).val) == 1
+
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(0, 80),
            val_frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -477,6 +495,10 @@ class TestSplitAndMask:
         samples = D.Samples(rows[:, None].astype(float), rows % 2, (rows // 3) % 2)
         n_val = math.floor(val_frac * n)
         n_lab = math.floor(label_ratio * (n - n_val))
+        if n_val == 0:
+            with pytest.raises(D.ConfigError, match="0 validation rows"):
+                D.split_and_mask(samples, val_frac, label_ratio, seed)
+            return
         if n_lab == 0:
             with pytest.raises(D.ConfigError, match="0 labeled rows"):
                 D.split_and_mask(samples, val_frac, label_ratio, seed)

@@ -58,7 +58,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["use_entropy_zhat", "use_zhat_in_decoder",
                                      "negate_entropy_zhat", "ablation_backbone",
-                                     "ablation_ratio"])
+                                     "ablation_ratio",
+                                     "include_sensitive_feature"])
     def test_removed_flat_key_rejected(self, tmp_path, key):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({key: False}))
@@ -84,6 +85,10 @@ class TestConfig:
             X.ExperimentConfig.from_file(path)
         with pytest.raises(ConfigError, match="objective must be a JSON object"):
             X.ExperimentConfig(objective=[False])
+        # a removed switch reads as any other unknown key
+        with pytest.raises(ConfigError, match=r"unknown objective keys: "
+                                              r"\['negate_entropy_zhat'\]"):
+            X.ExperimentConfig(objective={"negate_entropy_zhat": True})
 
     def test_hash_tracks_content(self, dataset, tmp_path):
         a = tiny_config(dataset, tmp_path)
@@ -830,7 +835,7 @@ class TestBoundaryChecks:
     "unlabeled_fractions": st.lists(st.floats(0.0, 1.0), unique=True,
                                     min_size=1, max_size=4),
     "methods": st.lists(st.sampled_from(T.METHODS), unique=True, min_size=1),
-    "include_sensitive_feature": st.booleans(), "save_logs": st.booleans(),
+    "save_logs": st.booleans(),
     "objective": st.builds(ObjectiveConfig, **{
         f.name: st.booleans() for f in fields(ObjectiveConfig)}),
 }))

@@ -15,13 +15,12 @@ def scalar(node):
     return float(node.value)
 
 
-def expected_total(br, config):
+def expected_total(br):
     """The minimized total rebuilt from a breakdown's raw terms: both
-    entropies subtracted unless ``negate_entropy_zhat`` flips the first."""
-    sign_attr = 1.0 if config.negate_entropy_zhat else -1.0
+    entropies subtracted."""
     return (br.attr_pred + br.adversarial + br.orthogonality + br.task
             + br.reconstruction + br.kl + br.log_prior
-            + sign_attr * br.entropy_attr - br.entropy_adv)
+            - br.entropy_attr - br.entropy_adv)
 
 
 class TestCrossEntropyTerms:
@@ -216,7 +215,7 @@ class TestLabeledLoss:
         assert br.attr_pred == pytest.approx(math.log(2), abs=1e-12)
         assert br.adversarial == pytest.approx(math.log(2), abs=1e-12)
         assert br.task == pytest.approx(math.log(2), abs=1e-12)
-        assert br.total == pytest.approx(expected_total(br, config), abs=1e-10)
+        assert br.total == pytest.approx(expected_total(br), abs=1e-10)
 
     def test_matches_reference_forward(self, setup):
         bundle, config, lab, _, eps_l, _ = setup
@@ -310,23 +309,12 @@ class TestUnlabeledLoss:
                                          abs=1e-10)
         assert br.entropy_attr > 0 and br.entropy_adv > 0
 
-    def test_negate_entropy_zhat_flips_only_that_sign(self, setup):
-        bundle, _, _, unl, _, eps_u = setup
-        _, base = O.unlabeled_loss(unl, bundle, O.ObjectiveConfig(), eps_u)
-        flipped_cfg = O.ObjectiveConfig(negate_entropy_zhat=True)
-        _, flipped = O.unlabeled_loss(unl, bundle, flipped_cfg, eps_u)
-        assert flipped.entropy_attr == base.entropy_attr
-        assert flipped.total == pytest.approx(
-            base.total + 2 * base.entropy_attr, abs=1e-10)
-        assert flipped.total == pytest.approx(
-            expected_total(flipped, flipped_cfg), abs=1e-10)
-
     def test_entropy_switch_pins_term_to_zero(self, setup):
         bundle, _, _, unl, _, eps_u = setup
         cfg = O.ObjectiveConfig(use_entropy_zhat=False)
         _, br = O.unlabeled_loss(unl, bundle, cfg, eps_u)
         assert br.entropy_attr == 0.0
-        assert br.total == pytest.approx(expected_total(br, cfg), abs=1e-10)
+        assert br.total == pytest.approx(expected_total(br), abs=1e-10)
 
     def test_observed_attributes_rejected(self, setup):
         bundle, config, lab, _, eps_l, _ = setup
