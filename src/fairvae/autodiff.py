@@ -31,12 +31,26 @@ A node that does not track gradients keeps neither its parents nor a backward
 closure. Inside ``no_grad`` no op result tracks gradients, so an evaluation
 pass releases each intermediate value as soon as nothing else holds it.
 
+Fused ops: a fused loss term (``objectives``) is one op standing for a chain
+of primitives. Its vjps replay the chain: the same numpy operations in the
+same order, with ``_first_touch`` wherever the chain stored the first
+gradient of one of its nodes, so every gradient keeps the chain's bits (a
+first touch of an array that already went through one of the same shape
+changes no bit, so a vjp skips it). A chain may be fused only where each
+input then receives its gradients in the same order among all the gradients
+added into it. So the fused node lists its parents in the order in which the
+chain's nodes listed them, which keeps the order of the graph walk
+(``_topological_order``), and an input that the chain reaches twice gets two
+``(parent, vjp)`` pairs in the chain's order, never their sum: another
+consumer's gradient may already sit in its buffer. ``_mean_node`` fuses a
+per-row op with the mean over its rows.
+
 Everything is float64 and single-threaded per graph; there is no broadcasting
 machinery beyond what the ops here need (matrix/vector shapes, row-wise
 reductions, bias rows).
 
 No scipy module is imported: the softplus derivative (``_expit``) has
-``scipy.special.expit``'s bits without it.
+``scipy.special.expit``'s bits without it, from the C library's ``exp``.
 """
 
 from __future__ import annotations
@@ -163,12 +177,32 @@ def _accumulate(node: Node, grad) -> None:
     without a buffer follows the first-touch rule (module docstring)."""
     if node.grad is not None:
         node.grad += grad
-    elif grad.shape == node.value.shape:
-        # numpy returns a 0-d sum as a scalar; asarray gives it its own buffer
-        node.grad = np.asarray(grad + 0.0)
     else:
-        node.grad = np.zeros_like(node.value)
-        node.grad += grad
+        node.grad = _first_touch(grad, node.value.shape)
+
+
+def _first_touch(grad, shape: tuple) -> np.ndarray:
+    """The buffer that the first gradient into a node of ``shape`` makes: the
+    bits of ``zeros(shape) + grad``, in an array of its own."""
+    if grad.shape == shape:
+        # numpy returns a 0-d sum as a scalar; asarray gives it its own buffer
+        return np.asarray(grad + 0.0)
+    buffer = np.zeros(shape)
+    buffer += grad
+    return buffer
+
+
+def _mean_node(rows: np.ndarray, op: str, *inputs) -> Node:
+    """``mean_all`` of the per-row op ``_node(rows, op, *inputs)`` as one node:
+    each vjp gets the rows' gradient as the unfused ``mean`` would have stored
+    it, ``up / n`` added into a zero-filled buffer."""
+    n = rows.size
+
+    def through_mean(vjp):
+        return lambda up: vjp(_first_touch(up / n, rows.shape))
+
+    return _node(rows.mean(), op, *[(parent, through_mean(vjp))
+                                    for parent, vjp in inputs])
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -301,12 +335,21 @@ def _logistic(u: float) -> float:
 
 def _expit(v: np.ndarray) -> np.ndarray:
     """The logistic of every entry of ``v`` with ``scipy.special.expit``'s
-    bits: ``math.exp`` calls libm's ``exp``, as expit does, where numpy's
-    vectorised ``exp`` rounds some inputs differently and would change every
-    trained parameter's bytes. One Python call per element costs about 20
-    times expit's time: 0.7-0.9 ms for a 128 x 32 array."""
-    return np.array(list(map(_logistic, np.negative(v).ravel().tolist()))
-                    ).reshape(v.shape)
+    bits, which are libm's ``exp``: numpy's real ``exp`` rounds some inputs
+    differently and would change every trained parameter's bytes.
+
+    ``exp(-v)`` is the real part of numpy's complex ``exp`` of ``-v + 0i``,
+    which calls the C library's ``cexp``; glibc's returns libm's ``exp(x)``
+    for ``x + 0i`` up to x = 709, but above that scales by ``exp(709)`` and
+    rounds twice. So ``-v`` is capped at 709 there, and the few entries past
+    it take the per-element ``_logistic``."""
+    u = np.negative(v)
+    e = np.exp(np.minimum(u, 709.0).astype(np.complex128)).real
+    out = np.asarray(1.0 / (1.0 + e))  # an array for 0-d input too
+    beyond = u > 709.0
+    if beyond.any():
+        out[beyond] = list(map(_logistic, u[beyond].tolist()))
+    return out
 
 
 def relu(x) -> Node:

@@ -21,6 +21,13 @@ enumerable attribute classes, weighted by the bias-aware predictor's class
 probabilities; those weights stay in the graph (they are how reconstruction
 sharpens the predictor), while the discriminator's soft labels are detached
 before entering the decoder.
+
+The cross-entropy, reconstruction and KL terms are each one autodiff op
+whose gradients have the bits of the chain of primitives it stands for
+(``autodiff``'s fused ops; the comment above the terms says how), so a step
+builds one node for each instead of one per array operation. The entropy,
+orthogonality and class-weighted sums stay built from primitives: fusing
+them saved no time that a benchmark could tell from noise.
 """
 
 from __future__ import annotations
@@ -84,14 +91,48 @@ def one_hot(labels, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # individual terms (batch means); per-sample row variants where the
 # marginalization needs them
+#
+# A row builder returns the rows' value and the (parent, vjp) pairs whose vjps
+# map the rows' gradient to each parent's; the term's one node is then
+# ``ad._node`` of the rows or ``ad._mean_node`` of their mean. A vjp replays
+# the primitive chain the term stands for (kept in tests/oracles.py as the
+# reference): the same numpy operations in the same order, with
+# ``ad._first_touch`` wherever the chain stored the first gradient of one of
+# its nodes. An input that the chain reached twice gets two pairs,
+# so its buffer sees the same two additions in the same order.
+
+
+def _ce_rows(target, probs):
+    """``-sum(target * log(clip(probs)))`` per row: the chain ``log_clipped``,
+    ``mul(target, .)``, ``sum_rows``, ``scale(-1)``. A target that tracks
+    gradients is the mul's first input."""
+    target, probs = ad.as_node(target), ad.as_node(probs)
+    t, p = target.value, probs.value
+    if t.shape != p.shape:
+        raise ad.ShapeMismatch(
+            f"cross-entropy target {t.shape} does not match probabilities {p.shape}"
+        )
+    clipped = np.clip(p, ad.LOG_FLOOR, 1.0)
+    inside = ((p >= ad.LOG_FLOOR) & (p <= 1.0)).astype(np.float64)
+    log_p = np.log(clipped)
+    rows = (t * log_p).sum(axis=1) * -1.0
+
+    def product(up):  # the gradient stored at target * log p
+        return ad._first_touch(ad._first_touch(-1.0 * up, rows.shape)[:, None],
+                               p.shape)
+
+    inputs = [(probs, lambda up: inside * ad._first_touch(t * product(up),
+                                                          p.shape) / clipped)]
+    if target.requires_grad:
+        inputs.insert(0, (target, lambda up: log_p * product(up)))
+    return rows, inputs
 
 
 def cross_entropy(target, probs) -> ad.Node:
     """Mean cross-entropy of class probabilities against one-hot targets: the
-    task, adversarial and attr_pred terms."""
-    target = ad.as_node(target)
-    return ad.mean_all(ad.scale(
-        ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0))
+    task, adversarial and attr_pred terms. The two shapes must be equal."""
+    rows, inputs = _ce_rows(target, probs)
+    return ad._mean_node(rows, "cross_entropy", *inputs)
 
 
 def orthogonality_loss(r_f, r_b) -> ad.Node:
@@ -99,34 +140,65 @@ def orthogonality_loss(r_f, r_b) -> ad.Node:
     return ad.mean_all(ad.abs_row_cosine(r_f, r_b)[0])
 
 
-def _recon_rows(x, x_hat) -> ad.Node:
-    x = ad.as_node(x)
+def _recon_rows(x, x_hat):
+    """Mean squared error per row: the chain ``sub(x_hat, x)``, ``square``,
+    ``sum_rows``, ``scale(1/d)``."""
+    x, x_hat = ad.as_node(x), ad.as_node(x_hat)
     if x.value.shape != x_hat.value.shape:
         raise ad.ShapeMismatch(
             f"reconstruction shapes differ: {x_hat.value.shape} vs {x.value.shape}"
         )
-    d = x.value.shape[1]
-    return ad.scale(ad.sum_rows(ad.square(ad.sub(x_hat, x))), 1.0 / d)
+    c = 1.0 / x.value.shape[1]
+    diff = x_hat.value - x.value
+    rows = (diff * diff).sum(axis=1) * c
+
+    def diff_grad(up):  # the gradient stored at x_hat - x
+        g = ad._first_touch(c * up, rows.shape)
+        g = ad._first_touch(g[:, None], diff.shape)
+        return ad._first_touch(2.0 * diff * g, diff.shape)
+
+    inputs = [(x_hat, diff_grad)]
+    if x.requires_grad:
+        inputs.append((x, lambda up: -diff_grad(up)))
+    return rows, inputs
 
 
 def reconstruction_loss(x, x_hat) -> ad.Node:
-    return ad.mean_all(_recon_rows(x, x_hat))
+    rows, inputs = _recon_rows(x, x_hat)
+    return ad._mean_node(rows, "reconstruction", *inputs)
 
 
-def _kl_rows(mu, sigma) -> ad.Node:
+def _kl_rows(mu, sigma):
+    """KL(N(mu, sigma^2) || N(0, 1)) per row: the chain
+    ``0.5 * sum_rows((mu^2 + sigma^2) - (log(sigma^2) + 1))``, in which sigma
+    is squared twice, first for the sum and then for the log."""
+    mu, sigma = ad.as_node(mu), ad.as_node(sigma)
     if np.any(sigma.value <= 0):
         raise ValueError("kl divergence needs strictly positive sigma")
-    n, k = mu.value.shape
-    inner = ad.sub(
-        ad.add(ad.square(mu), ad.square(sigma)),
-        ad.add(ad.log_clipped(ad.square(sigma), hi=np.inf),
-               np.ones((n, k))),
-    )
-    return ad.scale(ad.sum_rows(inner), 0.5)
+    m, s = mu.value, sigma.value
+    s2 = s * s
+    clipped = np.clip(s2, ad.LOG_FLOOR, np.inf)
+    inside = ((s2 >= ad.LOG_FLOOR) & (s2 <= np.inf)).astype(np.float64)
+    rows = ((m * m + s2) - (np.log(clipped) + np.ones(m.shape))).sum(axis=1) * 0.5
+
+    def inner(up):  # the gradient stored at the difference
+        return ad._first_touch(ad._first_touch(0.5 * up, rows.shape)[:, None],
+                               m.shape)
+
+    def log_square(up):  # stored at log(sigma^2) + 1, then at the second sigma^2
+        g = ad._first_touch(-inner(up), m.shape)
+        return ad._first_touch(inside * g / clipped, m.shape)
+
+    # the sum, mu^2 and the first sigma^2 store inner's gradient as it is:
+    # a first touch of a first touch has its bits
+    return rows, [(mu, lambda up: 2.0 * m * inner(up)),
+                  (sigma, lambda up: 2.0 * s * inner(up)),
+                  (sigma, lambda up: 2.0 * s * log_square(up))]
 
 
 def kl_to_standard_normal(mu, sigma) -> ad.Node:
-    return ad.mean_all(_kl_rows(mu, sigma))
+    rows, inputs = _kl_rows(mu, sigma)
+    return ad._mean_node(rows, "kl", *inputs)
 
 
 def _entropy_rows(p) -> ad.Node:
@@ -235,7 +307,8 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
 
     mu, sigma = bundle.vae.latent(batch.x)
     h = ad.reparameterize(mu, sigma, epsilon)
-    kl_rows = _kl_rows(mu, sigma)
+    rows, inputs = _kl_rows(mu, sigma)
+    kl_rows = ad._node(rows, "kl_rows", *inputs)
     zt_slot = z_tilde.detach() if config.use_ztilde_in_decoder \
         else ad.as_node(np.zeros((n, k)))
 
@@ -245,7 +318,8 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
         slot = one_hot(np.full(n, c), k) if config.use_zhat_in_decoder \
             else np.zeros((n, k))
         x_hat_c = bundle.vae.decode(zt_slot, slot, h)
-        recon_parts.append(ad.mul(weight, _recon_rows(batch.x, x_hat_c)))
+        rows, inputs = _recon_rows(batch.x, x_hat_c)
+        recon_parts.append(ad.mul(weight, ad._node(rows, "recon_rows", *inputs)))
         kl_parts.append(ad.mul(weight, kl_rows))
         prior_parts.append(ad.mul(weight, np.full(n, LOG2)))
     s["reconstruction"] = ad.mean_all(_sum_nodes(recon_parts))

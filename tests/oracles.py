@@ -7,11 +7,15 @@ minimized total split into the standard part and the adversarial-path part
 detached discriminator slot pinned to caller-supplied values. That split is
 what lets finite differences reproduce the gradients the graph claims.
 
-Two references are graph-built. ``elbo_term`` is the single-branch ELBO
+Some references are graph-built. ``elbo_term`` is the single-branch ELBO
 for given decoder slots, which the marginalized unlabeled loss must
 reproduce as a probability-weighted sum of branches. ``graph_leakage_probe``
 fits the leakage probe through the autodiff graph, whose weights the
-graph-free ``metrics._fit_probe`` must reproduce bit for bit.
+graph-free ``metrics._fit_probe`` must reproduce bit for bit. The
+``chain_*`` functions build the cross-entropy, reconstruction and KL terms
+from autodiff primitives, one node per operation; each of those terms in
+``objectives`` is one op whose value and input gradients must have these
+chains' bytes.
 
 ``reference_stats`` and ``reference_encode`` re-derive the Adult feature
 encoding one row and one cell at a time, for comparison with the
@@ -176,6 +180,38 @@ def reference_losses(state, lab, unl, eps_lab, eps_unl, *, k=2,
     out["adv"] = out["adv_lab"] - out["ent_adv"]
     out["total"] = out["std"] + out["adv"]
     return out
+
+
+def chain_cross_entropy(target, probs):
+    from fairvae import autodiff as ad
+    return ad.mean_all(ad.scale(
+        ad.sum_rows(ad.mul(target, ad.log_clipped(probs))), -1.0))
+
+
+def chain_recon_rows(x, x_hat):
+    from fairvae import autodiff as ad
+    d = x_hat.value.shape[1]
+    return ad.scale(ad.sum_rows(ad.square(ad.sub(x_hat, x))), 1.0 / d)
+
+
+def chain_kl_rows(mu, sigma):
+    from fairvae import autodiff as ad
+    n, k = mu.value.shape
+    inner = ad.sub(
+        ad.add(ad.square(mu), ad.square(sigma)),
+        ad.add(ad.log_clipped(ad.square(sigma), hi=np.inf), np.ones((n, k))),
+    )
+    return ad.scale(ad.sum_rows(inner), 0.5)
+
+
+def backward_from(root, up):
+    """``autodiff.backward`` from a root of any shape, whose gradient is
+    ``up`` as given (a ``-0.0`` included), without the first-touch copy."""
+    from fairvae import autodiff as ad
+    root.grad = up
+    for node in ad._topological_order(root):
+        if node._backward is not None:
+            node._backward(node.grad)
 
 
 def elbo_term(x, z_slot, z_tilde_slot, bundle, epsilon):

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fairvae import autodiff as ad
+from fairvae import objectives as O
 from gradcheck import check_grads, fd_grads, graph_nodes
 
 
@@ -47,6 +49,19 @@ class TestDense:
             ad.dense(ad.Node(np.zeros((2, 2))), w, b)
 
 
+def assert_logistic_bytes(v):
+    """``_expit(v)`` has the bytes of ``_logistic`` applied per element, with
+    no numpy warning and no overflow, division or invalid-value flag."""
+    want = np.array([ad._logistic(u) for u in (-v).ravel().tolist()]
+                    ).reshape(v.shape)
+    with warnings.catch_warnings(), \
+            np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = ad._expit(v)
+    assert (got.dtype, got.shape, got.tobytes()) == \
+        (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.fixture(scope="module")
 def expit():
     """scipy is the reference only: tests that take this skip without it.
@@ -76,6 +91,28 @@ class TestActivations:
         out = ad.softplus(x)
         out._backward(np.ones_like(out.value))
         assert x.grad.tobytes() == expit(v).tobytes()
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=16),
+                      elements=st.one_of(
+                          st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-50.0, 50.0),
+                          st.floats(-746.0, -708.0, exclude_min=True,
+                                    exclude_max=True)),
+                      fill=st.nothing()))
+    def test_logistic_is_the_per_element_reference_bytes(self, v):
+        """Without scipy: the vectorised logistic has the bytes of the
+        per-element ``_logistic`` over every finite float, and densely where
+        -v is in (708, 746), the band where the complex ``exp`` scales its
+        result and where ``exp`` overflows; it warns about nothing."""
+        assert_logistic_bytes(v)
+
+    def test_logistic_is_the_reference_bytes_on_a_grid(self):
+        """The same on fixed draws: 100,001 points of -v in [708, 746] and
+        normal draws at four scales."""
+        rng = np.random.default_rng(0)
+        assert_logistic_bytes(-np.linspace(708.0, 746.0, 100_001))
+        for scale in (0.3, 3.0, 30.0, 300.0):
+            assert_logistic_bytes(scale * rng.standard_normal((250, 100)))
 
     def test_softplus_gradient_saturates_exactly(self):
         """Without scipy too: the logistic is exactly 0.0 where ``math.exp``
@@ -334,6 +371,14 @@ FD_CASES = {
                        lambda p: ad.mean_all(ad.square(ad.reparameterize(
                            p[0], ad.softplus(p[1]),
                            np.random.default_rng(1).standard_normal((4, 3)))))),
+    # the fused loss terms, each one op (tests/test_objectives.py checks their
+    # bytes against the primitive chains); the target and x track gradients here
+    "cross_entropy": ([(4, 3), (4, 3)],
+                      lambda p: O.cross_entropy(p[0], ad.softmax(p[1]))),
+    "reconstruction": ([(4, 3), (4, 3)],
+                       lambda p: O.reconstruction_loss(p[0], p[1])),
+    "kl": ([(4, 3), (4, 3)],
+           lambda p: O.kl_to_standard_normal(p[0], ad.softplus(p[1]))),
     "dropout": ([(4, 3)],
                 lambda p: ad.mean_all(ad.dropout(
                     p[0], 0.25, training=True, rng=np.random.default_rng(2)))),

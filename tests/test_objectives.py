@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairvae import autodiff as ad
 from fairvae import models as M
@@ -41,6 +44,94 @@ class TestCrossEntropyTerms:
         for p in bundle.parameters():
             if p.name.startswith("bias_free"):
                 assert np.all(p.grad == 0.0), p.name
+
+
+class TestCrossEntropyShapes:
+    @pytest.mark.parametrize("target_shape", [(4, 1), (1, 2), (4, 3), (3, 2)])
+    def test_mismatched_target_rejected_naming_both_shapes(self, target_shape):
+        """A broadcastable target used to sum log-probabilities silently."""
+        probs = ad.softmax(ad.Node(np.zeros((4, 2))))
+        with pytest.raises(ad.ShapeMismatch,
+                           match=re.escape(f"{target_shape}") + r".*\(4, 2\)"):
+            O.cross_entropy(np.ones(target_shape), probs)
+
+
+# draws for the fused terms: probabilities below LOG_FLOOR, exact (and
+# negative) zeros, values outside [0, 1]; upstream gradients with -0.0
+_PROB = st.one_of(st.floats(0.0, 1.0),
+                  st.sampled_from([0.0, -0.0, 1e-300, 5e-13, ad.LOG_FLOOR, 1.0]),
+                  st.floats(-1.0, 2.0))
+_REAL = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0]))
+_SIGMA = st.one_of(st.floats(1e-9, 3.0), st.sampled_from([1e-300, 1e-7, 1e-6]))
+_UP = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([1.0, 0.0, -0.0]))
+
+
+@st.composite
+def _case(draw, elements, up_rows=False):
+    """Input arrays of one n x k shape, one prefilled gradient or None per
+    input, and an upstream gradient: a scalar, or one per row."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    values = [draw(hnp.arrays(np.float64, (n, k), elements=e)) for e in elements]
+    prefills = [draw(st.none() | hnp.arrays(np.float64, (n, k), elements=_REAL))
+                for _ in elements]
+    up = draw(hnp.arrays(np.float64, (n,) if up_rows else (), elements=_UP))
+    return values, prefills, up
+
+
+def _run(build, values, prefills, up):
+    """The root's value and each input leaf's gradient bytes after a backward
+    pass from ``up``. An input without a prefill sits behind ``scale(., 1.0)``,
+    so its first gradient follows the first-touch rule; a prefilled leaf
+    already holds a gradient, so the order of additions shows in its bytes."""
+    leaves, inputs = [], []
+    for value, prefill in zip(values, prefills):
+        leaf = ad.Node(value)
+        if prefill is None:
+            inputs.append(ad.scale(leaf, 1.0))
+        else:
+            leaf.grad[...] = prefill
+            inputs.append(leaf)
+        leaves.append(leaf)
+    root = build(*inputs)
+    oracles.backward_from(root, up.copy())
+    return [root.value.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
+
+
+def _rows(built):
+    """A node of a row builder's rows and (parent, vjp) pairs."""
+    return ad._node(built[0], "rows", *built[1])
+
+
+class TestFusedTermsMatchPrimitiveChains:
+    """Each fused loss term is one op whose value and input gradients have
+    the bytes of the primitive chain it replaced (``oracles.chain_*``)."""
+
+    @given(_case([_PROB, _PROB]))
+    def test_cross_entropy(self, case):
+        assert _run(O.cross_entropy, *case) \
+            == _run(oracles.chain_cross_entropy, *case)
+
+    @given(_case([_REAL, _REAL], up_rows=True))
+    def test_recon_rows(self, case):
+        assert _run(lambda x, x_hat: _rows(O._recon_rows(x, x_hat)), *case) \
+            == _run(oracles.chain_recon_rows, *case)
+
+    @given(_case([_REAL, _REAL]))
+    def test_reconstruction_loss(self, case):
+        assert _run(O.reconstruction_loss, *case) == _run(
+            lambda x, x_hat: ad.mean_all(oracles.chain_recon_rows(x, x_hat)),
+            *case)
+
+    @given(_case([_REAL, _SIGMA], up_rows=True))
+    def test_kl_rows(self, case):
+        assert _run(lambda mu, sigma: _rows(O._kl_rows(mu, sigma)), *case) \
+            == _run(oracles.chain_kl_rows, *case)
+
+    @given(_case([_REAL, _SIGMA]))
+    def test_kl_to_standard_normal(self, case):
+        assert _run(O.kl_to_standard_normal, *case) == _run(
+            lambda mu, sigma: ad.mean_all(oracles.chain_kl_rows(mu, sigma)),
+            *case)
 
 
 class TestOrthogonalityLoss:
