@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Graphs are built eagerly: every operation returns a ``Node`` holding the
-forward value and a closure that propagates upstream gradients to its
-parents. ``backward`` on a scalar root accumulates into ``.grad`` on every
-reachable node that tracks gradients, so shared subexpressions are handled
-correctly.
+forward value and, per parent, the function that propagates upstream
+gradients to it. ``backward`` on a scalar root accumulates into ``.grad`` on
+every reachable node that tracks gradients, so shared subexpressions are
+handled correctly.
 
 An op supplies only its forward value and one vector-Jacobian product (vjp)
 per input, a function from the upstream gradient to that input's gradient;
@@ -27,8 +27,8 @@ First-touch rule: the first gradient into an intermediate node is stored as
 hands the same upstream array to both parents). A gradient of another shape
 (a broadcast one, such as ``sum_rows``' ``(n, 1)``) is added into a
 zero-filled buffer instead.
-A node that does not track gradients keeps neither its parents nor a backward
-closure. Inside ``no_grad`` no op result tracks gradients, so an evaluation
+A node that does not track gradients keeps neither its parents nor their
+vjps. Inside ``no_grad`` no op result tracks gradients, so an evaluation
 pass releases each intermediate value as soon as nothing else holds it.
 
 Fused ops: a fused loss term (``objectives``) is one op standing for a chain
@@ -45,9 +45,22 @@ chain's nodes listed them, which keeps the order of the graph walk
 consumer's gradient may already sit in its buffer. ``_mean_node`` fuses a
 per-row op with the mean over its rows.
 
-Everything is float64 and single-threaded per graph; there is no broadcasting
-machinery beyond what the ops here need (matrix/vector shapes, row-wise
-reductions, bias rows).
+Two-sided sweep: when a training step splits over two cores (``parallel``),
+``objectives.joint_loss`` joins its labeled and unlabeled losses with
+``add_sides``, and the two sides' graphs share only leaves (the parameters).
+The serial order (``_topological_order``) walks the second side first, so
+after the root it runs every node of the first side and then every node of
+the second, each side's nodes in the order of ``_topological_order`` from
+that side. ``backward`` from an ``add_sides`` root keeps that order on each
+side: the caller sweeps the first side, adding into the leaves as it goes,
+while the helper thread sweeps the second, adding into its own nodes but
+handing back its gradients into leaves, which the caller adds after the join
+in the order the helper made them. So every buffer receives the serial
+sweep's additions in the serial order, and the bits are the same. Sides that
+share a node other than a leaf are swept serially.
+
+Everything is float64; there is no broadcasting machinery beyond what the
+ops here need (matrix/vector shapes, row-wise reductions, bias rows).
 
 No scipy module is imported: the softplus derivative (``_expit``) has
 ``scipy.special.expit``'s bits without it, from the C library's ``exp``.
@@ -59,6 +72,8 @@ import contextlib
 import math
 
 import numpy as np
+
+from . import parallel
 
 LOG_FLOOR = 1e-12  # probabilities are clipped to [LOG_FLOOR, 1] before log
 
@@ -86,13 +101,13 @@ class Node:
     ``no_grad``, and keeps its parents only then.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "_backward")
+    __slots__ = ("value", "grad", "op", "parents", "requires_grad", "_inputs")
 
     def __init__(self, value, op: str = "leaf", parents: tuple = (),
                  requires_grad: bool = True):
         self.value = tensor(value, ctx=op)
         self.op = op
-        self._backward = None
+        self._inputs = ()  # the (parent, vjp) pairs, kept only when tracking
         if parents:
             tracks = False
             if _grad_enabled:
@@ -107,6 +122,14 @@ class Node:
             self.requires_grad = requires_grad
             self.parents = ()
             self.grad = np.zeros_like(self.value) if requires_grad else None
+
+    def _backward(self, up) -> None:
+        """Run each input's vjp, in order, on the upstream gradient ``up`` and
+        add the result into that input if it tracks gradients, so constants
+        never get a gradient."""
+        for parent, vjp in self._inputs:
+            if parent.requires_grad:
+                _accumulate(parent, vjp(up))
 
     def detach(self) -> "Node":
         """A new leaf with a copy of this value; gradients stop here."""
@@ -157,18 +180,11 @@ def as_node(x) -> Node:
 def _node(value, op: str, *inputs) -> Node:
     """The result of an op: a node holding ``value`` whose inputs are the
     ``(parent, vjp)`` pairs, where ``vjp`` maps the upstream gradient to that
-    parent's gradient.
-
-    The gradient rule lives here: the node keeps a backward closure only if it
-    tracks gradients, and the closure runs a parent's vjp, in the order given,
-    only if that parent tracks them, so constants never get a gradient."""
+    parent's gradient. The node keeps the pairs only if it tracks gradients;
+    ``Node._backward`` runs them."""
     out = Node(value, op=op, parents=tuple([parent for parent, _ in inputs]))
     if out.requires_grad:
-        def _backward(up):
-            for parent, vjp in inputs:
-                if parent.requires_grad:
-                    _accumulate(parent, vjp(up))
-        out._backward = _backward
+        out._inputs = inputs
     return out
 
 
@@ -461,6 +477,14 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
 # backward pass
 
 
+def add_sides(a: Node, b: Node) -> Node:
+    """``add`` of two scalar losses whose graphs share only leaves, marked so
+    that ``backward`` from it sweeps the two sides on two cores."""
+    out = add(a, b)
+    out.op = "add_sides"
+    return out
+
+
 def backward(root: Node) -> None:
     """Reverse-mode sweep from a scalar root; accumulates into ``.grad`` of
     every reachable node that tracks gradients."""
@@ -468,11 +492,50 @@ def backward(root: Node) -> None:
         raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
     if not root.requires_grad:
         return  # built from constants only: no gradient can flow
+    if root.op == "add_sides" and _backward_sides(root):
+        return
     order = _topological_order(root)
     _accumulate(root, np.ones_like(root.value))
+    _sweep(order)
+
+
+def _sweep(order: list[Node]) -> None:
     for node in order:
-        if node._backward is not None:
+        if node._inputs:
             node._backward(node.grad)
+
+
+def _backward_sides(root: Node) -> bool:
+    """The sweep from an ``add_sides`` root with the second side on the helper
+    thread (module docstring); False, with nothing done, if the sides share a
+    node that is not a leaf."""
+    first, second = (_topological_order(side) for side in root.parents)
+    in_second = set(second)
+    if any(node.parents and node in in_second for node in first):
+        return False
+    _accumulate(root, np.ones_like(root.value))
+    root._backward(root.grad)
+    _, into_leaves = parallel.pair(lambda: _sweep(first),
+                                   lambda: _sweep_deferring(second))
+    for leaf, grad in into_leaves:
+        _accumulate(leaf, grad)
+    return True
+
+
+def _sweep_deferring(order: list[Node]) -> list[tuple[Node, np.ndarray]]:
+    """The sweep over ``order``, except that each gradient into a leaf is
+    returned, in order, instead of added."""
+    into_leaves = []
+    for node in order:
+        up = node.grad
+        for parent, vjp in node._inputs:
+            if not parent.requires_grad:
+                continue
+            if parent.parents:
+                _accumulate(parent, vjp(up))
+            else:
+                into_leaves.append((parent, vjp(up)))
+    return into_leaves
 
 
 def _topological_order(root: Node) -> list[Node]:

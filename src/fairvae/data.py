@@ -151,17 +151,20 @@ def _float_or_nan(value) -> float:
 
 def _read_adult_file(path) -> Records:
     rows, lines = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("|"):
-                continue
-            fields = line.split(",")
-            if len(fields) != len(NAMES):
-                raise SchemaError(f"{path}:{lineno}: expected {len(NAMES)} "
-                                  f"fields, got {len(fields)}")
-            rows.append(fields)
-            lines.append(lineno)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("|"):
+                    continue
+                fields = line.split(",")
+                if len(fields) != len(NAMES):
+                    raise SchemaError(f"{path}:{lineno}: expected {len(NAMES)} "
+                                      f"fields, got {len(fields)}")
+                rows.append(fields)
+                lines.append(lineno)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     columns = dict(zip(NAMES, [tuple(map(str.strip, cells)) for cells in zip(*rows)]
                             or [()] * len(NAMES)))
     # the test file suffixes labels with a period
@@ -169,12 +172,27 @@ def _read_adult_file(path) -> Records:
     return Records(columns, path, lines)
 
 
+def _not_utf8(path) -> ParseError:
+    """The error for a file that is not UTF-8, naming its first bad byte's
+    line and column. The text reader decodes ahead of the line it hands out,
+    so the file is read again as bytes, line by line, to find it."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return ParseError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} at "
+                                  f"column {exc.start + 1} is not UTF-8 text")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def load_adult(train_path, test_path) -> tuple[Records, Records]:
     """Read the Adult train/test files (32,561 and 16,281 rows for the canonical pair).
 
     Raises ``SchemaError`` for a row without 15 fields, and ``ParseError``
-    (``Records``) naming the file, line, column and value of a bad cell.
-    Warns, at the caller's line, for a file that holds no records.
+    (``Records``) naming the file, line, column and value of a bad cell, or
+    the file, line and column of the first byte that is not UTF-8. Warns, at
+    the caller's line, for a file that holds no records.
     """
     records = _read_adult_file(train_path), _read_adult_file(test_path)
     for r in records:
@@ -205,6 +223,23 @@ class Stats:
     def feature_dim(self) -> int:
         return sum(1 if kind == NUMERIC else len(self.cat_vocab[name])
                    for name, kind in self.feature_columns)
+
+    def check_columns(self) -> None:
+        """Raise ``SchemaError`` naming the first table, and its keys, that is
+        not keyed by exactly the schema's feature columns of its kind (``sex``
+        included), as statistics read back from a file may be."""
+        for table, kind in (("cat_vocab", CATEGORICAL), ("cat_mode", CATEGORICAL),
+                            ("num_mean", NUMERIC), ("num_std", NUMERIC)):
+            value = getattr(self, table)
+            expected = {name for name, k in ADULT_SCHEMA
+                        if k == kind and name != LABEL_COLUMN}
+            if not isinstance(value, dict):
+                raise SchemaError(f"{table} must map column names to values, "
+                                  f"got {type(value).__name__}")
+            if set(value) != expected:
+                raise SchemaError(
+                    f"{table} has unknown keys {sorted(set(value) - expected)} "
+                    f"and lacks keys {sorted(expected - set(value))}")
 
 
 @dataclass

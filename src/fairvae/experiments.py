@@ -462,7 +462,8 @@ def _test_report(bundle, test: D.Samples, seed: int) -> MX.FairnessReport:
 
 def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
     """The test file encoded with the checkpoint's training statistics; a
-    checkpoint without them raises ``CheckpointError`` naming its file."""
+    checkpoint without them, or with tables not keyed by the schema's
+    columns, raises ``CheckpointError`` naming its file."""
     try:
         stats = D.Stats(**header["extra"]["stats"])
     except (KeyError, TypeError):
@@ -470,6 +471,12 @@ def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
             f"{checkpoint_path}: the checkpoint holds no encoding statistics "
             f"(extra.stats); save it with extra={{'stats': asdict(stats)}}"
         ) from None
+    try:
+        stats.check_columns()
+    except D.SchemaError as exc:
+        raise M.CheckpointError(
+            f"{checkpoint_path}: the checkpoint's encoding statistics are "
+            f"damaged: extra.stats.{exc}") from None
     return D.preprocess(D._read_adult_file(test_path), stats)[0]
 
 

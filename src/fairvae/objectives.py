@@ -39,6 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models as M
+from . import parallel
 
 LOG2 = math.log(2.0)
 
@@ -338,20 +339,60 @@ def unlabeled_loss(batch, bundle: M.ModelBundle, config: ObjectiveConfig,
     return _compose(s, _UNLABELED_ORDER, **raw)
 
 
+class _Drawn:
+    """Stands in for the dropout generator on one side of a split step: hands
+    out masks drawn beforehand, in order."""
+
+    def __init__(self, masks):
+        self._masks = iter(masks)
+
+    def random(self, shape):
+        return next(self._masks)
+
+
+def _drawn_masks(bundle: M.ModelBundle, n_labeled: int, n_unlabeled: int,
+                 training: bool, rng):
+    """The dropout generators of a split step's two sides: each side's masks
+    (``M.encode``'s r_f, then r_b) drawn from ``rng`` in the serial order,
+    labeled side first; ``rng`` itself for both if dropout draws nothing."""
+    if not training or rng is None or bundle.cfg.dropout_rate == 0.0:
+        return rng, rng
+    per_side = 1 if bundle.bias_aware is None else 2
+    return tuple(_Drawn([rng.random((n, bundle.cfg.hidden_dim))
+                         for _ in range(per_side)])
+                 for n in (n_labeled, n_unlabeled))
+
+
 def joint_loss(labeled_batch, unlabeled_batch, bundle: M.ModelBundle,
                config: ObjectiveConfig, labeled_epsilon, unlabeled_epsilon,
                training: bool = False, rng=None):
-    """Sum of the labeled and unlabeled compositions; either side may be empty."""
-    sides = []
-    if labeled_batch is not None and len(labeled_batch):
-        sides.append(labeled_loss(labeled_batch, bundle, config, labeled_epsilon,
-                                  training=training, rng=rng))
-    if unlabeled_batch is not None and len(unlabeled_batch):
-        sides.append(unlabeled_loss(unlabeled_batch, bundle, config,
-                                    unlabeled_epsilon, training=training, rng=rng))
-    if not sides:
-        raise ValueError("joint loss needs at least one non-empty batch")
-    if len(sides) == 1:
-        return sides[0]
-    (lab_total, lab_break), (unl_total, unl_break) = sides
+    """Sum of the labeled and unlabeled compositions; either side may be empty.
+
+    With both sides and a bundle big enough to split (``parallel``), the
+    unlabeled side is built on the helper thread while the labeled side is
+    built here, from dropout masks drawn here first in the serial order, and
+    the sum is ``ad.add_sides``, whose backward sweep splits as well."""
+    def labeled(rng):
+        return labeled_loss(labeled_batch, bundle, config, labeled_epsilon,
+                            training=training, rng=rng)
+
+    def unlabeled(rng):
+        return unlabeled_loss(unlabeled_batch, bundle, config,
+                              unlabeled_epsilon, training=training, rng=rng)
+
+    has_labeled = labeled_batch is not None and len(labeled_batch) > 0
+    has_unlabeled = unlabeled_batch is not None and len(unlabeled_batch) > 0
+    if not has_unlabeled:
+        if not has_labeled:
+            raise ValueError("joint loss needs at least one non-empty batch")
+        return labeled(rng)
+    if not has_labeled:
+        return unlabeled(rng)
+    if parallel.splits(sum(p.value.size for p in bundle.trainable_parameters())):
+        lab_rng, unl_rng = _drawn_masks(bundle, len(labeled_batch),
+                                        len(unlabeled_batch), training, rng)
+        (lab_total, lab_break), (unl_total, unl_break) = parallel.pair(
+            lambda: labeled(lab_rng), lambda: unlabeled(unl_rng))
+        return ad.add_sides(lab_total, unl_total), lab_break + unl_break
+    (lab_total, lab_break), (unl_total, unl_break) = labeled(rng), unlabeled(rng)
     return ad.add(lab_total, unl_total), lab_break + unl_break

@@ -21,6 +21,23 @@ by method. The self-training predictor keeps its own loop: it trains the
 bias-aware encoder and attribute head alone, with its own batch seed and
 selection rule.
 
+Two cores: a step of a bundle with at least ``parallel.SPLIT_MIN_VALUES``
+(100,000) trainable values, in a process that may run on two or more CPUs,
+splits over two cores. ``joint_loss`` builds the unlabeled side on the helper
+thread while the labeled side is built here, ``ad.backward`` sweeps the two
+sides the same way, and ``Adam.step`` updates half of an optimizer of that
+many values there; a step with one side only (plain's, or any step whose
+unlabeled batch is empty) splits only its Adam update. Every bit is the
+serial run's. At the default sizes only dnn's dadv, dadv_st and fairvae steps
+split: with two dnn encoders a bundle holds 186k-197k values at input width
+103 and 148k-151k at width 28, with one (plain, adv, adv_st, the
+self-training predictor round) 93k and 74k. fm's fairvae holds 36k and 23k,
+lr's 12k and 4.5k. The constant was sized on fairvae steps of 128 labeled and
+128 unlabeled rows, BLAS pinned to one thread on a 2-CPU machine (median of
+40 steps, two runs each): the split step took 0.73-0.82 of the serial step's
+time at 118k-197k values (dnn, hidden 192-256), 0.88-0.89 at 89k, 0.92-1.03
+at 44k-71k, 1.02-1.03 at fm's 23k-36k and lr's 4.5k, and 1.25-1.29 at 15k.
+
 Model selection: the restored checkpoint maximizes validation accuracy minus
 the validation demographic-parity gap, compared over the second half of the
 epochs only. The burn-in matters: an undertrained epoch shows a deceptively
@@ -41,6 +58,7 @@ from . import autodiff as ad
 from . import metrics as MX
 from . import models as M
 from . import objectives as O
+from . import parallel
 from .data import ConfigError, DatasetSplit, batches, single_stream_batches
 
 METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
@@ -72,9 +90,11 @@ class Adam:
     (``load_state_arrays``, ``backward``'s accumulation) go through the views.
     A parameter belongs to at most one optimizer.
 
-    A step computes, elementwise and in this order, ``m = b1*m + (1-b1)*g``,
+    A step checks every gradient for a non-finite value, then computes,
+    elementwise and in this order, ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``
-    with ``c = 1 - b**t``.
+    with ``c = 1 - b**t``. With enough values (``parallel.splits``) the two
+    halves of the buffers are updated on two cores, with the same bits.
     """
 
     def __init__(self, params, lr=0.01):
@@ -113,9 +133,19 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradient(f"non-finite gradient for {bad.name}")
         self.t += 1
+        size = self.values.size
+        if parallel.splits(size):
+            half = size // 2
+            parallel.pair(lambda: self._update(slice(0, half)),
+                          lambda: self._update(slice(half, size)))
+        else:
+            self._update(slice(None))
+
+    def _update(self, part: slice):
+        """The step's update of the ``part`` of the flat buffers."""
         b1, b2, eps = 0.9, 0.999, 1e-8
-        g, m, v = self.grads, self.m, self.v
-        s, r = self._scratch
+        g, m, v = self.grads[part], self.m[part], self.v[part]
+        s, r = self._scratch[0][part], self._scratch[1][part]
         m *= b1
         np.multiply(g, 1 - b1, out=s)
         m += s
@@ -129,7 +159,8 @@ class Adam:
         np.sqrt(r, out=r)
         r += eps
         s /= r
-        self.values -= s
+        values = self.values[part]
+        values -= s
 
 
 @dataclass(kw_only=True)

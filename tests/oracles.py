@@ -209,9 +209,7 @@ def backward_from(root, up):
     ``up`` as given (a ``-0.0`` included), without the first-touch copy."""
     from fairvae import autodiff as ad
     root.grad = up
-    for node in ad._topological_order(root):
-        if node._backward is not None:
-            node._backward(node.grad)
+    ad._sweep(ad._topological_order(root))
 
 
 def elbo_term(x, z_slot, z_tilde_slot, bundle, epsilon):

@@ -4,7 +4,9 @@ import hashlib
 import json
 import os
 import re
+import subprocess
 import sys
+import textwrap
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairvae import experiments as X
 from fairvae import models as M
+from fairvae import parallel
 from fairvae import training as T
 from fairvae.cli import main as cli_main
 from fairvae.data import ConfigError
@@ -493,6 +496,43 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
 
+    @pytest.mark.parametrize("verb", ["run", "eval"])
+    def test_data_file_not_utf8_exit_code(self, dataset, trained, tmp_path,
+                                          capsys, verb):
+        """A Latin-1 byte in a country name: one ``error:`` line naming the
+        file, line, column and byte, for the training and the test file."""
+        row = ("39, State-gov, 77516, Bachelors, 13, Never-married, "
+               "Adm-clerical, Not-in-family, White, Male, 2174, 0, 40, "
+               "{}, <=50K\n")
+        bad = tmp_path / "latin1.data"
+        bad.write_bytes(row.format("United-States").encode()
+                        + row.format("M\xe9xico").encode("latin-1"))
+        if verb == "run":
+            argv = ["run", "--train", str(bad), "--test", dataset[1],
+                    "--out", str(tmp_path / "out")]
+        else:
+            argv = ["eval", "--checkpoint", trained[1], "--test", str(bad)]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: byte 0xe9 at column 109 is not UTF-8 text\n")
+
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    def test_checkpoint_with_renamed_stats_key_exit_code(self, dataset, trained,
+                                                         tmp_path, capsys, verb):
+        bundle, header = M.load_bundle(trained[1])
+        vocab = header["extra"]["stats"]["cat_vocab"]
+        vocab["marital-statuz"] = vocab.pop("marital-status")
+        renamed = tmp_path / "renamed.ckpt"
+        M.save_bundle(bundle, renamed, extra=header["extra"])
+        argv = [verb, "--checkpoint", str(renamed), "--test", dataset[1]]
+        if verb == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {renamed}: the checkpoint's encoding statistics are "
+            "damaged: extra.stats.cat_vocab has unknown keys ['marital-statuz'] "
+            "and lacks keys ['marital-status']\n")
+
     def test_test_path_is_a_directory_exit_code(self, trained, tmp_path, capsys):
         _, ckpt = trained
         code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(tmp_path)])
@@ -939,3 +979,58 @@ class TestCliGridVerbs:
             rows = list(csv.DictReader(fh))
         assert [(r["grl_lambda"], r["n_ok"]) for r in rows] == [
             ("0.0", "1"), ("0.4", "1")]
+
+
+class TestTwoCoreCell:
+    def test_natural_size_dnn_cell_matches_serial_run(self, dataset, tmp_path,
+                                                      monkeypatch):
+        """dnn/fairvae at the default sizes holds 151k trainable values on
+        this width-28 data, so where two CPUs are available its steps split;
+        its step log and checkpoint are the serial run's bytes."""
+        calls, pair = [], parallel.pair
+        monkeypatch.setattr(parallel, "pair",
+                            lambda here, there: calls.append(1) or pair(here, there))
+        files, counts = [], []
+        for min_values in (2 ** 62, parallel.SPLIT_MIN_VALUES):
+            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
+            out = tmp_path / f"min{min_values}"
+            cfg = tiny_config(dataset, out, backbones=["dnn"], epochs=2,
+                              hidden_dim=256, latent_dim=32, fm_factors=16,
+                              dropout_rate=0.2)
+            row = X.run_cell(cfg, "dnn", "fairvae", 0.5, 0)
+            files.append([(out / sub / f"{row['cell']}{ext}").read_bytes()
+                          for sub, ext in (("logs", ".jsonl"),
+                                           ("checkpoints", ".ckpt"))])
+            counts.append(len(calls))
+        assert files[0] == files[1]
+        assert counts[0] == 0 and (counts[1] > 0) == (parallel._cpus() >= 2)
+
+    def test_pool_after_split_training_matches_serial_run(self, dataset,
+                                                          tmp_path):
+        """A process whose helper thread runs forks its pool's workers; they
+        start helpers of their own and finish, with the serial run's tables."""
+        code = textwrap.dedent("""
+            import sys
+            from fairvae import experiments as X, parallel
+            parallel.SPLIT_MIN_VALUES = 0
+            for path in sys.argv[1:]:
+                X.run_experiments(X.ExperimentConfig.from_file(path))
+                assert (parallel._tasks is not None) == (parallel._cpus() >= 2)
+            """)
+        paths = []
+        for workers in (1, 2):
+            cfg = tiny_config(dataset, tmp_path / f"workers{workers}",
+                              workers=workers, dropout_rate=0.2)
+            paths.append(tmp_path / f"workers{workers}.json")
+            paths[-1].write_text(json.dumps(asdict(cfg)))
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for stem in ("results_raw.csv", "results_agg.csv", "results.txt"):
+            assert ((tmp_path / "workers2" / stem).read_bytes()
+                    == (tmp_path / "workers1" / stem).read_bytes())

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import struct
+import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fairvae import autodiff as ad
 from fairvae import models as M
 from fairvae import objectives as O
+from fairvae import parallel
 from fairvae.data import ConfigError, Samples
 from gradcheck import graph_nodes
 from toys import tiny_config, toy_batch, adversarial_wiring_outcome
@@ -234,15 +236,19 @@ GOLDEN_GRADIENT_DIGESTS = {
 }
 
 
+def _gradient_digest(bundle):
+    digest = hashlib.sha256()
+    for p in bundle.trainable_parameters():
+        digest.update(p.name.encode())
+        digest.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 class TestGradientsAfterBackward:
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     def test_trainable_gradients_match_golden_digest(self, backbone):
         bundle, _ = _joint_loss_gradients(backbone)
-        digest = hashlib.sha256()
-        for p in bundle.trainable_parameters():
-            digest.update(p.name.encode())
-            digest.update(np.ascontiguousarray(p.grad, dtype="<f8").tobytes())
-        assert digest.hexdigest() == GOLDEN_GRADIENT_DIGESTS[backbone]
+        assert _gradient_digest(bundle) == GOLDEN_GRADIENT_DIGESTS[backbone]
 
     def test_constants_and_frozen_projection_hold_no_gradient(self):
         bundle, total = _joint_loss_gradients("lr")
@@ -252,6 +258,48 @@ class TestGradientsAfterBackward:
         assert consts  # inputs, one-hot targets, decoder slots
         assert all(n.grad is None for n in consts)
         assert all(p.grad is not None for p in bundle.trainable_parameters())
+
+
+class TestTwoCoreGradients:
+    """The gradient pins again with the two sides built and swept on two
+    cores (``SPLIT_MIN_VALUES`` 0), or serially in a process that may use one
+    CPU only."""
+
+    @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
+    def test_trainable_gradients_match_golden_digest(self, monkeypatch,
+                                                     backbone):
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        bundle, total = _joint_loss_gradients(backbone)
+        assert total.op == ("add_sides" if parallel._cpus() >= 2 else "add")
+        assert _gradient_digest(bundle) == GOLDEN_GRADIENT_DIGESTS[backbone]
+
+    def test_pins_hold_under_frequent_thread_switches(self, monkeypatch):
+        """The two threads write no shared buffer: with the interpreter
+        switching threads every microsecond, every split sweep still gives
+        the pinned bits."""
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            digests = {_gradient_digest(_joint_loss_gradients("dnn")[0])
+                       for _ in range(20)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert digests == {GOLDEN_GRADIENT_DIGESTS["dnn"]}
+
+    def test_sides_sharing_an_inner_node_sweep_serially(self, monkeypatch):
+        """``backward`` from an ``add_sides`` root whose sides share more than
+        leaves gives the bits of the plain ``add``'s sweep."""
+        monkeypatch.setattr(parallel, "pair", None)  # never reached
+        value = np.random.default_rng(0).uniform(-1, 1, (3, 2))
+        grads = []
+        for join in (ad.add, ad.add_sides):
+            w = ad.Parameter(value.copy(), "w")
+            shared = ad.tanh(ad.matmul(np.ones((4, 3)), w))
+            ad.backward(join(ad.mean_all(ad.square(shared)),
+                             ad.mean_all(ad.scale(shared, 3.0))))
+            grads.append(w.grad.tobytes())
+        assert grads[0] == grads[1]
 
 
 class TestTaskHeadLinearity:

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import sys
+import threading
 import warnings
 import weakref
 
@@ -12,6 +15,7 @@ from fairvae import data as D
 from fairvae import metrics as MX
 from fairvae import models as M
 from fairvae import objectives as O
+from fairvae import parallel
 from fairvae import training as T
 from fairvae.data import ConfigError, Samples
 from fairvae.synthetic import make_shortcut_samples
@@ -513,3 +517,96 @@ class TestLadderDigests:
     def test_parameters_match_golden_digest(self, method, backbone):
         assert (_ladder_digest(method, backbone)
                 == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Every ``parallel.pair`` call, by the function that made it."""
+    calls, pair = [], parallel.pair
+
+    def counting(here, there):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return pair(here, there)
+
+    monkeypatch.setattr(parallel, "pair", counting)
+    return calls
+
+
+class TestTwoCoreLadderDigests:
+    """The ladder pins again with every two-sided step and every Adam step
+    split over two cores (``SPLIT_MIN_VALUES`` 0). A process that may use
+    one CPU only runs them serially, and must give the same pins."""
+
+    @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
+    @pytest.mark.parametrize("method", T.METHODS)
+    def test_parameters_match_golden_digest(self, monkeypatch, pair_calls,
+                                            method, backbone):
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        assert (_ladder_digest(method, backbone)
+                == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
+        two_cores = parallel._cpus() >= 2
+        assert ("step" in pair_calls) == two_cores
+        # plain's steps have one side only, and a self-training cell may
+        # adopt every unlabeled row as a pseudo-labeled one
+        if method in ("adv", "dadv", "fairvae"):
+            assert ("joint_loss" in pair_calls) == two_cores
+
+
+class TestTwoCoreHelper:
+    def test_unlabeled_side_error_is_the_serial_one(self, monkeypatch,
+                                                    pair_calls):
+        """A non-finite value met on the helper thread is raised by the step
+        with the serial run's type and message."""
+        def error(min_values):
+            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
+            split = tiny_split()
+            split.unl.x[:, 0] = np.inf
+            with pytest.raises(ValueError) as caught:
+                T.train(toy_spec("fairvae"), split)
+            return type(caught.value), str(caught.value)
+
+        serial = error(2 ** 62)
+        assert serial[1].startswith("non-finite values in const (method=")
+        assert error(0) == serial
+        assert ("joint_loss" in pair_calls) == (parallel._cpus() >= 2)
+
+    def test_labeled_side_error_wins(self, monkeypatch, pair_calls):
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        bundle = M.ModelBundle(M.BundleConfig(input_dim=6, hidden_dim=4,
+                                              latent_dim=2, method="dadv"))
+        rng = np.random.default_rng(0)
+        x, y, z = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 2, 5), \
+            rng.integers(0, 2, 5)
+        # no attributes on the labeled side, attributes on the unlabeled one
+        with pytest.raises(ValueError, match="^labeled loss requires observed "
+                                             "attributes$"):
+            O.joint_loss(Samples(x, y), Samples(x, y, z), bundle,
+                         O.ObjectiveConfig(), None, None)
+        with pytest.raises(ValueError, match="^unlabeled loss got observed "
+                                             "attributes$"):
+            O.joint_loss(Samples(x, y, z), Samples(x, y, z), bundle,
+                         O.ObjectiveConfig(), None, None)
+        # the helper is free again: the next step builds both sides
+        total, _ = O.joint_loss(Samples(x, y, z), Samples(x, y), bundle,
+                                O.ObjectiveConfig(), None, None)
+        assert total.op == ("add_sides" if parallel._cpus() >= 2 else "add")
+        assert pair_calls.count("joint_loss") == 3 * (parallel._cpus() >= 2)
+
+    @pytest.mark.parametrize("backbone,one_cpu", [
+        ("dnn", True), ("fm", False), ("lr", False)],
+        ids=["dnn-one-cpu", "fm-ladder-size", "lr-ladder-size"])
+    def test_no_thread_for_a_serial_step(self, monkeypatch, backbone, one_cpu):
+        """At the default sizes on width-28 data, dnn holds 151k trainable
+        values, fm 23k and lr 4.5k: no helper starts for the two small ones,
+        nor for dnn in a process that may use one CPU."""
+        if one_cpu:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(parallel, "_tasks", None)
+        before = set(threading.enumerate())
+        samples = separable_samples(60, seed=1, dim=28)
+        split = D.split_and_mask(samples, val_frac=0.1, label_ratio=0.5, seed=1)
+        spec = T.MethodSpec(backbone=backbone, method="fairvae", epochs=1,
+                            batch_size=16)
+        T.train(spec, split)
+        assert parallel._tasks is None
+        assert set(threading.enumerate()) == before
