@@ -45,19 +45,20 @@ chain's nodes listed them, which keeps the order of the graph walk
 consumer's gradient may already sit in its buffer. ``_mean_node`` fuses a
 per-row op with the mean over its rows.
 
-Two-sided sweep: when a training step splits over two cores (``parallel``),
-``objectives.joint_loss`` joins its labeled and unlabeled losses with
-``add_sides``, and the two sides' graphs share only leaves (the parameters).
-The serial order (``_topological_order``) walks the second side first, so
-after the root it runs every node of the first side and then every node of
-the second, each side's nodes in the order of ``_topological_order`` from
-that side. ``backward`` from an ``add_sides`` root keeps that order on each
-side: the caller sweeps the first side, adding into the leaves as it goes,
-while the helper thread sweeps the second, adding into its own nodes but
-handing back its gradients into leaves, which the caller adds after the join
-in the order the helper made them. So every buffer receives the serial
-sweep's additions in the serial order, and the bits are the same. Sides that
-share a node other than a leaf are swept serially.
+Two-sided sweep: when a training step splits over two processes
+(``parallel``), the unlabeled side's graph lives in the helper process and
+shares only the parameters' values with the labeled side's. The serial order
+(``_topological_order`` from ``add(labeled, unlabeled)``) walks the second
+side first, so after the root it runs every node of the labeled side and
+then every node of the unlabeled side, each side's nodes in the order of
+``_topological_order`` from that side. The helper keeps that order on its
+side with ``backward_deferring`` from a root gradient of 1.0, the one the
+serial root's ``add`` hands down, adding into its own nodes but returning its
+gradients into leaves in the order it made them. ``objectives.joint_loss``
+joins the labeled loss and the helper's total with ``add_sides``, and
+``backward`` from that root sweeps the labeled side and then adds the
+returned gradients one by one. So every buffer receives the serial sweep's
+additions in the serial order, and the bits are the same.
 
 Everything is float64; there is no broadcasting machinery beyond what the
 ops here need (matrix/vector shapes, row-wise reductions, bias rows).
@@ -72,8 +73,6 @@ import contextlib
 import math
 
 import numpy as np
-
-from . import parallel
 
 LOG_FLOOR = 1e-12  # probabilities are clipped to [LOG_FLOOR, 1] before log
 
@@ -477,11 +476,23 @@ def abs_row_cosine(a, b) -> tuple[Node, int]:
 # backward pass
 
 
-def add_sides(a: Node, b: Node) -> Node:
-    """``add`` of two scalar losses whose graphs share only leaves, marked so
-    that ``backward`` from it sweeps the two sides on two cores."""
-    out = add(a, b)
-    out.op = "add_sides"
+class _Sides(Node):
+    """The root of a split step's loss (``add_sides``)."""
+
+    __slots__ = ("there_grads",)
+
+
+def add_sides(here: Node, there: float, there_grads) -> Node:
+    """``add`` of the scalar loss ``here`` and a scalar loss of value
+    ``there`` that another process built and swept (``parallel``):
+    ``backward`` from it sweeps ``here``'s side, then adds the other side's
+    gradients into leaves, the ``(leaf, gradient)`` pairs that
+    ``there_grads()`` returns, in their order."""
+    there = as_node(np.float64(there))
+    out = _Sides(here.value + there.value, "add_sides", (here, there))
+    if out.requires_grad:
+        out._inputs = ((here, lambda up: _unbroadcast(up, here.value.shape)),)
+    out.there_grads = there_grads
     return out
 
 
@@ -492,11 +503,12 @@ def backward(root: Node) -> None:
         raise ValueError(f"backward expects a scalar root, got shape {root.value.shape}")
     if not root.requires_grad:
         return  # built from constants only: no gradient can flow
-    if root.op == "add_sides" and _backward_sides(root):
-        return
     order = _topological_order(root)
     _accumulate(root, np.ones_like(root.value))
     _sweep(order)
+    if isinstance(root, _Sides):
+        for leaf, grad in root.there_grads():
+            _accumulate(leaf, grad)
 
 
 def _sweep(order: list[Node]) -> None:
@@ -505,28 +517,13 @@ def _sweep(order: list[Node]) -> None:
             node._backward(node.grad)
 
 
-def _backward_sides(root: Node) -> bool:
-    """The sweep from an ``add_sides`` root with the second side on the helper
-    thread (module docstring); False, with nothing done, if the sides share a
-    node that is not a leaf."""
-    first, second = (_topological_order(side) for side in root.parents)
-    in_second = set(second)
-    if any(node.parents and node in in_second for node in first):
-        return False
+def backward_deferring(root: Node) -> list[tuple[Node, np.ndarray]]:
+    """The sweep of ``backward`` from the scalar ``root``, except that each
+    gradient into a leaf is returned, in order, instead of added (the other
+    side of a split step: ``add_sides``)."""
     _accumulate(root, np.ones_like(root.value))
-    root._backward(root.grad)
-    _, into_leaves = parallel.pair(lambda: _sweep(first),
-                                   lambda: _sweep_deferring(second))
-    for leaf, grad in into_leaves:
-        _accumulate(leaf, grad)
-    return True
-
-
-def _sweep_deferring(order: list[Node]) -> list[tuple[Node, np.ndarray]]:
-    """The sweep over ``order``, except that each gradient into a leaf is
-    returned, in order, instead of added."""
     into_leaves = []
-    for node in order:
+    for node in _topological_order(root):
         up = node.grad
         for parent, vjp in node._inputs:
             if not parent.requires_grad:

@@ -150,40 +150,45 @@ def _float_or_nan(value) -> float:
 
 
 def _read_adult_file(path) -> Records:
-    rows, lines = [], []
+    """The file's records; its first error in file order is raised. A file
+    that is not UTF-8 is read up to the line of its first bad byte, and that
+    byte's error is raised if those lines hold none."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("|"):
-                    continue
-                fields = line.split(",")
-                if len(fields) != len(NAMES):
-                    raise SchemaError(f"{path}:{lineno}: expected {len(NAMES)} "
-                                      f"fields, got {len(fields)}")
-                rows.append(fields)
-                lines.append(lineno)
+            text, bad = fh.read(), None  # universal newlines: \r\n and \r too
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            bad = exc
+        start = max(data.rfind(b"\n", 0, bad.start),
+                    data.rfind(b"\r", 0, bad.start)) + 1
+        text = data[:start].decode("utf-8")
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("|"):
+            continue
+        fields = line.split(",")
+        if len(fields) != len(NAMES):
+            raise SchemaError(f"{path}:{lineno}: expected {len(NAMES)} "
+                              f"fields, got {len(fields)}")
+        rows.append(fields)
+        linenos.append(lineno)
     columns = dict(zip(NAMES, [tuple(map(str.strip, cells)) for cells in zip(*rows)]
                             or [()] * len(NAMES)))
     # the test file suffixes labels with a period
     columns[LABEL_COLUMN] = [v.rstrip(".") for v in columns[LABEL_COLUMN]]
-    return Records(columns, path, lines)
-
-
-def _not_utf8(path) -> ParseError:
-    """The error for a file that is not UTF-8, naming its first bad byte's
-    line and column. The text reader decodes ahead of the line it hands out,
-    so the file is read again as bytes, line by line, to find it."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} at "
-                                  f"column {exc.start + 1} is not UTF-8 text")
-    return ParseError(f"{path}: not UTF-8 text")
+    records = Records(columns, path, linenos)
+    if bad is not None:  # the lines before the bad byte's were good
+        raise ParseError(
+            f"{path}:{len(lines)}: byte {data[bad.start]:#04x} at column "
+            f"{bad.start - start + 1} is not UTF-8 text")
+    return records
 
 
 def load_adult(train_path, test_path) -> tuple[Records, Records]:
@@ -227,19 +232,43 @@ class Stats:
     def check_columns(self) -> None:
         """Raise ``SchemaError`` naming the first table, and its keys, that is
         not keyed by exactly the schema's feature columns of its kind (``sex``
-        included), as statistics read back from a file may be."""
-        for table, kind in (("cat_vocab", CATEGORICAL), ("cat_mode", CATEGORICAL),
-                            ("num_mean", NUMERIC), ("num_std", NUMERIC)):
+        included), or the first value of the wrong type, as statistics read
+        back from a file may be: a mean must be a finite number, a standard
+        deviation a finite number above 0, a vocabulary a list of strings and
+        a mode a string."""
+        for table, kind, valid, expected in _STATS_TABLES:
             value = getattr(self, table)
-            expected = {name for name, k in ADULT_SCHEMA
-                        if k == kind and name != LABEL_COLUMN}
+            names = {name for name, k in ADULT_SCHEMA
+                     if k == kind and name != LABEL_COLUMN}
             if not isinstance(value, dict):
                 raise SchemaError(f"{table} must map column names to values, "
                                   f"got {type(value).__name__}")
-            if set(value) != expected:
+            if set(value) != names:
                 raise SchemaError(
-                    f"{table} has unknown keys {sorted(set(value) - expected)} "
-                    f"and lacks keys {sorted(expected - set(value))}")
+                    f"{table} has unknown keys {sorted(set(value) - names)} "
+                    f"and lacks keys {sorted(names - set(value))}")
+            for name, v in value.items():
+                if not valid(v):
+                    raise SchemaError(f"{table}[{name!r}] is {v!r}, "
+                                      f"expected {expected}")
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# each statistics table: its name, the kind of column it covers, the check
+# of one value and what the check expects
+_STATS_TABLES = (
+    ("cat_vocab", CATEGORICAL,
+     lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+     "a list of strings"),
+    ("cat_mode", CATEGORICAL, lambda v: isinstance(v, str), "a string"),
+    ("num_mean", NUMERIC, _is_number, "a finite number"),
+    ("num_std", NUMERIC, lambda v: _is_number(v) and v > 0,
+     "a finite number above 0"),
+)
 
 
 @dataclass

@@ -28,6 +28,7 @@ import numpy as np
 from . import data as D
 from . import metrics as MX
 from . import models as M
+from . import parallel
 from . import training as T
 from .objectives import ObjectiveConfig
 
@@ -372,7 +373,9 @@ def _run_grid(cfg: ExperimentConfig, kind: str, stem: str, cells: list[dict],
         # deferred: the process pool's modules are a serial run's waste
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # each worker steps serially: the workers already share the CPUs
+        with ProcessPoolExecutor(max_workers=cfg.workers,
+                                 initializer=parallel.run_serially) as pool:
             rows = list(pool.map(_run_cell_task, tasks))
     else:
         rows = [_run_cell_task(t) for t in tasks]

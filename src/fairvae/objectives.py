@@ -40,6 +40,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as M
 from . import parallel
+from .data import Samples
 
 LOG2 = math.log(2.0)
 
@@ -350,28 +351,53 @@ class _Drawn:
         return next(self._masks)
 
 
-def _drawn_masks(bundle: M.ModelBundle, n_labeled: int, n_unlabeled: int,
-                 training: bool, rng):
-    """The dropout generators of a split step's two sides: each side's masks
-    (``M.encode``'s r_f, then r_b) drawn from ``rng`` in the serial order,
-    labeled side first; ``rng`` itself for both if dropout draws nothing."""
+def _mask_draws(bundle: M.ModelBundle, training: bool, rng) -> int:
+    """How many dropout masks one side's ``M.encode`` draws from ``rng``:
+    r_f's, then r_b's with a bias-aware encoder; none when dropout is off."""
     if not training or rng is None or bundle.cfg.dropout_rate == 0.0:
-        return rng, rng
-    per_side = 1 if bundle.bias_aware is None else 2
-    return tuple(_Drawn([rng.random((n, bundle.cfg.hidden_dim))
-                         for _ in range(per_side)])
-                 for n in (n_labeled, n_unlabeled))
+        return 0
+    return 1 if bundle.bias_aware is None else 2
+
+
+def _signalled(helper: parallel.Helper):
+    """The masks of the caller's next signal, once the first is needed."""
+    yield from helper.wait()
+
+
+def _unlabeled_side(helper: parallel.Helper, batch: list,
+                    config: ObjectiveConfig, training: bool, masks: bool):
+    """The helper's task in a split step (``joint_loss``): build the
+    unlabeled side from its ``batch`` (x, y, z and the VAE noise) and, if
+    ``masks``, the dropout masks that the caller signals, yield its total
+    and breakdown, then sweep it from a root gradient of 1.0 and yield its
+    gradients into the parameters, in order, each as ``(index in the
+    optimizer, placed array)``."""
+    bundle, params = helper.held["bundle"], helper.held["adam"].params
+    x, y, z, epsilon = batch
+    total, breakdown = unlabeled_loss(
+        Samples(x, y, z), bundle, config, epsilon, training=training,
+        rng=_Drawn(_signalled(helper)) if masks else None)
+    yield float(total.value), breakdown
+    index = {id(p): i for i, p in enumerate(params)}
+    into_leaves = ad.backward_deferring(total)
+    placed = helper.place([grad for _, grad in into_leaves])
+    yield [(index[id(leaf)], p) for (leaf, _), p in zip(into_leaves, placed)]
 
 
 def joint_loss(labeled_batch, unlabeled_batch, bundle: M.ModelBundle,
                config: ObjectiveConfig, labeled_epsilon, unlabeled_epsilon,
-               training: bool = False, rng=None):
+               training: bool = False, rng=None,
+               helper: parallel.Helper | None = None):
     """Sum of the labeled and unlabeled compositions; either side may be empty.
 
-    With both sides and a bundle big enough to split (``parallel``), the
-    unlabeled side is built on the helper thread while the labeled side is
-    built here, from dropout masks drawn here first in the serial order, and
-    the sum is ``ad.add_sides``, whose backward sweep splits as well."""
+    With both sides and a ``helper`` (a training run's ``parallel.session``,
+    holding ``bundle`` and the run's optimizer), the step splits: the
+    unlabeled batch and its noise go to the helper, which builds and sweeps
+    the unlabeled side while the labeled side is built here, the dropout
+    masks are drawn here in the serial order, the unlabeled side's handed
+    over, and the sum is ``ad.add_sides``, whose backward adds the helper's
+    gradients after the labeled side's. An error on either side is raised
+    here, the labeled side's when both raise."""
     def labeled(rng):
         return labeled_loss(labeled_batch, bundle, config, labeled_epsilon,
                             training=training, rng=rng)
@@ -388,11 +414,33 @@ def joint_loss(labeled_batch, unlabeled_batch, bundle: M.ModelBundle,
         return labeled(rng)
     if not has_labeled:
         return unlabeled(rng)
-    if parallel.splits(sum(p.value.size for p in bundle.trainable_parameters())):
-        lab_rng, unl_rng = _drawn_masks(bundle, len(labeled_batch),
-                                        len(unlabeled_batch), training, rng)
-        (lab_total, lab_break), (unl_total, unl_break) = parallel.pair(
-            lambda: labeled(lab_rng), lambda: unlabeled(unl_rng))
-        return ad.add_sides(lab_total, unl_total), lab_break + unl_break
-    (lab_total, lab_break), (unl_total, unl_break) = labeled(rng), unlabeled(rng)
-    return ad.add(lab_total, unl_total), lab_break + unl_break
+    if helper is None:
+        (lab_total, lab_break), (unl_total, unl_break) = labeled(rng), unlabeled(rng)
+        return ad.add(lab_total, unl_total), lab_break + unl_break
+    # the helper starts while the masks are drawn, in the serial order: the
+    # labeled side's r_f and r_b, then the unlabeled side's
+    draws = _mask_draws(bundle, training, rng)
+    u = unlabeled_batch
+    task = helper.submit(_unlabeled_side, config, training, draws > 0,
+                         arrays=[u.x, u.y, u.z, unlabeled_epsilon], replies=2)
+    lab_rng = rng
+    if draws:
+        hidden = bundle.cfg.hidden_dim
+        lab_rng = _Drawn([rng.random((len(labeled_batch), hidden))
+                          for _ in range(draws)])
+        helper.signal([rng.random((len(u), hidden)) for _ in range(draws)])
+    try:
+        lab_total, lab_break = labeled(lab_rng)
+    except BaseException:
+        helper.drain()
+        raise
+    unl_total, unl_break = helper.reply(task)
+
+    def into_leaves():
+        placed = helper.reply(task)
+        params = helper.held["adam"].params
+        grads = helper.view([p for _, p in placed])
+        return [(params[i], grad) for (i, _), grad in zip(placed, grads)]
+
+    return (ad.add_sides(lab_total, unl_total, into_leaves),
+            lab_break + unl_break)

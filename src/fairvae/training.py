@@ -21,22 +21,25 @@ by method. The self-training predictor keeps its own loop: it trains the
 bias-aware encoder and attribute head alone, with its own batch seed and
 selection rule.
 
-Two cores: a step of a bundle with at least ``parallel.SPLIT_MIN_VALUES``
-(100,000) trainable values, in a process that may run on two or more CPUs,
-splits over two cores. ``joint_loss`` builds the unlabeled side on the helper
-thread while the labeled side is built here, ``ad.backward`` sweeps the two
-sides the same way, and ``Adam.step`` updates half of an optimizer of that
-many values there; a step with one side only (plain's, or any step whose
-unlabeled batch is empty) splits only its Adam update. Every bit is the
-serial run's. At the default sizes only dnn's dadv, dadv_st and fairvae steps
-split: with two dnn encoders a bundle holds 186k-197k values at input width
-103 and 148k-151k at width 28, with one (plain, adv, adv_st, the
-self-training predictor round) 93k and 74k. fm's fairvae holds 36k and 23k,
-lr's 12k and 4.5k. The constant was sized on fairvae steps of 128 labeled and
-128 unlabeled rows, BLAS pinned to one thread on a 2-CPU machine (median of
-40 steps, two runs each): the split step took 0.73-0.82 of the serial step's
-time at 118k-197k values (dnn, hidden 192-256), 0.88-0.89 at 89k, 0.92-1.03
-at 44k-71k, 1.02-1.03 at fm's 23k-36k and lr's 4.5k, and 1.25-1.29 at 15k.
+Two cores: a run whose bundle holds at least ``parallel.SPLIT_MIN_VALUES``
+(1,000) trainable values, in a process that may fork a helper
+(``parallel.forkable``: two or more CPUs and one thread, so BLAS pinned to
+one), splits its two-sided steps. ``joint_loss`` has the helper process build
+and sweep the unlabeled side while the labeled side is built here,
+``ad.backward`` adds the helper's gradients after the labeled side's, and
+``Adam.step`` has the helper update the second half of its buffers. plain,
+whose steps have one side only, never forks, nor does the self-training
+predictor round. Every bit is the serial run's. At the default sizes every
+adv, dadv and fairvae bundle splits: lr holds 1.1k-4.5k values at input width
+28, fm 10k-23k and dnn 74k-151k (197k at width 103). Step times on a 2-CPU
+machine, BLAS pinned to one thread, 128 labeled and 128 unlabeled rows per
+step, median of 280 steps (split / serial): dnn fairvae at width 103 4.79 /
+8.83 ms; at width 28 fm fairvae 2.50 / 4.65, dadv 1.90 / 3.66, adv 0.93 /
+2.00; lr fairvae 2.28 / 3.85, dadv 1.56 / 2.72, adv (1.1k values) 1.07 /
+1.22, and adv at hidden width 16 (96 values) 0.29 / 0.32. Forking costs a
+run about 3 ms in a 200 MB process and 10 ms in a 570 MB one, which a
+handful of steps does not repay: the constant keeps toy bundles, as the
+tests' are, serial.
 
 Model selection: the restored checkpoint maximizes validation accuracy minus
 the validation demographic-parity gap, compared over the second half of the
@@ -93,11 +96,13 @@ class Adam:
     A step checks every gradient for a non-finite value, then computes,
     elementwise and in this order, ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``
-    with ``c = 1 - b**t``. With enough values (``parallel.splits``) the two
-    halves of the buffers are updated on two cores, with the same bits.
+    with ``c = 1 - b**t``. Given a training run's ``helper``, the buffers
+    live in the mapping it shares, and once its process runs, it updates the
+    second half of them while the caller updates the first, with the same
+    bits.
     """
 
-    def __init__(self, params, lr=0.01):
+    def __init__(self, params, lr=0.01, helper: parallel.Helper | None = None):
         self.params = list(params)
         seen = set()
         for p in self.params:
@@ -110,8 +115,16 @@ class Adam:
         self.lr = lr
         self.t = 0
         size = sum(p.value.size for p in self.params)
-        self.values = np.empty(size)
-        self.grads = np.empty(size)
+        self._helper = helper
+        if helper is None:
+            self.values, self.grads = np.empty(size), np.empty(size)
+            self.m, self.v = np.zeros(size), np.zeros(size)
+            self._scratch = (np.empty(size), np.empty(size))
+        else:  # zero-filled, in the mapping that the helper shares
+            self.values, self.grads, self.m, self.v, *scratch = \
+                helper.buffers(size, 6)
+            self._scratch = tuple(scratch)
+            helper.held["adam"] = self
         lo = 0
         for p in self.params:
             hi = lo + p.value.size
@@ -121,9 +134,6 @@ class Adam:
             p.grad = self.grads[lo:hi].reshape(p.grad.shape)
             p.owned = True
             lo = hi
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self._scratch = (np.empty(size), np.empty(size))
 
     def zero_grad(self):
         self.grads.fill(0.0)
@@ -133,13 +143,14 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradient(f"non-finite gradient for {bad.name}")
         self.t += 1
-        size = self.values.size
-        if parallel.splits(size):
-            half = size // 2
-            parallel.pair(lambda: self._update(slice(0, half)),
-                          lambda: self._update(slice(half, size)))
-        else:
+        if self._helper is None or self._helper.pid is None:
             self._update(slice(None))
+            return
+        self._helper.submit(_update_second_half, self.t)
+        try:
+            self._update(slice(0, self.values.size // 2))
+        finally:
+            self._helper.reply()
 
     def _update(self, part: slice):
         """The step's update of the ``part`` of the flat buffers."""
@@ -161,6 +172,15 @@ class Adam:
         s /= r
         values = self.values[part]
         values -= s
+
+
+def _update_second_half(helper: parallel.Helper, _views, t: int):
+    """The helper's task in a split ``Adam.step``: the update of step ``t``
+    over the second half of the shared buffers."""
+    adam = helper.held["adam"]
+    adam.t = t
+    adam._update(slice(adam.values.size // 2, None))
+    yield None
 
 
 @dataclass(kw_only=True)
@@ -261,7 +281,17 @@ def train(spec: MethodSpec, split: DatasetSplit,
     if spec.method.endswith("_st"):
         return self_train(spec, split, log_writer=log_writer)
     bundle = _build_bundle(spec, split.feature_dim)
-    opt = Adam(bundle.trainable_parameters(), lr=spec.lr)
+    params = bundle.trainable_parameters()
+    with parallel.session(sum(p.value.size for p in params),
+                          bundle=bundle) as helper:
+        opt = Adam(params, lr=spec.lr, helper=helper)
+        return _run_epochs(spec, split, bundle, opt, helper, log_writer)
+
+
+def _run_epochs(spec: MethodSpec, split: DatasetSplit, bundle: M.ModelBundle,
+                opt: Adam, helper: parallel.Helper | None,
+                log_writer) -> tuple[M.ModelBundle, TrainReport]:
+    """``train``'s epochs, each a pass of steps and a validation."""
     rng_drop = _stream(spec.seed, 11)
     rng_eps = _stream(spec.seed, 12)
     report = TrainReport()
@@ -286,7 +316,7 @@ def train(spec: MethodSpec, split: DatasetSplit,
                     lab, unl, bundle, spec.objective,
                     _epsilon(bundle, rng_eps, lab, spec.latent_dim),
                     _epsilon(bundle, rng_eps, unl, spec.latent_dim),
-                    training=True, rng=rng_drop)
+                    training=True, rng=rng_drop, helper=helper)
                 opt.zero_grad()
                 ad.backward(total)
                 opt.step()

@@ -83,10 +83,13 @@ class TestActivations:
                       elements=st.one_of(
                           st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(-800.0, 800.0),
-                          st.sampled_from([0.0, -0.0, 700.5, -700.5, 745.2, -745.2]))))
+                          st.sampled_from([0.0, -0.0, 700.5, -700.5, 745.2, -745.2])),
+                      fill=st.nothing()))
     def test_softplus_gradient_is_scipy_expit_bytes(self, expit, v):
-        """The per-element ``math.exp`` logistic has ``scipy.special.expit``'s
-        bytes, past |v| = 709 (where ``exp`` overflows) and at -0.0 too."""
+        """The softplus gradient has ``scipy.special.expit``'s bytes, past
+        |v| = 709 (where ``exp`` overflows) and at -0.0 too. Every element is
+        drawn, so a logistic from numpy's real ``exp``, which rounds about 2%
+        of inputs differently, fails it."""
         x = ad.Node(v)
         out = ad.softplus(x)
         out._backward(np.ones_like(out.value))

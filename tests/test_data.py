@@ -132,6 +132,36 @@ class TestLoadAdult:
         with pytest.raises(D.SchemaError, match=r"bad.csv:1.*expected 15.*got 3"):
             D._read_adult_file(p)
 
+    def test_first_error_in_file_order_precedes_a_later_bad_byte(self,
+                                                                tmp_path):
+        """Line 1 has two fields, line 2 a Latin-1 byte: line 1's error."""
+        p = tmp_path / "bad.data"
+        p.write_bytes(b"1,2\n" + "M\xe9xico\n".encode("latin-1"))
+        with pytest.raises(D.SchemaError,
+                           match=r"^\S*bad.data:1: expected 15 fields, got 2$"):
+            D._read_adult_file(p)
+
+    def test_bad_cell_before_a_bad_byte_is_reported(self, tmp_path,
+                                                    adult_files):
+        p = _with_bad_cell(tmp_path, adult_files[0], "age", "abc")
+        p.write_bytes(p.read_bytes() + "M\xe9xico\n".encode("latin-1"))
+        with pytest.raises(D.ParseError, match=r"bad.csv:2: column 'age'"):
+            D._read_adult_file(p)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"],
+                             ids=["lf", "crlf", "cr"])
+    def test_bad_byte_names_its_line_and_column(self, tmp_path, adult_files,
+                                                newline):
+        with open(adult_files[0]) as fh:
+            good = fh.readline().strip()
+        p = tmp_path / "latin1.data"
+        p.write_bytes((good + newline + "|banner" + newline).encode()
+                      + b"ab\xe9" + newline.encode())
+        with pytest.raises(D.ParseError,
+                           match=r"latin1.data:3: byte 0xe9 at column 3 is "
+                                 r"not UTF-8 text$"):
+            D._read_adult_file(p)
+
     def test_malformed_numeric_names_line(self, tmp_path, adult_files):
         with open(adult_files[0]) as fh:
             good_line = fh.readline().strip()

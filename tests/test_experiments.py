@@ -533,6 +533,32 @@ class TestCli:
             "damaged: extra.stats.cat_vocab has unknown keys ['marital-statuz'] "
             "and lacks keys ['marital-status']\n")
 
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    @pytest.mark.parametrize("table,key,value,expected", [
+        ("num_std", "age", "abc", "a finite number above 0"),
+        ("num_std", "age", 0.0, "a finite number above 0"),
+        ("num_mean", "hours-per-week", None, "a finite number"),
+        ("cat_vocab", "race", ["White", 3], "a list of strings"),
+        ("cat_vocab", "race", "White", "a list of strings"),
+        ("cat_mode", "workclass", 1, "a string"),
+    ], ids=["std-text", "std-zero", "mean-null", "vocab-number",
+            "vocab-text", "mode-number"])
+    def test_checkpoint_with_mistyped_stats_value_exit_code(
+            self, dataset, trained, tmp_path, capsys, verb, table, key, value,
+            expected):
+        bundle, header = M.load_bundle(trained[1])
+        header["extra"]["stats"][table][key] = value
+        damaged = tmp_path / "damaged.ckpt"
+        M.save_bundle(bundle, damaged, extra=header["extra"])
+        argv = [verb, "--checkpoint", str(damaged), "--test", dataset[1]]
+        if verb == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {damaged}: the checkpoint's encoding statistics are "
+            f"damaged: extra.stats.{table}[{key!r}] is {value!r}, expected "
+            f"{expected}\n")
+
     def test_test_path_is_a_directory_exit_code(self, trained, tmp_path, capsys):
         _, ckpt = trained
         code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(tmp_path)])
@@ -987,9 +1013,10 @@ class TestTwoCoreCell:
         """dnn/fairvae at the default sizes holds 151k trainable values on
         this width-28 data, so where two CPUs are available its steps split;
         its step log and checkpoint are the serial run's bytes."""
-        calls, pair = [], parallel.pair
-        monkeypatch.setattr(parallel, "pair",
-                            lambda here, there: calls.append(1) or pair(here, there))
+        calls, submit = [], parallel.Helper.submit
+        monkeypatch.setattr(parallel.Helper, "submit",
+                            lambda self, *a, **k: calls.append(1)
+                            or submit(self, *a, **k))
         files, counts = [], []
         for min_values in (2 ** 62, parallel.SPLIT_MIN_VALUES):
             monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
@@ -1003,19 +1030,28 @@ class TestTwoCoreCell:
                                            ("checkpoints", ".ckpt"))])
             counts.append(len(calls))
         assert files[0] == files[1]
-        assert counts[0] == 0 and (counts[1] > 0) == (parallel._cpus() >= 2)
+        assert counts[0] == 0 and (counts[1] > 0) == parallel.forkable()
 
     def test_pool_after_split_training_matches_serial_run(self, dataset,
                                                           tmp_path):
-        """A process whose helper thread runs forks its pool's workers; they
-        start helpers of their own and finish, with the serial run's tables."""
+        """A process that ran split training steps (its helper forked and
+        reaped) runs a ``workers=2`` grid with the ``workers=1`` tables, and
+        no pool worker splits a step: a worker that forked a helper would
+        fail its cells."""
         code = textwrap.dedent("""
             import sys
             from fairvae import experiments as X, parallel
             parallel.SPLIT_MIN_VALUES = 0
-            for path in sys.argv[1:]:
-                X.run_experiments(X.ExperimentConfig.from_file(path))
-                assert (parallel._tasks is not None) == (parallel._cpus() >= 2)
+            forks, fork = [], parallel.Helper._fork
+            parallel.Helper._fork = lambda self: forks.append(1) or fork(self)
+            X.run_experiments(X.ExperimentConfig.from_file(sys.argv[1]))
+            assert bool(forks) == parallel.forkable(), forks
+
+            def refuse(self):
+                raise RuntimeError("a pool worker forked a helper")
+
+            parallel.Helper._fork = refuse
+            X.run_experiments(X.ExperimentConfig.from_file(sys.argv[2]))
             """)
         paths = []
         for workers in (1, 2):
@@ -1034,3 +1070,4 @@ class TestTwoCoreCell:
         for stem in ("results_raw.csv", "results_agg.csv", "results.txt"):
             assert ((tmp_path / "workers2" / stem).read_bytes()
                     == (tmp_path / "workers1" / stem).read_bytes())
+        assert "FAILED" not in (tmp_path / "workers2" / "results_raw.csv").read_text()

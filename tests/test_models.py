@@ -2,7 +2,6 @@ import hashlib
 import json
 import re
 import struct
-import sys
 from dataclasses import asdict
 
 import numpy as np
@@ -13,6 +12,7 @@ from fairvae import autodiff as ad
 from fairvae import models as M
 from fairvae import objectives as O
 from fairvae import parallel
+from fairvae import training as T
 from fairvae.data import ConfigError, Samples
 from gradcheck import graph_nodes
 from toys import tiny_config, toy_batch, adversarial_wiring_outcome
@@ -212,17 +212,19 @@ class TestEvalAllocatesNoGradients:
                     assert node.grad is None, (backbone, node)
 
 
-def _joint_loss_gradients(backbone):
+def _joint_loss_gradients(backbone, bundle=None, helper=None):
     """One backward of the fairvae objective on labeled + unlabeled toy
-    batches, with dropout on."""
-    bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
+    batches, with dropout on (the unlabeled side on ``helper``, if given)."""
+    if bundle is None:
+        bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
     rng = np.random.default_rng(3)
     lab = Samples(rng.uniform(-2, 2, (6, 6)), rng.integers(0, 2, 6),
                   rng.integers(0, 2, 6))
     unl = Samples(rng.uniform(-2, 2, (5, 6)), rng.integers(0, 2, 5))
     total, _ = O.joint_loss(lab, unl, bundle, O.ObjectiveConfig(),
                             rng.standard_normal((6, 3)),
-                            rng.standard_normal((5, 3)), training=True, rng=rng)
+                            rng.standard_normal((5, 3)), training=True, rng=rng,
+                            helper=helper)
     ad.backward(total)
     return bundle, total
 
@@ -261,45 +263,41 @@ class TestGradientsAfterBackward:
 
 
 class TestTwoCoreGradients:
-    """The gradient pins again with the two sides built and swept on two
-    cores (``SPLIT_MIN_VALUES`` 0), or serially in a process that may use one
-    CPU only."""
+    """The gradient pins again with the unlabeled side built and swept in a
+    helper process (``SPLIT_MIN_VALUES`` 0), or serially in a process that
+    may use one CPU only."""
+
+    @staticmethod
+    def _split_gradients(backbone, steps=1):
+        """``_joint_loss_gradients`` in a training session whose optimizer
+        holds the bundle: the gradient digest after each of ``steps``
+        repetitions, and the last root."""
+        bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
+        params = bundle.trainable_parameters()
+        digests = []
+        with parallel.session(sum(p.value.size for p in params),
+                              bundle=bundle) as helper:
+            opt = T.Adam(params, helper=helper)
+            for _ in range(steps):
+                opt.zero_grad()
+                _, total = _joint_loss_gradients(backbone, bundle, helper)
+                digests.append(_gradient_digest(bundle))
+        return digests, total
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     def test_trainable_gradients_match_golden_digest(self, monkeypatch,
                                                      backbone):
         monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
-        bundle, total = _joint_loss_gradients(backbone)
-        assert total.op == ("add_sides" if parallel._cpus() >= 2 else "add")
-        assert _gradient_digest(bundle) == GOLDEN_GRADIENT_DIGESTS[backbone]
+        digests, total = self._split_gradients(backbone)
+        assert total.op == ("add_sides" if parallel.forkable() else "add")
+        assert digests == [GOLDEN_GRADIENT_DIGESTS[backbone]]
 
-    def test_pins_hold_under_frequent_thread_switches(self, monkeypatch):
-        """The two threads write no shared buffer: with the interpreter
-        switching threads every microsecond, every split sweep still gives
-        the pinned bits."""
+    def test_pins_hold_over_repeated_split_steps(self, monkeypatch):
+        """Twenty steps of one session reuse its helper and exchange area;
+        each sweep gives the pinned bits."""
         monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            digests = {_gradient_digest(_joint_loss_gradients("dnn")[0])
-                       for _ in range(20)}
-        finally:
-            sys.setswitchinterval(interval)
-        assert digests == {GOLDEN_GRADIENT_DIGESTS["dnn"]}
-
-    def test_sides_sharing_an_inner_node_sweep_serially(self, monkeypatch):
-        """``backward`` from an ``add_sides`` root whose sides share more than
-        leaves gives the bits of the plain ``add``'s sweep."""
-        monkeypatch.setattr(parallel, "pair", None)  # never reached
-        value = np.random.default_rng(0).uniform(-1, 1, (3, 2))
-        grads = []
-        for join in (ad.add, ad.add_sides):
-            w = ad.Parameter(value.copy(), "w")
-            shared = ad.tanh(ad.matmul(np.ones((4, 3)), w))
-            ad.backward(join(ad.mean_all(ad.square(shared)),
-                             ad.mean_all(ad.scale(shared, 3.0))))
-            grads.append(w.grad.tobytes())
-        assert grads[0] == grads[1]
+        digests, _ = self._split_gradients("dnn", steps=20)
+        assert digests == [GOLDEN_GRADIENT_DIGESTS["dnn"]] * 20
 
 
 class TestTaskHeadLinearity:

@@ -520,15 +520,15 @@ class TestLadderDigests:
 
 
 @pytest.fixture
-def pair_calls(monkeypatch):
-    """Every ``parallel.pair`` call, by the function that made it."""
-    calls, pair = [], parallel.pair
+def submit_calls(monkeypatch):
+    """Every task handed to a helper process, by the function that made it."""
+    calls, submit = [], parallel.Helper.submit
 
-    def counting(here, there):
+    def counting(self, task, *args, **kwargs):
         calls.append(sys._getframe(1).f_code.co_name)
-        return pair(here, there)
+        return submit(self, task, *args, **kwargs)
 
-    monkeypatch.setattr(parallel, "pair", counting)
+    monkeypatch.setattr(parallel.Helper, "submit", counting)
     return calls
 
 
@@ -539,23 +539,24 @@ class TestTwoCoreLadderDigests:
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     @pytest.mark.parametrize("method", T.METHODS)
-    def test_parameters_match_golden_digest(self, monkeypatch, pair_calls,
+    def test_parameters_match_golden_digest(self, monkeypatch, submit_calls,
                                             method, backbone):
         monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         assert (_ladder_digest(method, backbone)
                 == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
-        two_cores = parallel._cpus() >= 2
-        assert ("step" in pair_calls) == two_cores
-        # plain's steps have one side only, and a self-training cell may
-        # adopt every unlabeled row as a pseudo-labeled one
+        # plain's steps have one side only and never fork a helper, and a
+        # self-training cell may adopt every unlabeled row as a labeled one
         if method in ("adv", "dadv", "fairvae"):
-            assert ("joint_loss" in pair_calls) == two_cores
+            assert ("joint_loss" in submit_calls) == parallel.forkable()
+            assert ("step" in submit_calls) == parallel.forkable()
+        if method == "plain":
+            assert not submit_calls
 
 
 class TestTwoCoreHelper:
     def test_unlabeled_side_error_is_the_serial_one(self, monkeypatch,
-                                                    pair_calls):
-        """A non-finite value met on the helper thread is raised by the step
+                                                    submit_calls):
+        """A non-finite value met in the helper process is raised by the step
         with the serial run's type and message."""
         def error(min_values):
             monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
@@ -568,45 +569,98 @@ class TestTwoCoreHelper:
         serial = error(2 ** 62)
         assert serial[1].startswith("non-finite values in const (method=")
         assert error(0) == serial
-        assert ("joint_loss" in pair_calls) == (parallel._cpus() >= 2)
+        assert ("joint_loss" in submit_calls) == parallel.forkable()
 
-    def test_labeled_side_error_wins(self, monkeypatch, pair_calls):
+    def test_labeled_side_error_wins(self, monkeypatch, submit_calls):
         monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         bundle = M.ModelBundle(M.BundleConfig(input_dim=6, hidden_dim=4,
                                               latent_dim=2, method="dadv"))
         rng = np.random.default_rng(0)
         x, y, z = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 2, 5), \
             rng.integers(0, 2, 5)
-        # no attributes on the labeled side, attributes on the unlabeled one
-        with pytest.raises(ValueError, match="^labeled loss requires observed "
-                                             "attributes$"):
-            O.joint_loss(Samples(x, y), Samples(x, y, z), bundle,
-                         O.ObjectiveConfig(), None, None)
-        with pytest.raises(ValueError, match="^unlabeled loss got observed "
-                                             "attributes$"):
-            O.joint_loss(Samples(x, y, z), Samples(x, y, z), bundle,
-                         O.ObjectiveConfig(), None, None)
-        # the helper is free again: the next step builds both sides
-        total, _ = O.joint_loss(Samples(x, y, z), Samples(x, y), bundle,
-                                O.ObjectiveConfig(), None, None)
-        assert total.op == ("add_sides" if parallel._cpus() >= 2 else "add")
-        assert pair_calls.count("joint_loss") == 3 * (parallel._cpus() >= 2)
+        params = bundle.trainable_parameters()
+        with parallel.session(sum(p.value.size for p in params),
+                              bundle=bundle) as helper:
+            T.Adam(params, helper=helper)
+            # no attributes on the labeled side, attributes on the unlabeled one
+            with pytest.raises(ValueError, match="^labeled loss requires "
+                                                 "observed attributes$"):
+                O.joint_loss(Samples(x, y), Samples(x, y, z), bundle,
+                             O.ObjectiveConfig(), None, None, helper=helper)
+            with pytest.raises(ValueError, match="^unlabeled loss got "
+                                                 "observed attributes$"):
+                O.joint_loss(Samples(x, y, z), Samples(x, y, z), bundle,
+                             O.ObjectiveConfig(), None, None, helper=helper)
+            # the helper is free again: the next step builds both sides
+            total, _ = O.joint_loss(Samples(x, y, z), Samples(x, y), bundle,
+                                    O.ObjectiveConfig(), None, None,
+                                    helper=helper)
+        assert total.op == ("add_sides" if parallel.forkable() else "add")
+        assert submit_calls.count("joint_loss") == 3 * parallel.forkable()
 
-    @pytest.mark.parametrize("backbone,one_cpu", [
-        ("dnn", True), ("fm", False), ("lr", False)],
-        ids=["dnn-one-cpu", "fm-ladder-size", "lr-ladder-size"])
-    def test_no_thread_for_a_serial_step(self, monkeypatch, backbone, one_cpu):
-        """At the default sizes on width-28 data, dnn holds 151k trainable
-        values, fm 23k and lr 4.5k: no helper starts for the two small ones,
-        nor for dnn in a process that may use one CPU."""
-        if one_cpu:
+    def test_a_run_that_raises_reaps_its_helper(self, monkeypatch):
+        """A split run whose labeled side raises mid-training leaves no
+        process behind (the autouse fixture checks it) and gives the serial
+        run's error."""
+        calls = []
+        real = O.labeled_loss
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("labeled side failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(O, "labeled_loss", failing)
+        errors = []
+        for min_values in (2 ** 62, 0):
+            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
+            calls.clear()
+            with pytest.raises(ValueError) as caught:
+                T.train(toy_spec("fairvae"), tiny_split())
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("labeled side failed (method=fairvae")
+
+    def test_no_helper_beside_another_thread(self, monkeypatch):
+        """A process running a second thread (as a multi-threaded BLAS
+        does) never forks: the helper would compete with that thread, and
+        forking beside threads is unsafe."""
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: pytest.fail("a helper was forked"))
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            assert not parallel.forkable()
+            digest = _ladder_digest("fairvae", "dnn")
+        finally:
+            done.set()
+            other.join()
+        assert digest == GOLDEN_LADDER_DIGESTS["fairvae/dnn"]
+
+    @pytest.mark.parametrize("case", ["one-cpu", "below-the-constant",
+                                      "one-sided"])
+    def test_no_helper_for_a_serial_run(self, monkeypatch, case):
+        """No helper is forked in a process that may use one CPU, for a
+        bundle below ``SPLIT_MIN_VALUES``, or for plain, whose steps have one
+        side only (its optimizer alone is not worth a process)."""
+        if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(parallel, "_tasks", None)
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: pytest.fail("a helper was forked"))
         before = set(threading.enumerate())
         samples = separable_samples(60, seed=1, dim=28)
         split = D.split_and_mask(samples, val_frac=0.1, label_ratio=0.5, seed=1)
-        spec = T.MethodSpec(backbone=backbone, method="fairvae", epochs=1,
-                            batch_size=16)
+        if case == "below-the-constant":
+            spec = toy_spec("fairvae", backbone="lr", epochs=1)
+            values = sum(p.value.size for p in T._build_bundle(
+                spec, 28).trainable_parameters())
+            assert values < parallel.SPLIT_MIN_VALUES
+        else:
+            spec = T.MethodSpec(backbone="dnn", epochs=1, batch_size=16,
+                                method="plain" if case == "one-sided"
+                                else "fairvae")
         T.train(spec, split)
-        assert parallel._tasks is None
         assert set(threading.enumerate()) == before
