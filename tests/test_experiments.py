@@ -1011,8 +1011,8 @@ class TestTwoCoreCell:
     def test_natural_size_dnn_cell_matches_serial_run(self, dataset, tmp_path,
                                                       monkeypatch):
         """dnn/fairvae at the default sizes holds 151k trainable values on
-        this width-28 data, so where two CPUs are available its steps split;
-        its step log and checkpoint are the serial run's bytes."""
+        this width-28 data, so where the process may fork a helper its steps
+        split; its step log and checkpoint are the serial run's bytes."""
         calls, submit = [], parallel.Helper.submit
         monkeypatch.setattr(parallel.Helper, "submit",
                             lambda self, *a, **k: calls.append(1)

@@ -598,29 +598,33 @@ class TestTwoCoreHelper:
         assert total.op == ("add_sides" if parallel.forkable() else "add")
         assert submit_calls.count("joint_loss") == 3 * parallel.forkable()
 
-    def test_a_run_that_raises_reaps_its_helper(self, monkeypatch):
-        """A split run whose labeled side raises mid-training leaves no
-        process behind (the autouse fixture checks it) and gives the serial
-        run's error."""
-        calls = []
-        real = O.labeled_loss
+    @pytest.mark.parametrize("side", ["labeled", "unlabeled"])
+    def test_a_run_that_raises_reaps_its_helper(self, monkeypatch, side):
+        """A split run whose labeled side, or whose side in the helper,
+        raises at its third step gives the serial run's error and leaves no
+        process behind (the autouse fixture checks that)."""
+        calls, real = [], getattr(O, f"{side}_loss")
 
         def failing(*args, **kwargs):
             calls.append(1)
             if len(calls) == 3:
-                raise ValueError("labeled side failed")
+                raise ValueError(f"{side} side failed")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(O, "labeled_loss", failing)
+        monkeypatch.setattr(O, f"{side}_loss", failing)
+        forks, fork = [], parallel.Helper._fork
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: forks.append(1) or fork(self))
         errors = []
         for min_values in (2 ** 62, 0):
             monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
             calls.clear()
             with pytest.raises(ValueError) as caught:
-                T.train(toy_spec("fairvae"), tiny_split())
+                T.train(toy_spec("fairvae"), tiny_split(n=60))
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
-        assert errors[0].startswith("labeled side failed (method=fairvae")
+        assert errors[0].startswith(f"{side} side failed (method=fairvae")
+        assert len(forks) == parallel.forkable()
 
     def test_no_helper_beside_another_thread(self, monkeypatch):
         """A process running a second thread (as a multi-threaded BLAS
