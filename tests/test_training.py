@@ -553,7 +553,32 @@ class TestTwoCoreLadderDigests:
             assert not submit_calls
 
 
+def _echo(helper, views, n):
+    """A helper task for the exchange test: the sum of each array it got,
+    then two arrays placed back, ``n`` values in the second."""
+    yield [float(v.sum()) for v in views]
+    yield helper.place([np.arange(4.0), np.arange(float(n))])
+
+
 class TestTwoCoreHelper:
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_arrays_cross_the_area_or_the_pipe(self):
+        """Arrays that fit cross in the shared area, as views; one too big
+        for its part of the area crosses through the pipe, either way."""
+        helper = parallel.Helper({})
+        helper.buffers(4, 1)  # 4 + 2**20 values out, 8 back
+        small, big = np.arange(6.0), np.arange(2.0 ** 20 + 8)
+        try:
+            helper.submit(_echo, 16, arrays=[small, big], replies=2)
+            assert helper.reply() == [small.sum(), big.sum()]
+            placed = helper.reply()
+        finally:
+            helper.close()
+        assert isinstance(placed[0], tuple) and isinstance(placed[1], np.ndarray)
+        got = helper.view(placed)
+        assert [g.tolist() for g in got] == [[0.0, 1.0, 2.0, 3.0],
+                                             np.arange(16.0).tolist()]
+
     def test_unlabeled_side_error_is_the_serial_one(self, monkeypatch,
                                                     submit_calls):
         """A non-finite value met in the helper process is raised by the step
