@@ -46,26 +46,25 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threads() -> int:
-    """The process's threads, BLAS's worker threads included where the
-    system lists them."""
+def _one_thread() -> bool:
+    """Whether the process runs one thread, BLAS's worker threads counted;
+    False where the system does not list them (no procfs)."""
     try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:  # no procfs: the interpreter's threads only
-        import threading
-
-        return threading.active_count()
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
 
 def forkable() -> bool:
     """Whether this process may fork a helper: it can fork, may run on two
     or more CPUs, is not a pool worker (``run_serially``) and runs one
-    thread. A second thread is most often BLAS's: its worker threads and the
-    helper's would then share the CPUs, and steps ran slower than serial
-    ones; set ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) before
-    numpy loads to split them."""
+    thread. Forking beside other threads is unsafe, and a second thread is
+    most often BLAS's: its worker threads and the helper's would then share
+    the CPUs, and steps ran slower than serial ones. Set
+    ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) before numpy loads
+    to split them."""
     return (not _serial and hasattr(os, "fork") and _cpus() >= 2
-            and _threads() == 1)
+            and _one_thread())
 
 
 def run_serially() -> None:
