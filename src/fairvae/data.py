@@ -235,7 +235,10 @@ class Stats:
         included), or the first value of the wrong type, as statistics read
         back from a file may be: a mean must be a finite number, a standard
         deviation a finite number above 0, a vocabulary a list of strings and
-        a mode a string."""
+        a mode a string, and ``include_sensitive`` a bool."""
+        if not isinstance(self.include_sensitive, bool):
+            raise SchemaError(f"include_sensitive is {self.include_sensitive!r}, "
+                              "expected true or false")
         for table, kind, valid, expected in _STATS_TABLES:
             value = getattr(self, table)
             names = {name for name, k in ADULT_SCHEMA

@@ -108,7 +108,6 @@ class ExperimentConfig(T.TrainingSettings):
             self.objective = ObjectiveConfig(
                 **_known_keys(ObjectiveConfig, self.objective, "objective"))
         super().__post_init__()  # every type, the shared settings' ranges
-        self.check_threshold(self.methods)
         M.require(self, "val_frac", lambda v: 0 < v < 1, "in (0, 1)")
         M.require(self, "sweep_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
         M.require(self, "workers", lambda v: v >= 1, ">= 1")
@@ -131,6 +130,7 @@ class ExperimentConfig(T.TrainingSettings):
             if unknown:
                 raise D.ConfigError(
                     f"unknown {axis} {unknown}; expected from {allowed}")
+        self.check_threshold(self.methods)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -465,8 +465,9 @@ def _test_report(bundle, test: D.Samples, seed: int) -> MX.FairnessReport:
 
 def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
     """The test file encoded with the checkpoint's training statistics; a
-    checkpoint without them, or with tables not keyed by the schema's
-    columns, raises ``CheckpointError`` naming its file."""
+    checkpoint without them, with tables not keyed by the schema's columns,
+    or with an encoding whose width is not its model's input width raises
+    ``CheckpointError`` naming its file."""
     try:
         stats = D.Stats(**header["extra"]["stats"])
     except (KeyError, TypeError):
@@ -480,6 +481,11 @@ def _load_test_set(checkpoint_path, header: dict, test_path) -> D.Samples:
         raise M.CheckpointError(
             f"{checkpoint_path}: the checkpoint's encoding statistics are "
             f"damaged: extra.stats.{exc}") from None
+    if stats.feature_dim != header["config"]["input_dim"]:
+        raise M.CheckpointError(
+            f"{checkpoint_path}: the checkpoint's encoding statistics are "
+            f"damaged: they encode {stats.feature_dim} input columns, its "
+            f"model takes {header['config']['input_dim']}")
     return D.preprocess(D._read_adult_file(test_path), stats)[0]
 
 

@@ -7,6 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 
 
 class UndefinedMetric(ValueError):
@@ -141,6 +142,70 @@ def auc(y_true, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
+PROBE_SPLIT_MIN_VALUES = 1_000_000  # training rows x width: see _fit_probe
+
+
+def _logit_gradients(x, up_log, w, b) -> np.ndarray:
+    """The gradient of the probe's mean cross-entropy with respect to the
+    logits of the rows of ``x``, given ``up_log``, its gradient with respect
+    to their log-probabilities (``_fit_probe``)."""
+    logits = x @ w
+    logits += b
+    e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
+    p = e / (e[:, :1] + e[:, 1:])
+    inside = (p >= ad.LOG_FLOOR).astype(np.float64)
+    g = inside * up_log / np.maximum(p, ad.LOG_FLOOR)
+    gp = g * p
+    return p * (g - (gp[:, :1] + gp[:, 1:]))
+
+
+def _gradients(x, up_log, w, b):
+    """One serial epoch's logit and weight gradients."""
+    g = _logit_gradients(x, up_log, w, b)
+    return g, (g.T @ x).T
+
+
+def _halves(shape) -> tuple[int, int]:
+    """Where a split epoch cuts the rows (a multiple of 64) and the columns
+    (a multiple of 8) of an ``n x d`` training slice: the caller takes those
+    before the cut, the helper the rest."""
+    n, d = shape
+    return n // 2 // 64 * 64, d // 2 // 8 * 8
+
+
+def _probe_half(helper: parallel.Helper, views, k: int, c: int):
+    """The helper's task in a split epoch (``_split_gradients``): the logit
+    gradients of rows ``k:``, then the weight gradient of columns ``c:``."""
+    w, b = views
+    x, up_log, g = helper.held["x"], helper.held["up_log"], helper.held["g"]
+    g[k:] = _logit_gradients(x[k:], up_log[k:], w, b)
+    yield None
+    helper.wait()  # the caller's rows are in g too
+    yield helper.place([(g.T @ x[:, c:]).T])
+
+
+def _split_gradients(helper: parallel.Helper, x, up_log, w, b, check: bool):
+    """One epoch's gradients computed here and by ``helper``, in the shared
+    logit gradient ``helper.held["g"]``; None if the split failed or, with
+    ``check``, its bytes differ from the serial epoch's."""
+    g = helper.held["g"]
+    k, c = _halves(x.shape)
+    try:
+        task = helper.submit(_probe_half, k, c, arrays=[w, b], replies=2)
+        g[:k] = _logit_gradients(x[:k], up_log[:k], w, b)
+        helper.signal([])
+        helper.reply(task)  # the helper's rows are in g too
+        weight_grad = np.empty((x.shape[1], 2))
+        weight_grad[:c] = (g.T @ x[:, :c]).T
+        weight_grad[c:] = helper.view(helper.reply(task))[0]
+    except Exception:  # the serial epoch raises the serial error, if any
+        return None
+    if check and any(a.tobytes() != s.tobytes() for a, s in zip(
+            (g, weight_grad), _gradients(x, up_log, w, b))):
+        return None
+    return g, weight_grad
+
+
 def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     """The probe's seeded split and its fit on the 70%: returns the weight,
     the bias and the held-out rows. Each epoch runs in plain numpy and gives
@@ -156,12 +221,38 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
       is what the accumulate does;
     - the weight gradient is ``(g.T @ x).T`` in place of ``x.T @ g``:
       OpenBLAS sums each output over the rows in the same order (checked
-      against the graph fit, above 2,000 rows too);
+      against the graph fit, for products of 10^6 multiply-adds and more
+      too, where OpenBLAS leaves its small-matrix path);
     - ``log_clipped``'s upper bound and its ``p <= 1`` test are dropped: a
       softmax of two finite values is at most 1, as ``e0 + e1 >= e0``;
     - the ``+ 0.0`` first touches are dropped: they change only the sign of
       a zero, and adding into the zeroed gradient buffers makes every zero
-      positive."""
+      positive.
+
+    Two cores: a training slice of at least ``PROBE_SPLIT_MIN_VALUES``
+    values (rows x width), in a process that may fork a helper
+    (``parallel.forkable``), splits its epochs with one helper process. Each
+    side computes the logit gradients of its own rows into a logit gradient
+    in the shared mapping, then the weight gradient of its own columns
+    (``_halves``); the caller keeps the bias gradient, over all rows, and
+    the Adam step. Every row's and every column's arithmetic is the serial
+    epoch's, so the bits are the serial ones wherever OpenBLAS runs the same
+    kernels on the halves as on the whole products. It need not: halves of
+    10^6 multiply-adds or fewer under whole products above that (2,800 x
+    256, 11,396 x 64) took its small-matrix path and moved bits. Its choice
+    depends on the shapes alone, which are fixed over the 200 epochs, so
+    the first epoch is computed both ways and compared byte for byte; on a
+    difference, or on any error in the split, the fit finishes serially
+    (and a serial epoch raises the serial error, if there is one). The
+    helper is reaped when the fit returns or raises.
+
+    The constant is where each half's products reach 10^6 multiply-adds.
+    Fit times on a 2-CPU machine, BLAS pinned to one thread (serial /
+    split): 11,396 x 256 training values 0.65 / 0.40 s, 4,200 x 256 0.24 /
+    0.17 s; between 5 x 10^5 and 10^6 values the check falls back and a fit
+    takes about 3% longer than serially (the fork and the second first
+    epoch), and below that, where the whole products take the small-matrix
+    path too, a split saves 10 ms at most."""
     from .training import Adam  # deferred: training imports this module
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
@@ -180,19 +271,25 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     # row's true class and +0.0 elsewhere
     up_log = np.zeros((n_train, 2))
     up_log[np.arange(n_train), z[tr]] = -1.0 * (1.0 / n_train)
-    for _ in range(200):
-        logits = x @ weight.value
-        logits += bias.value
-        e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
-        p = e / (e[:, :1] + e[:, 1:])
-        inside = (p >= ad.LOG_FLOOR).astype(np.float64)
-        g = inside * up_log / np.maximum(p, ad.LOG_FLOOR)
-        gp = g * p
-        g = p * (g - (gp[:, :1] + gp[:, 1:]))
-        opt.zero_grad()
-        weight.grad += (g.T @ x).T
-        bias.grad += np.add.accumulate(g)[-1]
-        opt.step()  # raises NonFiniteGradient on a non-finite epoch
+    with parallel.session(x.size, PROBE_SPLIT_MIN_VALUES,
+                          x=x, up_log=up_log) as helper:
+        if helper is not None:
+            helper.held["g"] = helper.buffers(2 * n_train, 1)[0].reshape(
+                n_train, 2)
+        for epoch in range(200):
+            grads = None
+            if helper is not None:
+                grads = _split_gradients(helper, x, up_log, weight.value,
+                                         bias.value, check=epoch == 0)
+                if grads is None:  # finish serially
+                    helper.close()
+                    helper = None
+            g, weight_grad = grads or _gradients(x, up_log, weight.value,
+                                                 bias.value)
+            opt.zero_grad()
+            weight.grad += weight_grad
+            bias.grad += np.add.accumulate(g)[-1]
+            opt.step()  # raises NonFiniteGradient on a non-finite epoch
     return weight.value, bias.value, te
 
 
@@ -201,7 +298,11 @@ def leakage_probe(representations, z, seed: int) -> float:
     attribute from frozen representations; higher means more leakage. The
     protocol is fixed: a seeded 70/30 split, then 200 full-batch Adam epochs
     at lr 0.01 on the 70%, scored on the 30%. The fit runs in plain numpy,
-    without an autodiff graph (``_fit_probe``).
+    without an autodiff graph (``_fit_probe``), and a large one (at least
+    ``PROBE_SPLIT_MIN_VALUES`` training values) on two cores where the
+    process may fork a helper, with the serial fit's bits: its first epoch
+    is checked against the serial one, which suffices because OpenBLAS
+    picks its kernels by shape alone.
 
     Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
     than 0 or 1, a single group, or a representation row that is not finite.

@@ -104,6 +104,7 @@ class BundleConfig(ArchitectureSettings):
 
     def __post_init__(self):
         super().__post_init__()
+        require(self, "input_dim", lambda v: v >= 1, ">= 1")
         if self.method not in LADDER:
             raise ConfigError(
                 f"unknown method {self.method!r}; expected one of {LADDER}")

@@ -27,13 +27,18 @@ Two cores: a run whose bundle holds at least ``parallel.SPLIT_MIN_VALUES``
 one), splits its two-sided steps. ``joint_loss`` has the helper process build
 and sweep the unlabeled side while the labeled side is built here,
 ``ad.backward`` adds the helper's gradients after the labeled side's, and
-``Adam.step`` has the helper update the second half of its buffers. plain,
-whose steps have one side only, never forks, nor does the self-training
-predictor round. Every bit is the serial run's. At the default sizes every
-adv, dadv and fairvae bundle splits: lr holds 1.1k-4.5k values at input width
-28, fm 10k-23k and dnn 74k-151k (197k at width 103). Step times on a 2-CPU
-machine, BLAS pinned to one thread, 128 labeled and 128 unlabeled rows per
-step, median of 280 steps (split / serial): dnn fairvae at width 103 4.79 /
+``Adam.step`` has the helper update the second half of its buffers when they
+hold at least ``ADAM_SPLIT_MIN_VALUES`` (12,000) values. Below that the
+pipe's round trip costs more than the half of the update it moves (one step
+alone, in the caller / split: 4,500 values 24 / 37 us, 12,000 values 53 /
+53 us, 23,000 values 96 / 77 us), so lr's optimizers and fm's smaller ones
+update in the caller. plain, whose steps have one side only, never forks,
+nor does the self-training predictor round. Every bit is the serial run's.
+At the default sizes every adv, dadv and fairvae bundle splits: lr holds
+1.1k-4.5k values at input width 28, fm 10k-23k and dnn 74k-151k (197k at
+width 103). Step times on a 2-CPU machine, BLAS pinned to one thread, 128
+labeled and 128 unlabeled rows per step, median of 280 steps, with Adam's
+halves split at every size (split / serial): dnn fairvae at width 103 4.79 /
 8.83 ms; at width 28 fm fairvae 2.50 / 4.65, dadv 1.90 / 3.66, adv 0.93 /
 2.00; lr fairvae 2.28 / 3.85, dadv 1.56 / 2.72, adv (1.1k values) 1.07 /
 1.22, and adv at hidden width 16 (96 values) 0.29 / 0.32. Forking costs a
@@ -65,6 +70,8 @@ from . import parallel
 from .data import ConfigError, DatasetSplit, batches, single_stream_batches
 
 METHODS = ("plain", "adv", "adv_st", "dadv", "dadv_st", "fairvae")
+
+ADAM_SPLIT_MIN_VALUES = 12_000  # see the module docstring
 
 
 class NonFiniteGradient(ValueError):
@@ -98,8 +105,8 @@ class Adam:
     ``v = b2*v + ((1-b2)*g)*g`` and ``p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)``
     with ``c = 1 - b**t``. Given a training run's ``helper``, the buffers
     live in the mapping it shares, and once its process runs, it updates the
-    second half of them while the caller updates the first, with the same
-    bits.
+    second half of buffers of at least ``ADAM_SPLIT_MIN_VALUES`` values
+    while the caller updates the first, with the same bits.
     """
 
     def __init__(self, params, lr=0.01, helper: parallel.Helper | None = None):
@@ -143,7 +150,8 @@ class Adam:
             bad = next(p for p in self.params if not np.isfinite(p.grad).all())
             raise NonFiniteGradient(f"non-finite gradient for {bad.name}")
         self.t += 1
-        if self._helper is None or self._helper.pid is None:
+        if (self._helper is None or self._helper.pid is None
+                or self.values.size < ADAM_SPLIT_MIN_VALUES):
             self._update(slice(None))
             return
         self._helper.submit(_update_second_half, self.t)

@@ -1,11 +1,15 @@
+import contextlib
 import csv
 import gc
 import hashlib
+import io
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 from dataclasses import asdict, fields
@@ -559,6 +563,60 @@ class TestCli:
             f"damaged: extra.stats.{table}[{key!r}] is {value!r}, expected "
             f"{expected}\n")
 
+    @pytest.mark.parametrize("verb", ["eval", "export-embeddings"])
+    @pytest.mark.parametrize("value,expected", [
+        (True, "they encode 30 input columns, its model takes 28"),
+        ("x", "include_sensitive is 'x', expected true or false"),
+    ], ids=["true", "text"])
+    def test_checkpoint_with_changed_encoding_exit_code(
+            self, dataset, trained, tmp_path, capsys, verb, value, expected):
+        """A fuzzed checkpoint: statistics that encode ``sex`` for a model
+        trained without it gave inputs of the wrong width (``ShapeMismatch``
+        escaped ``eval``)."""
+        bundle, header = M.load_bundle(trained[1])
+        header["extra"]["stats"]["include_sensitive"] = value
+        damaged = tmp_path / "damaged.ckpt"
+        M.save_bundle(bundle, damaged, extra=header["extra"])
+        argv = [verb, "--checkpoint", str(damaged), "--test", dataset[1]]
+        if verb == "export-embeddings":
+            argv += ["--out", str(tmp_path / "emb.csv")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {damaged}: the checkpoint's encoding statistics are "
+            f"damaged: {'' if value is True else 'extra.stats.'}{expected}\n")
+
+    @pytest.mark.parametrize("input_dim", [0, -1])
+    def test_checkpoint_with_non_positive_input_width_exit_code(
+            self, dataset, trained, tmp_path, capsys, input_dim):
+        """A fuzzed checkpoint header: an input width below 1 escaped
+        ``eval`` from numpy's initializer (``OverflowError`` at -1)."""
+        blob = Path(trained[1]).read_bytes()
+        start = len(M.CHECKPOINT_MAGIC)
+        (length,) = struct.unpack("<I", blob[start:start + 4])
+        header = json.loads(blob[start + 4:start + 4 + length])
+        header["config"]["input_dim"] = input_dim
+        new = json.dumps(header).encode()
+        damaged = tmp_path / "damaged.ckpt"
+        damaged.write_bytes(blob[:start] + struct.pack("<I", len(new)) + new
+                            + blob[start + 4 + length:])
+        assert cli_main(["eval", "--checkpoint", str(damaged),
+                         "--test", dataset[1]]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {damaged}: the checkpoint header is damaged: ConfigError: "
+            f"input_dim must be >= 1, got {input_dim}\n")
+
+    def test_config_with_a_null_method_exit_code(self, dataset, tmp_path,
+                                                 capsys):
+        """A fuzzed config: a method that is not a string escaped ``run``
+        as an ``AttributeError`` from the self-training check."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"methods": [None]}))
+        code = cli_main(["run", "--config", str(path), "--train", dataset[0],
+                         "--test", dataset[1], "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown methods [None]; expected from {T.METHODS}\n")
+
     def test_test_path_is_a_directory_exit_code(self, trained, tmp_path, capsys):
         _, ckpt = trained
         code = cli_main(["eval", "--checkpoint", ckpt, "--test", str(tmp_path)])
@@ -603,6 +661,182 @@ class TestCli:
                          "--seed", "-1"])
         assert code == 2
         assert capsys.readouterr().err == "error: seed must be an int >= 0, got -1\n"
+
+
+# -- fuzzing the command line's input files ---------------------------------
+
+# values that a replaced cell takes: in an Adult file as text, in a config
+# or checkpoint header as JSON (small numbers only: a mutated config must
+# not train for long)
+_NASTY_CELLS = ["", " ", "?", "nan", "inf", "-inf", "1e308", "-1", "0", "1.5",
+                "abc", "Male", "<=50K", ">50K.", "\u00d1", "\x00", "\t"]
+_NASTY_VALUES = [None, True, False, 0, -1, 2, 0.5, float("nan"),
+                 float("inf"), "", "x", [], {}, [1], ["x"], {"a": 1}]
+
+
+def _leaf_paths(value, path=()):
+    """The paths (keys and indices) of every leaf of a JSON value."""
+    if isinstance(value, dict) and value:
+        return [p for k, v in value.items() for p in _leaf_paths(v, path + (k,))]
+    if isinstance(value, list) and value:
+        return [p for i, v in enumerate(value)
+                for p in _leaf_paths(v, path + (i,))]
+    return [path]
+
+
+def _replaced(value, path, new):
+    """A deep copy of ``value`` with the leaf at ``path`` replaced by ``new``."""
+    value = json.loads(json.dumps(value))
+    *head, last = path
+    inner = value
+    for key in head:
+        inner = inner[key]
+    inner[last] = new
+    return value
+
+
+@st.composite
+def _byte_mutation(draw, blob: bytes) -> bytes:
+    """``blob`` with one byte flipped, a few bytes deleted or inserted, or
+    cut short."""
+    kind = draw(st.sampled_from(["flip", "delete", "insert", "truncate"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) \
+            + blob[at + 1:]
+    if kind == "delete":
+        return blob[:at] + blob[at + draw(st.integers(1, 4)):]
+    if kind == "insert":
+        return blob[:at] + draw(st.binary(min_size=1, max_size=4)) + blob[at:]
+    return blob[:at]
+
+
+@st.composite
+def _adult_mutation(draw, text: str) -> bytes:
+    """An Adult file with one byte mutation or one cell replaced."""
+    if draw(st.booleans()):
+        return draw(_byte_mutation(text.encode()))
+    lines = text.split("\n")
+    row = draw(st.integers(0, len(lines) - 2))  # the last line is empty
+    cells = lines[row].split(",")
+    cells[draw(st.integers(0, len(cells) - 1))] = \
+        " " + draw(st.sampled_from(_NASTY_CELLS))
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def _json_mutation(draw, value) -> bytes:
+    """A JSON document with one byte mutation or one leaf replaced."""
+    if draw(st.booleans()):
+        return draw(_byte_mutation(json.dumps(value).encode()))
+    path = draw(st.sampled_from(_leaf_paths(value)))
+    return json.dumps(_replaced(value, path,
+                                draw(st.sampled_from(_NASTY_VALUES)))).encode()
+
+
+@st.composite
+def _checkpoint_mutation(draw, blob: bytes) -> bytes:
+    """A checkpoint with one byte mutation or one header leaf replaced (and
+    the header's length rewritten to match)."""
+    if draw(st.booleans()):
+        return draw(_byte_mutation(blob))
+    start = len(M.CHECKPOINT_MAGIC)
+    (length,) = struct.unpack("<I", blob[start:start + 4])
+    header = json.loads(blob[start + 4:start + 4 + length])
+    new = draw(_json_mutation(header))
+    return (blob[:start] + struct.pack("<I", len(new)) + new
+            + blob[start + 4 + length:])
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """One tiny ``write_adult_like`` cell (lr/plain, one epoch) run from the
+    command line: its training and test text, its config and checkpoint."""
+    root = tmp_path_factory.mktemp("fuzz")
+    train, test = root / "train.data", root / "test.data"
+    write_adult_like(train, test, n_train=80, n_test=60, seed=5)
+    config = {"backbones": ["lr"], "methods": ["plain"], "label_ratios": [0.5],
+              "seeds": [0], "epochs": 1, "batch_size": 32, "hidden_dim": 4,
+              "latent_dim": 2, "dropout_rate": 0.0}
+    (root / "config.json").write_text(json.dumps(config))
+    argv = ["run", "--config", str(root / "config.json"), "--train",
+            str(train), "--test", str(test), "--out", str(root / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(argv) == 0
+    ckpt = root / "out" / "checkpoints" / "lr_plain_r0.5_s0.ckpt"
+    return {"train": train.read_text(), "train_path": train, "test": test,
+            "config": config, "config_path": root / "config.json",
+            "checkpoint": ckpt}
+
+
+def _cli_outcome(argv) -> tuple[int, str]:
+    """``cli_main(argv)``'s exit code and what it wrote to stderr, warnings
+    recorded rather than raised."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+def _assert_clean_exit(code: int, err: str) -> None:
+    """Exit 0, or exit 2 with exactly one ``error:`` line."""
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestCliFuzz:
+    """Mutated input files never end ``run`` or ``eval`` in a traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), verb=st.sampled_from(["run", "eval"]))
+    def test_mutated_adult_file(self, fuzz_inputs, data, verb):
+        """The training file of ``run`` or the test file of ``eval``."""
+        test = fuzz_inputs["test"]
+        text = fuzz_inputs["train"] if verb == "run" else test.read_text()
+        blob = data.draw(_adult_mutation(text))
+        with tempfile.TemporaryDirectory() as root:
+            mutated = os.path.join(root, "mutated.data")
+            with open(mutated, "wb") as fh:
+                fh.write(blob)
+            if verb == "run":
+                argv = ["run", "--train", mutated, "--test", str(test),
+                        "--out", os.path.join(root, "out"),
+                        "--config", str(fuzz_inputs["config_path"])]
+            else:
+                argv = ["eval", "--checkpoint",
+                        str(fuzz_inputs["checkpoint"]), "--test", mutated]
+            _assert_clean_exit(*_cli_outcome(argv))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_file(self, fuzz_inputs, data):
+        blob = data.draw(_json_mutation(fuzz_inputs["config"]))
+        with tempfile.TemporaryDirectory() as root:
+            config = os.path.join(root, "config.json")
+            with open(config, "wb") as fh:
+                fh.write(blob)
+            _assert_clean_exit(*_cli_outcome([
+                "run", "--config", config,
+                "--train", str(fuzz_inputs["train_path"]),
+                "--test", str(fuzz_inputs["test"]),
+                "--out", os.path.join(root, "out")]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_checkpoint(self, fuzz_inputs, data):
+        blob = data.draw(_checkpoint_mutation(
+            fuzz_inputs["checkpoint"].read_bytes()))
+        with tempfile.TemporaryDirectory() as root:
+            ckpt = os.path.join(root, "model.ckpt")
+            with open(ckpt, "wb") as fh:
+                fh.write(blob)
+            _assert_clean_exit(*_cli_outcome([
+                "eval", "--checkpoint", ckpt,
+                "--test", str(fuzz_inputs["test"])]))
 
 
 def _digest_after_header(path):

@@ -5,12 +5,15 @@ import subprocess
 import sys
 import textwrap
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from fairvae import metrics as MX
+from fairvae import parallel
 
 
 def auc_bruteforce(y, scores):
@@ -257,10 +260,12 @@ class TestLeakageProbe:
         z[:2] = [0, 1]
         self._assert_fit_matches_graph(reps, z, seed)
 
-    @pytest.mark.parametrize("n,d,relu", [(3000, 28, False), (3000, 103, True)])
+    @pytest.mark.parametrize("n,d,relu", [(3000, 28, False), (3000, 103, True),
+                                          (3000, 256, False)])
     def test_large_fit_matches_graph_reference_bits(self, n, d, relu):
-        """A fit on 2,100 rows, above the 2,000 where OpenBLAS may take
-        another kernel path for the weight gradient's product."""
+        """Fits on 2,100 rows whose weight-gradient products hold 117,600,
+        432,600 and 1,075,200 multiply-adds: the last is above the 10^6
+        where OpenBLAS leaves its small-matrix path for another kernel."""
         rng = np.random.default_rng(n)
         reps = self._representations(rng, n, d, 1.0, relu)
         self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3)
@@ -316,6 +321,175 @@ class TestLeakageProbe:
     def test_representation_shape_must_match(self, shape):
         with pytest.raises(MX.UndefinedMetric, match="one representation row"):
             MX.leakage_probe(np.zeros(shape), np.array([0, 1] * 50), seed=0)
+
+
+def _failing_probe_half(helper, views, k, c):
+    """A helper task for the probe's split that fails in the helper."""
+    raise MemoryError("the helper ran out")
+    yield
+
+
+class TestTwoCoreProbe:
+    """The leakage probe's split fit (``_fit_probe``) against its serial
+    fit, byte for byte. In a process that may use one CPU only every fit is
+    serial, and the same bytes must come out."""
+
+    @staticmethod
+    def _probe(reps, z, seed, min_values):
+        """``leakage_probe``'s weight and bias bytes and accuracy with the
+        split constant at ``min_values``, and the number of tasks it handed
+        to a helper."""
+        fits, tasks = [], []
+        fit, submit = MX._fit_probe, parallel.Helper.submit
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(MX, "PROBE_SPLIT_MIN_VALUES", min_values)
+            m.setattr(MX, "_fit_probe",
+                      lambda *a: fits.append(fit(*a)) or fits[-1])
+            m.setattr(parallel.Helper, "submit",
+                      lambda self, *a, **k: tasks.append(1)
+                      or submit(self, *a, **k))
+            acc = MX.leakage_probe(reps, z, seed)
+        weight, bias, _ = fits[-1]
+        return (weight.tobytes(), bias.tobytes(), acc), len(tasks)
+
+    def test_canonical_test_set_matches_serial_and_graph_bits(self):
+        """16,281 rows of width 256, the wide benchmark's probe: 11,396 x
+        256 training values, above the constant, split for all 200 epochs."""
+        rng = np.random.default_rng(16281)
+        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
+        z = rng.integers(0, 2, 16281)
+        assert int(0.7 * 16281) * 256 >= MX.PROBE_SPLIT_MIN_VALUES
+        serial, _ = self._probe(reps, z, 5, 2 ** 62)
+        split, tasks = self._probe(reps, z, 5, MX.PROBE_SPLIT_MIN_VALUES)
+        assert tasks == 200 * parallel.forkable()
+        assert split == serial
+        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 5)
+        assert split == (weight.tobytes(), bias.tobytes(), acc)
+
+    @pytest.mark.parametrize("n,d", [(4000, 256), (16281, 64)])
+    def test_first_epoch_check_falls_back_at_crossing_shapes(self, n, d):
+        """Here the whole products take OpenBLAS's large kernels and the
+        halves its small-matrix path (10^6 multiply-adds or fewer): the
+        halves move bits, so the first epoch's check finishes the fit
+        serially, with the serial bytes. Forced to split (the constant at 0),
+        the fit hands the helper its first epoch only."""
+        rng = np.random.default_rng(d)
+        reps, z = rng.standard_normal((n, d)), rng.integers(0, 2, n)
+        serial, _ = self._probe(reps, z, 1, 2 ** 62)
+        assert self._probe(reps, z, 1, 0) == (serial, parallel.forkable())
+
+    def test_forced_mismatch_falls_back(self, monkeypatch):
+        """Logit gradients that the helper computes one ulp off fail the
+        first epoch's check, and the fit finishes serially."""
+        rng = np.random.default_rng(3)
+        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
+        serial, _ = self._probe(reps, z, 2, 2 ** 62)
+        caller, real = os.getpid(), MX._logit_gradients
+
+        def off_in_the_helper(*args):
+            g = real(*args)
+            if os.getpid() != caller:
+                g[0, 0] = np.nextafter(g[0, 0], np.inf)
+            return g
+
+        monkeypatch.setattr(MX, "_logit_gradients", off_in_the_helper)
+        assert self._probe(reps, z, 2, 0) == (serial, parallel.forkable())
+
+    def test_split_small_fit_matches_serial_bits(self):
+        """Where the whole products and their halves both take the
+        small-matrix path, a forced split passes the check and keeps the
+        serial bytes for all 200 epochs."""
+        rng = np.random.default_rng(4)
+        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
+        serial, _ = self._probe(reps, z, 2, 2 ** 62)
+        assert self._probe(reps, z, 2, 0) == (serial,
+                                               200 * parallel.forkable())
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    def test_split_error_is_the_serial_one(self, monkeypatch, side):
+        """A row that overflows among the helper's (or the caller's) rows
+        raises there the serial fit's warning-turned-error; the split fit
+        raises it with the serial type and message and leaves no process
+        behind (the autouse fixture checks that)."""
+        rng = np.random.default_rng(5)
+        n, d = 600, 64
+        reps, z = rng.standard_normal((n, d)), rng.integers(0, 2, n)
+        perm = np.random.default_rng(
+            np.random.SeedSequence([0, 0x9806E])).permutation(n)
+        tr = perm[:int(0.7 * n)]
+        k, _ = MX._halves((len(tr), d))
+        # finite, but its logits overflow
+        reps[tr[k + 5 if side == "helper" else 5]] = 1e308
+        failed, reply = [], parallel.Helper.reply
+
+        def spied_reply(self, *args):
+            try:
+                return reply(self, *args)
+            except Exception as exc:
+                failed.append(exc)
+                raise
+
+        monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
+        errors = []
+        for min_values in (2 ** 62, 0):
+            monkeypatch.setattr(MX, "PROBE_SPLIT_MIN_VALUES", min_values)
+            with pytest.raises(Exception) as caught:
+                MX.leakage_probe(reps, z, 0)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
+        assert errors[0] == (RuntimeWarning, "overflow encountered in matmul")
+        assert [(type(e), str(e)) for e in failed] == \
+            [errors[0]] * (side == "helper" and parallel.forkable())
+
+    def test_error_only_the_helper_meets_finishes_serially(self, monkeypatch):
+        """An error in the helper's task that the serial fit would not meet
+        ends the split: the fit finishes serially, with the serial bytes."""
+        rng = np.random.default_rng(6)
+        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
+        serial, _ = self._probe(reps, z, 0, 2 ** 62)
+        failed, reply = [], parallel.Helper.reply
+
+        def spied_reply(self, *args):
+            try:
+                return reply(self, *args)
+            except MemoryError as exc:
+                failed.append(str(exc))
+                raise
+
+        monkeypatch.setattr(MX, "_probe_half", _failing_probe_half)
+        monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
+        assert self._probe(reps, z, 0, 0) == (serial, parallel.forkable())
+        assert failed == ["the helper ran out"] * parallel.forkable()
+
+    @pytest.mark.parametrize("case", ["below-the-constant", "one-cpu",
+                                      "pool-worker", "beside-a-thread"])
+    def test_no_fork(self, monkeypatch, case):
+        """No helper is forked for a fit below ``PROBE_SPLIT_MIN_VALUES``,
+        in a process that may use one CPU, in a grid's pool worker, or
+        beside another thread (as BLAS's worker threads are)."""
+        rng = np.random.default_rng(7)
+        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
+        serial, _ = self._probe(reps, z, 0, 2 ** 62)
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: pytest.fail("a helper was forked"))
+        min_values = 0
+        if case == "below-the-constant":
+            min_values = MX.PROBE_SPLIT_MIN_VALUES
+            assert int(0.7 * 600) * 16 < min_values
+        elif case == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "pool-worker":
+            monkeypatch.setattr(parallel, "_serial", True)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        if case == "beside-a-thread":
+            other.start()
+        try:
+            assert self._probe(reps, z, 0, min_values)[0] == serial
+        finally:
+            done.set()
+            if other.is_alive():
+                other.join(timeout=10)
 
 
 class TestFairnessReport:

@@ -534,14 +534,16 @@ def submit_calls(monkeypatch):
 
 class TestTwoCoreLadderDigests:
     """The ladder pins again with every two-sided step and every Adam step
-    split over two cores (``SPLIT_MIN_VALUES`` 0). A process that may use
-    one CPU only runs them serially, and must give the same pins."""
+    split over two cores (``SPLIT_MIN_VALUES`` and
+    ``ADAM_SPLIT_MIN_VALUES`` 0). A process that may use one CPU only runs
+    them serially, and must give the same pins."""
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     @pytest.mark.parametrize("method", T.METHODS)
     def test_parameters_match_golden_digest(self, monkeypatch, submit_calls,
                                             method, backbone):
         monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        monkeypatch.setattr(T, "ADAM_SPLIT_MIN_VALUES", 0)
         assert (_ladder_digest(method, backbone)
                 == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
         # plain's steps have one side only and never fork a helper, and a
@@ -668,6 +670,20 @@ class TestTwoCoreHelper:
             done.set()
             other.join()
         assert digest == GOLDEN_LADDER_DIGESTS["fairvae/dnn"]
+
+    def test_small_optimizer_updates_in_the_caller(self, monkeypatch,
+                                                   submit_calls):
+        """A split run whose optimizer holds fewer than
+        ``ADAM_SPLIT_MIN_VALUES`` values updates all of it in the caller:
+        the helper gets its steps' unlabeled sides only."""
+        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+        spec = toy_spec("fairvae")
+        values = sum(p.value.size for p in T._build_bundle(
+            spec, tiny_split().feature_dim).trainable_parameters())
+        assert values < T.ADAM_SPLIT_MIN_VALUES
+        T.train(spec, tiny_split())
+        assert ("joint_loss" in submit_calls) == parallel.forkable()
+        assert "step" not in submit_calls
 
     @pytest.mark.parametrize("case", ["one-cpu", "below-the-constant",
                                       "one-sided"])
