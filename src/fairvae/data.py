@@ -306,8 +306,18 @@ def _fit_stats(records: Records) -> Stats:
                 if counts else ""
         else:
             observed = records.numbers[name][0]
-            num_mean[name] = float(observed.mean()) if observed.size else 0.0
-            std = float(observed.std()) if observed.size else 1.0
+            # finite cells near the float limit overflow the sums: rejected
+            # below, naming the column, not saved into a checkpoint
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = float(observed.mean()) if observed.size else 0.0
+                std = float(observed.std()) if observed.size else 1.0
+            for what, value in (("mean", mean), ("standard deviation", std)):
+                if not math.isfinite(value):
+                    where = f"{records.path}: " if records.path else ""
+                    raise SchemaError(
+                        f"{where}column {name!r} has a {what} of {value!r} over "
+                        "its values, expected a finite number")
+            num_mean[name] = mean
             num_std[name] = std if std > 0 else 1.0
     return Stats(cat_vocab, cat_mode, num_mean, num_std)
 
@@ -321,7 +331,8 @@ def preprocess(records, stats: Stats | None = None) -> tuple[Samples, Stats]:
     from training. Unknown categories encode as an all-zero block; missing
     cells are imputed with the train mode/mean. The encoded columns are
     ``stats.feature_columns``. The encoding runs column by column into one
-    float64 matrix.
+    float64 matrix. Fitting raises ``SchemaError`` naming a numeric column
+    whose mean or standard deviation is not finite (huge cells overflow).
     """
     if not isinstance(records, Records):
         records = Records.of(records)

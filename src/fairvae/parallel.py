@@ -1,5 +1,5 @@
-"""A second core for training steps and the leakage probe: one helper
-process per training run or probe fit.
+"""A second core for training steps, the leakage probe and the embeddings
+export: one helper process per training run, probe fit or export.
 
 A step with a labeled and an unlabeled batch splits in two sides that share
 only parameters: ``objectives.joint_loss`` has the helper build and sweep
@@ -9,28 +9,32 @@ gradients into the parameters, and ``training.Adam.step`` has the helper
 update the second half of its flat buffers (at least
 ``training.ADAM_SPLIT_MIN_VALUES`` values). A probe fit
 (``metrics._fit_probe``) splits each epoch's rows and columns between the
-caller and the helper. Two processes, unlike two threads, do not share
-Python's interpreter lock, which held the threaded split back. Every
-trained bit is the serial run's.
+caller and the helper. An export (``experiments.export_embeddings``) has
+the helper format the second half of its rows. Two processes, unlike two
+threads, do not share Python's interpreter lock, which held the threaded
+split back. Every trained bit and every exported byte is the serial run's.
 
-``session`` is the scope of one ``training.train`` call or one probe fit.
-It gets a ``Helper`` when the run's optimizer holds at least
+``session`` is the scope of one ``training.train`` call, one probe fit or
+one export. It gets a ``Helper`` when the run's optimizer holds at least
 ``SPLIT_MIN_VALUES`` trainable values (the fit's training slice at least
-``metrics.PROBE_SPLIT_MIN_VALUES``) and the process is ``forkable``: it can
-fork, may run on two or more CPUs, runs one thread (BLAS pinned to one) and
-is not a grid's pool worker (``run_serially``: the workers already share the
-CPUs by cells). The ``training`` and ``metrics._fit_probe`` docstrings give
-the measurements behind the constants. Other runs and fits never fork.
+``metrics.PROBE_SPLIT_MIN_VALUES``, the export at least
+``experiments.EXPORT_SPLIT_MIN_VALUES``) and the process is ``forkable``:
+it can fork, may run on two or more CPUs, runs one thread (BLAS pinned to
+one) and is not a grid's pool worker (``run_serially``: the workers already
+share the CPUs by cells). The ``training``, ``metrics._fit_probe`` and
+``experiments.export_embeddings`` docstrings give the measurements behind
+the constants. Other runs, fits and exports never fork.
 
 The helper's one anonymous shared mapping (``mmap.mmap(-1, n)``, inherited
 by the fork; no resource-tracker process) holds the caller's shared arrays
 (the optimizer's flat buffers, so both processes see every parameter
 update; the probe's logit gradient) and an exchange area through which each
-task's arrays cross; only small messages go through the pipes. The first
-task forks the process, which serves the session's tasks one at a time and
-exits at end of file on its pipe. The session closes the pipe and reaps the
-process when the block is left, by a return or an exception, so no process
-outlives a run or a fit.
+task's arrays cross; only small messages go through the pipes, and an
+export, which makes no mapping, sends its text back through them. The
+first task forks the process, which serves the session's tasks one at a
+time and exits at end of file on its pipe. The session closes the pipe and
+reaps the process when the block is left, by a return or an exception, so
+no process outlives a run, a fit or an export.
 """
 
 from __future__ import annotations
@@ -74,8 +78,8 @@ def forkable() -> bool:
 
 
 def run_serially() -> None:
-    """Never split a step or a probe fit in this process (a grid's pool
-    worker)."""
+    """Never split a step, a probe fit or an export in this process (a
+    grid's pool worker)."""
     global _serial
     _serial = True
 
@@ -83,11 +87,11 @@ def run_serially() -> None:
 @contextlib.contextmanager
 def session(values: int, minimum: int | None = None, **held):
     """The scope of one training run over ``values`` trainable values (or
-    of one probe fit, ``minimum`` given): yields its ``Helper``, holding
-    ``held`` for its tasks, or None when ``values`` is below ``minimum``
-    (``SPLIT_MIN_VALUES`` by default) or the process is not ``forkable``.
-    The helper process, if one was forked, has exited when the block is
-    left."""
+    of one probe fit or export, ``minimum`` given): yields its ``Helper``,
+    holding ``held`` for its tasks, or None when ``values`` is below
+    ``minimum`` (``SPLIT_MIN_VALUES`` by default) or the process is not
+    ``forkable``. The helper process, if one was forked, has exited when the
+    block is left."""
     if values < (SPLIT_MIN_VALUES if minimum is None else minimum) \
             or not forkable():
         yield None

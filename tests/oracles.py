@@ -19,7 +19,8 @@ chains' bytes.
 
 ``reference_stats`` and ``reference_encode`` re-derive the Adult feature
 encoding one row and one cell at a time, for comparison with the
-column-wise ``data.preprocess``.
+column-wise ``data.preprocess``. ``reference_export`` writes the embeddings
+CSV one value at a time, for comparison with the block-wise export.
 """
 
 import numpy as np
@@ -372,3 +373,16 @@ def graph_leakage_probe(representations, z, seed):
         opt.step()
     logits = reps[te] @ weight.value + bias.value
     return weight.value, bias.value, accuracy(z[te], logits.argmax(axis=1))
+
+
+def reference_export(header, r_f, z, y, labels) -> bytes:
+    """The embeddings CSV that ``experiments.export_embeddings`` must write,
+    built one value at a time: ``repr(float(v))`` of each representation
+    value and ``str`` of each attribute, label and prediction."""
+    lines = [f"# config_hash={header['config_hash']} seed={header['seed']}\n",
+             ",".join([f"r_{i}" for i in range(r_f.shape[1])]
+                      + ["attribute", "label", "predicted"]) + "\n"]
+    for row, a, b, c in zip(r_f, z, y, labels):
+        lines.append(",".join([repr(float(v)) for v in row]
+                              + [str(a), str(b), str(c)]) + "\n")
+    return "".join(lines).encode("utf-8")

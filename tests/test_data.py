@@ -346,6 +346,22 @@ class TestPreprocessRejects:
         with pytest.raises(D.ParseError, match="record 2: column 'age'"):
             D.preprocess(records)
 
+    @pytest.mark.parametrize("ages,what", [
+        (["30", "1e308", "31"], "standard deviation"),
+        (["1.7e308", "1.7e308", "31"], "mean"),
+    ], ids=["std", "mean"])
+    def test_statistic_that_overflows_names_column(self, ages, what):
+        """Finite cells whose sums overflow: one huge age gives an infinite
+        standard deviation, two an infinite mean. Fitting raises, with no
+        warning, instead of encoding with an infinite statistic."""
+        records = _good_records()
+        for record, age in zip(records, ages):
+            record["age"] = age
+        with pytest.raises(D.SchemaError,
+                           match=rf"^column 'age' has a {what} of inf over "
+                                 rf"its values, expected a finite number$"):
+            D.preprocess(records)
+
     def test_missing_numbers_and_attributes_still_accepted(self):
         records = _good_records()
         records[0]["age"] = D.MISSING

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairvae import data as D
 from fairvae import experiments as X
 from fairvae import models as M
 from fairvae import parallel
@@ -27,6 +30,7 @@ from fairvae.cli import main as cli_main
 from fairvae.data import ConfigError
 from fairvae.objectives import ObjectiveConfig
 from fairvae.synthetic import write_adult_like
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,18 @@ class TestConfig:
         assert len(first[0]) == 100
         write_adult_like(train, test, n_train=120, n_test=60, seed=2)
         assert len(X.load_dataset(cfg)[0]) == 120
+
+    def test_dataset_cache_holds_the_last_pair(self, tmp_path):
+        """Four distinct pairs leave one entry, the last; loading it again
+        returns the same objects."""
+        for seed in range(4):
+            train = tmp_path / f"train{seed}.csv"
+            test = tmp_path / f"test{seed}.csv"
+            write_adult_like(train, test, n_train=60, n_test=50, seed=seed)
+            cfg = X.ExperimentConfig(train_path=str(train), test_path=str(test))
+            first = X.load_dataset(cfg)
+            assert X.load_dataset(cfg) is first
+            assert list(X._DATA_CACHE) == [(str(train), str(test))]
 
     def test_missing_dataset_actionable(self, tmp_path):
         cfg = X.ExperimentConfig(train_path=str(tmp_path / "nope.data"),
@@ -499,6 +515,24 @@ class TestCli:
                          "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: {bad}:1: {message}\n"
+
+    def test_training_file_whose_statistics_overflow_exit_code(
+            self, tmp_path, capsys):
+        """One age of 1e308 among 200 rows is a finite cell, but the age's
+        standard deviation overflows: ``run`` saved it as inf in the
+        checkpoint, which ``eval`` then called damaged."""
+        train, test = tmp_path / "train.data", tmp_path / "test.data"
+        write_adult_like(train, test, n_train=200, n_test=100, seed=0)
+        lines = train.read_text().split("\n")
+        lines[3] = " 1e308," + lines[3].split(",", 1)[1]
+        train.write_text("\n".join(lines))
+        code = cli_main(["run", "--train", str(train), "--test", str(test),
+                         "--out", str(tmp_path / "out"), *TINY_CLI_SETS])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {train}: column 'age' has a standard deviation of inf "
+            "over its values, expected a finite number\n")
+        assert not (tmp_path / "out" / "checkpoints").exists()
 
     @pytest.mark.parametrize("verb", ["run", "eval"])
     def test_data_file_not_utf8_exit_code(self, dataset, trained, tmp_path,
@@ -1305,3 +1339,173 @@ class TestTwoCoreCell:
             assert ((tmp_path / "workers2" / stem).read_bytes()
                     == (tmp_path / "workers1" / stem).read_bytes())
         assert "FAILED" not in (tmp_path / "workers2" / "results_raw.csv").read_text()
+
+
+@pytest.fixture(scope="module")
+def wide_export(tmp_path_factory):
+    """An untrained dnn bundle at hidden width 256, saved with the encoding
+    statistics of a ``write_adult_like`` pair whose test file holds 16,281
+    rows, the canonical test set's count."""
+    root = tmp_path_factory.mktemp("wide_export")
+    train, test = root / "train.data", root / "test.data"
+    write_adult_like(train, test, n_train=100, n_test=16_281, seed=3)
+    _, stats = D.preprocess(D.load_adult(train, test)[0])
+    bundle = M.ModelBundle(M.BundleConfig(input_dim=stats.feature_dim, seed=3))
+    ckpt = root / "wide.ckpt"
+    M.save_bundle(bundle, ckpt, config_hash="0123456789abcdef",
+                  extra={"stats": asdict(stats)})
+    return str(ckpt), str(test)
+
+
+def _reference_export(ckpt, test_path) -> bytes:
+    """The export's bytes as the per-value oracle writes them."""
+    bundle, header = M.load_bundle(ckpt)
+    test = X._load_test_set(ckpt, header, test_path)
+    r_f, _, labels = X._predict(bundle, test.x)
+    return oracles.reference_export(header, r_f, test.z, test.y, labels)
+
+
+# values whose repr is scientific or holds 17 significant digits, and zeros
+# of both signs
+_AWKWARD_VALUES = [-0.0, 0.0, 5e-324, 1e-5, 1e16, 0.1 + 0.2, 1 / 3, -2.5e-300,
+                   1.7976931348623157e308, 123456789.12345679, -7.0, 1e22]
+
+
+def _patched_forward(monkeypatch, n: int, r_f=None):
+    """Make the export see ``n`` test rows of ``r_f`` (a mix of
+    ``_AWKWARD_VALUES`` by default); returns the columns it writes."""
+    rng = np.random.default_rng(n)
+    if r_f is None:
+        r_f = rng.choice(_AWKWARD_VALUES, size=(n, 7))
+    z, y, labels = (rng.integers(0, 2, n) for _ in range(3))
+    monkeypatch.setattr(X, "_load_test_set", lambda *a: D.Samples(
+        np.zeros((n, 1)), y, z))
+    monkeypatch.setattr(X, "_predict", lambda bundle, x: (r_f, None, labels))
+    return r_f, z, y, labels
+
+
+def _spy(monkeypatch, cls, name) -> list:
+    """Record each call of ``cls.name`` (its result or exception type)."""
+    calls, method = [], getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        try:
+            calls.append(method(self, *args, **kwargs))
+        except Exception as exc:
+            calls.append(type(exc))
+            raise
+        return calls[-1]
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def _failing_export_half(helper, views, start):
+    """A helper task that fails (module level: tasks cross by name)."""
+    raise RuntimeError("the helper failed")
+    yield
+
+
+class TestTwoCoreExport:
+    """The export's rows split between the caller and a helper process
+    where the process may fork one; the file holds the per-value writer's
+    bytes either way (CI runs these on one CPU too, where none splits)."""
+
+    def test_wide_export_splits_once_with_the_reference_bytes(
+            self, wide_export, tmp_path, monkeypatch):
+        submits = _spy(monkeypatch, parallel.Helper, "submit")
+        out = tmp_path / "emb.csv"
+        assert X.export_embeddings(*wide_export, out) == 16_281
+        assert out.read_bytes() == _reference_export(*wide_export)
+        assert len(submits) == int(parallel.forkable())
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1_023, 1_025, 4_097])
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_awkward_values_keep_the_reference_bytes(
+            self, trained, tmp_path, monkeypatch, n, split):
+        """Block edges (1,024 rows) on either side of the cut."""
+        monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0 if split else 2 ** 62)
+        forks = _spy(monkeypatch, parallel.Helper, "_fork")
+        columns = _patched_forward(monkeypatch, n)
+        out = tmp_path / "emb.csv"
+        assert X.export_embeddings(trained[1], "unused", out) == n
+        header = M.load_bundle(trained[1])[1]
+        assert out.read_bytes() == oracles.reference_export(header, *columns)
+        assert len(forks) == int(split and parallel.forkable())
+
+    @pytest.mark.parametrize("case", ["below", "one_cpu", "pool_worker",
+                                      "beside_thread"])
+    def test_no_fork(self, trained, dataset, tmp_path, monkeypatch, case):
+        """Below the constant (120 rows x 8), and, with the constant at 0,
+        on one CPU, in a grid's pool worker or beside another thread."""
+        if case != "below":
+            monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0)
+        if case == "one_cpu":
+            monkeypatch.setattr(parallel, "_cpus", lambda: 1)
+        elif case == "pool_worker":
+            monkeypatch.setattr(parallel, "_serial", True)
+        forks = _spy(monkeypatch, parallel.Helper, "_fork")
+        out = tmp_path / "emb.csv"
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "beside_thread":
+            thread.start()
+        try:
+            X.export_embeddings(trained[1], dataset[1], out)
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join()
+        assert forks == []
+        assert out.read_bytes() == _reference_export(trained[1], dataset[1])
+
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_formatting_error_has_the_serial_type(self, trained, tmp_path,
+                                                  monkeypatch, split):
+        """A value whose repr raises, in the last row: the helper's half."""
+        class Unprintable:
+            def __repr__(self):
+                raise ValueError("unprintable value")
+
+        r_f = np.zeros((3_000, 40), dtype=object)
+        r_f[...] = 0.5
+        r_f[-1, -1] = Unprintable()
+        monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0 if split else 2 ** 62)
+        replies = _spy(monkeypatch, parallel.Helper, "reply")
+        _patched_forward(monkeypatch, len(r_f), r_f)
+        with pytest.raises(ValueError, match="^unprintable value$"):
+            X.export_embeddings(trained[1], "unused", tmp_path / "emb.csv")
+        assert replies == ([ValueError] if split and parallel.forkable() else [])
+
+    @pytest.mark.parametrize("failure", ["task", "fork"])
+    def test_helper_failure_leaves_the_serial_bytes(
+            self, trained, dataset, tmp_path, monkeypatch, failure):
+        """The caller formats the helper's half itself, or all rows if the
+        helper could not be forked."""
+        def no_fork(self):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0)
+        if failure == "task":
+            monkeypatch.setattr(X, "_export_half", _failing_export_half)
+        else:
+            monkeypatch.setattr(parallel.Helper, "_fork", no_fork)
+        replies = _spy(monkeypatch, parallel.Helper, "reply")
+        out = tmp_path / "emb.csv"
+        X.export_embeddings(trained[1], dataset[1], out)
+        assert out.read_bytes() == _reference_export(trained[1], dataset[1])
+        helper_failed = failure == "task" and parallel.forkable()
+        assert replies == ([RuntimeError] if helper_failed else [])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device whose writes fail")
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_write_error_has_the_serial_type(self, wide_export, monkeypatch,
+                                             split):
+        """Every write to /dev/full fails with ENOSPC; the helper, still
+        formatting or sending its half, is reaped."""
+        monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0 if split else 2 ** 62)
+        forks = _spy(monkeypatch, parallel.Helper, "_fork")
+        with pytest.raises(OSError) as info:
+            X.export_embeddings(*wide_export, "/dev/full")
+        assert info.value.errno == errno.ENOSPC
+        assert len(forks) == int(split and parallel.forkable())
