@@ -508,30 +508,46 @@ EXPORT_SPLIT_MIN_VALUES = 100_000  # rows x width: see export_embeddings
 _EXPORT_BLOCK = 1_024  # rows formatted per tolist()
 
 
-def _export_lines(columns, start: int, stop: int):
-    """The CSV text of rows ``start:stop`` of ``columns`` (the
-    representation, attribute, label and prediction), one string per block
-    of ``_EXPORT_BLOCK`` rows. ``repr`` of a Python float from ``tolist()``
-    is ``repr(float(v))`` of its numpy element, and a Python int formats as
-    ``str`` of its numpy int does."""
+def _export_template(r_f):
+    """An export's line template and the columns of ``r_f`` that it formats:
+    ``0.0`` for each column that holds +0.0 in every row (zero with the sign
+    bit clear; -0.0 prints as ``-0.0``), ``%r`` for every other column, then
+    ``%s`` for the attribute, the label and the prediction."""
+    zero = (r_f == 0).all(axis=0)
+    # of those, the columns without a -0.0 (signbit takes floats only)
+    zero[zero] = ~np.signbit(r_f[:, zero].astype(float)).any(axis=0)
+    template = ",".join(np.where(zero, "0.0", "%r")) + ",%s,%s,%s\n"
+    return template, np.flatnonzero(~zero)
+
+
+def _export_lines(template: str, columns, start: int, stop: int):
+    """The CSV text of rows ``start:stop`` of ``columns`` (the formatted
+    columns of the representation, the attribute, the label and the
+    prediction) through ``template`` (``_export_template``), one string per
+    block of ``_EXPORT_BLOCK`` rows. ``%r`` of a Python float from
+    ``tolist()`` is ``repr(float(v))`` of its numpy element, and ``%s`` of
+    a Python int is ``str`` of its numpy int."""
     for lo in range(start, stop, _EXPORT_BLOCK):
         hi = min(lo + _EXPORT_BLOCK, stop)
         yield "".join(
-            ",".join(map(repr, row)) + f",{z},{y},{label}\n"
+            template % (*row, z, y, label)
             for row, z, y, label in zip(*(c[lo:hi].tolist() for c in columns)))
 
 
 def _export_half(helper: parallel.Helper, views, start: int):
     """The helper's task in a split export: the text of rows ``start:``."""
-    columns = helper.held["columns"]
-    yield "".join(_export_lines(columns, start, len(columns[0])))
+    template, columns = helper.held["template"], helper.held["columns"]
+    yield "".join(_export_lines(template, columns, start, len(columns[0])))
 
 
 def export_embeddings(checkpoint_path, test_path, out_path) -> int:
     """Write one CSV row per test sample: bias-free representation values,
     true attribute, true label, predicted label. Returns the row count.
 
-    The rows are formatted in blocks (``_export_lines``). An export of at
+    The rows are formatted in blocks (``_export_lines``) through one line
+    template per export (``_export_template``): a column that holds +0.0 in
+    every row is its ``0.0`` literal, and only the other columns' values go
+    through ``%r``. An export of at
     least ``EXPORT_SPLIT_MIN_VALUES`` values (rows x width), in a process
     that may fork a helper (``parallel.forkable``), formats the second half
     of its rows in a helper process while the caller writes the header and
@@ -542,19 +558,23 @@ def export_embeddings(checkpoint_path, test_path, out_path) -> int:
 
     Formatting is ``repr`` per value: about 400 ns for a value other than
     zero, and most of a trained dnn's values are exact zeros (85.7% of one
-    16,281 x 256 export). The split costs the fork and the pipe. The
-    constant is where it pays. Export times on a 2-CPU machine, BLAS pinned
-    to one thread, in a process holding 480 MB more (serial / split): 200 x
-    256 values 9.4 / 10.0 ms, 400 x 256 16.2 / 13.6 ms, 1,600 x 64 16.6 /
-    14.3 ms, 16,281 x 256 0.68 / 0.44 s (0.82 s with ``repr(float(v))`` of
-    each numpy element, no blocks)."""
+    16,281 x 256 export), most of them in dead columns (186 of its 256).
+    The split costs the fork and the pipe. The constant is where it pays,
+    measured with ``repr`` of every value. Export times on a 2-CPU machine,
+    BLAS pinned to one thread, in a process holding 480 MB more (serial /
+    split): 200 x 256 values 9.4 / 10.0 ms, 400 x 256 16.2 / 13.6 ms, 1,600
+    x 64 16.6 / 14.3 ms. A trained wide dnn's 16,281 x 256 export takes
+    0.49 / 0.36 s through the template, against 0.68 / 0.44 s with ``repr``
+    of every value."""
     bundle, header = M.load_bundle(checkpoint_path)
     test = _load_test_set(checkpoint_path, header, test_path)
     r_f, _, labels = _predict(bundle, test.x)
-    columns = (r_f, test.z, test.y, labels)
+    template, live = _export_template(r_f)
+    columns = (r_f[:, live], test.z, test.y, labels)
     n, dim = r_f.shape
     with open(out_path, "w", encoding="utf-8") as fh, parallel.session(
-            r_f.size, EXPORT_SPLIT_MIN_VALUES, columns=columns) as helper:
+            r_f.size, EXPORT_SPLIT_MIN_VALUES, template=template,
+            columns=columns) as helper:
         task = None
         if helper is not None:
             with suppress(Exception):  # then all rows are formatted here
@@ -563,8 +583,8 @@ def export_embeddings(checkpoint_path, test_path, out_path) -> int:
         fh.write(f"# config_hash={header['config_hash']} seed={header['seed']}\n")
         fh.write(",".join([f"r_{i}" for i in range(dim)]
                           + ["attribute", "label", "predicted"]) + "\n")
-        fh.writelines(_export_lines(columns, 0, half))
-        rest = _export_lines(columns, half, n)
+        fh.writelines(_export_lines(template, columns, 0, half))
+        rest = _export_lines(template, columns, half, n)
         if task is not None:
             try:
                 rest = [helper.reply(task)]

@@ -143,6 +143,8 @@ def auc(y_true, scores) -> float:
 
 
 PROBE_SPLIT_MIN_VALUES = 1_000_000  # training rows x width: see _fit_probe
+PROBE_LIVE_MAX_WIDTH = 384  # full width of a live-column fit: see _fit_probe
+PROBE_LIVE_MIN_PRODUCT = 1_000_000  # multiply-adds a live product must exceed
 
 
 def _logit_gradients(x, up_log, w, b) -> np.ndarray:
@@ -163,6 +165,24 @@ def _gradients(x, up_log, w, b):
     """One serial epoch's logit and weight gradients."""
     g = _logit_gradients(x, up_log, w, b)
     return g, (g.T @ x).T
+
+
+def _live_columns(x, up_log, w, b):
+    """The columns of the training slice ``x`` that the fit's epochs read
+    (``_fit_probe``): those nonzero in some row, where the shapes allow it
+    and the first epoch at that width gives the full width's bytes; else
+    every column (``slice(None)``)."""
+    n, d = x.shape
+    live = np.flatnonzero(x.any(axis=0))
+    if (len(live) == d or d > PROBE_LIVE_MAX_WIDTH
+            or 2 * n * len(live) <= PROBE_LIVE_MIN_PRODUCT):
+        return slice(None)
+    full = _gradients(x, up_log, w, b)  # raises the serial error, if any
+    narrow = _gradients(x[:, live], up_log, w[live], b)
+    if (narrow[0].tobytes() != full[0].tobytes()
+            or narrow[1].tobytes() != full[1][live].tobytes()):
+        return slice(None)
+    return live
 
 
 def _halves(shape) -> tuple[int, int]:
@@ -229,8 +249,38 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
       a zero, and adding into the zeroed gradient buffers makes every zero
       positive.
 
+    Live columns: the epochs read only the training slice's columns that
+    are nonzero in some row (``_live_columns``). A ReLU encoder leaves most
+    columns zero on every row (186, 171, 188 and 201 of a trained wide dnn
+    ``r_f``'s 256 at four seeds), and an epoch's products are memory-bound
+    at this size. A dead column adds exact zeros to each logit, and its
+    weight gradient is +0.0 in every epoch once added into the zeroed
+    buffer, so Adam never moves its weights from their initial values (m =
+    v = 0, an update of 0 / (0 + eps)). Adam's update is elementwise, so
+    the fit trains the live columns' weights and the bias alone and
+    returns the dead columns' weights as drawn; the seeded draws and the
+    held-out scoring with the whole weight are unchanged. Dropping zero
+    terms keeps every bit only where each logit is one FMA chain over the
+    row and both live products run the whole products' kernels: a full
+    width of at most ``PROBE_LIVE_MAX_WIDTH`` (one K block of this build's
+    dgemm) and live products of more than ``PROBE_LIVE_MIN_PRODUCT``
+    multiply-adds (``2 * rows * live``, off OpenBLAS's small-matrix path).
+    Outside them the bytes differed: at widths of 385 to 1,024, at 11,396
+    rows with 40 or fewer live columns, and at 50 x 16 (scale 1e-3, ReLU
+    rows), where the first epoch matched and later ones did not. So the
+    shapes come first; within them the first epoch is computed at both
+    widths and compared byte for byte, which guards a BLAS build that blocks
+    or picks its kernels otherwise, and on a difference every epoch runs at
+    the full width. Measured with
+    OpenBLAS 0.3.31 (SkylakeX kernels, BLAS pinned to one thread): the bytes
+    matched the full-width fit's on four trained wide representations and
+    30 random ReLU-shaped fits (2,000 to 16,281 rows, widths 64 to 384). A
+    trained wide dnn's 11,396 x 55-85 live slice fits serially in 0.19-0.28
+    s, against 0.65-0.69 s at the full width serially and 0.40 s split; lr
+    and fm representations have no dead column, so only the scan runs.
+
     Two cores: a training slice of at least ``PROBE_SPLIT_MIN_VALUES``
-    values (rows x width), in a process that may fork a helper
+    values (rows x live width), in a process that may fork a helper
     (``parallel.forkable``), splits its epochs with one helper process. Each
     side computes the logit gradients of its own rows into a logit gradient
     in the shared mapping, then the weight gradient of its own columns
@@ -263,14 +313,17 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
 
     d = reps.shape[1]
     limit = np.sqrt(6.0 / (d + 2))
-    weight = ad.Parameter(rng.uniform(-limit, limit, (d, 2)), "probe.weight")
-    bias = ad.Parameter(np.zeros(2), "probe.bias")
-    opt = Adam([weight, bias], lr=0.01)
+    initial = rng.uniform(-limit, limit, (d, 2))
     x = reps[tr]
     # gradient of the mean cross-entropy with respect to log p: -1/n at each
     # row's true class and +0.0 elsewhere
     up_log = np.zeros((n_train, 2))
     up_log[np.arange(n_train), z[tr]] = -1.0 * (1.0 / n_train)
+    live = _live_columns(x, up_log, initial, np.zeros(2))
+    x = x[:, live]
+    weight = ad.Parameter(initial[live], "probe.weight")
+    bias = ad.Parameter(np.zeros(2), "probe.bias")
+    opt = Adam([weight, bias], lr=0.01)
     with parallel.session(x.size, PROBE_SPLIT_MIN_VALUES,
                           x=x, up_log=up_log) as helper:
         if helper is not None:
@@ -290,7 +343,8 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
             weight.grad += weight_grad
             bias.grad += np.add.accumulate(g)[-1]
             opt.step()  # raises NonFiniteGradient on a non-finite epoch
-    return weight.value, bias.value, te
+    initial[live] = weight.value  # a dead column's weights never move
+    return initial, bias.value, te
 
 
 def leakage_probe(representations, z, seed: int) -> float:
@@ -298,11 +352,17 @@ def leakage_probe(representations, z, seed: int) -> float:
     attribute from frozen representations; higher means more leakage. The
     protocol is fixed: a seeded 70/30 split, then 200 full-batch Adam epochs
     at lr 0.01 on the 70%, scored on the 30%. The fit runs in plain numpy,
-    without an autodiff graph (``_fit_probe``), and a large one (at least
-    ``PROBE_SPLIT_MIN_VALUES`` training values) on two cores where the
-    process may fork a helper, with the serial fit's bits: its first epoch
-    is checked against the serial one, which suffices because OpenBLAS
-    picks its kernels by shape alone.
+    without an autodiff graph (``_fit_probe``). Where the shapes keep each
+    logit one FMA chain on the whole products' kernels
+    (``PROBE_LIVE_MAX_WIDTH``, ``PROBE_LIVE_MIN_PRODUCT``) and the first
+    epoch at the live width gives the full width's bytes, its epochs read
+    only the training slice's live columns, those nonzero in some row, with
+    the full-width fit's bits: a dead column adds exact zeros to the logits
+    and its weights never move. A large slice (at least
+    ``PROBE_SPLIT_MIN_VALUES`` training values) fits on two cores where
+    the process may fork a helper, with the serial fit's bits: its first
+    epoch is checked against the serial one, which suffices because
+    OpenBLAS picks its kernels by shape alone.
 
     Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
     than 0 or 1, a single group, or a representation row that is not finite.

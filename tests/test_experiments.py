@@ -1432,6 +1432,35 @@ class TestTwoCoreExport:
         assert out.read_bytes() == oracles.reference_export(header, *columns)
         assert len(forks) == int(split and parallel.forkable())
 
+    # each case's columns formatted value by value, of 8
+    _FORMATTED = {"a dead column": 7, "a -0.0 column": 8, "one nonzero row": 8,
+                  "every column dead": 0, "no column dead": 8}
+
+    @pytest.mark.parametrize("case", list(_FORMATTED))
+    @pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+    def test_zero_columns_keep_the_reference_bytes(
+            self, trained, tmp_path, monkeypatch, case, split):
+        """A column of +0.0 in every row is written as the line template's
+        ``0.0`` literals (``_export_template``); a column of -0.0, or of
+        zeros but for one row in the helper's half, goes through ``%r``."""
+        n = 3_000
+        r_f = np.maximum(np.random.default_rng(11).standard_normal((n, 8)), 0.0)
+        if case == "every column dead":
+            r_f[...] = 0.0
+        elif case != "no column dead":
+            r_f[:, 2] = -0.0 if case == "a -0.0 column" else 0.0
+        if case == "one nonzero row":
+            r_f[-1, 2] = 0.25
+        assert X._export_template(r_f)[0].count("%r") == self._FORMATTED[case]
+        monkeypatch.setattr(X, "EXPORT_SPLIT_MIN_VALUES", 0 if split else 2 ** 62)
+        forks = _spy(monkeypatch, parallel.Helper, "_fork")
+        columns = _patched_forward(monkeypatch, n, r_f)
+        out = tmp_path / "emb.csv"
+        assert X.export_embeddings(trained[1], "unused", out) == n
+        header = M.load_bundle(trained[1])[1]
+        assert out.read_bytes() == oracles.reference_export(header, *columns)
+        assert len(forks) == int(split and parallel.forkable())
+
     @pytest.mark.parametrize("case", ["below", "one_cpu", "pool_worker",
                                       "beside_thread"])
     def test_no_fork(self, trained, dataset, tmp_path, monkeypatch, case):

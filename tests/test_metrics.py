@@ -6,10 +6,11 @@ import sys
 import textwrap
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from fairvae import metrics as MX
@@ -248,6 +249,7 @@ class TestLeakageProbe:
            share=st.floats(0.02, 0.98),
            scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), relu=st.booleans(),
            data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
+    @example(n=50, d=16, share=0.5, scale=1e-3, relu=True, data_seed=0, seed=0)
     def test_fit_matches_graph_reference_bits(self, n, d, share, scale, relu,
                                               data_seed, seed):
         """The graph-free fit gives the graph-built fit's weights, bias and
@@ -323,6 +325,95 @@ class TestLeakageProbe:
             MX.leakage_probe(np.zeros(shape), np.array([0, 1] * 50), seed=0)
 
 
+class TestLiveColumnProbe:
+    """The fit's epochs on the training slice's live columns (those nonzero
+    in some training row, ``_live_columns``): the graph fit's bytes where
+    they run at that width, and the full width where the shapes or the first
+    epoch's check rule it out. Fits here are serial; ``TestTwoCoreProbe``
+    splits a live slice."""
+
+    N = 16_281  # 11,396 training rows, as on the canonical test set
+
+    def _reps(self, d, live, seed=0):
+        """ReLU rows of width ``d`` with ``live`` columns nonzero in some
+        row, as a dnn's bias-free representation has."""
+        rng = np.random.default_rng(seed)
+        reps = np.maximum(rng.standard_normal((self.N, d)), 0.0)
+        reps[:, rng.permutation(d)[live:]] = 0.0
+        return reps, rng.integers(0, 2, self.N)
+
+    @staticmethod
+    def _fit(monkeypatch, reps, z, seed):
+        """The serial fit's weight and bias, and how many epochs' gradients
+        it computed at each width."""
+        widths, gradients = Counter(), MX._gradients
+        monkeypatch.setattr(MX, "PROBE_SPLIT_MIN_VALUES", 2 ** 62)
+        monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
+            widths.update([x.shape[1]]) or gradients(x, *args)))
+        weight, bias, _ = MX._fit_probe(reps, z, seed)
+        return weight, bias, dict(widths)
+
+    # each case's gradient widths, and how many epochs computed each
+    _WIDTHS = {"70 live": {256: 1, 70: 201}, "40 live": {256: 200},
+               "width 512": {512: 200}, "all dead": {256: 200},
+               "a -0.0 column": {256: 1, 70: 201},
+               "all-zero rows": {256: 1, 70: 201}}
+
+    @pytest.mark.parametrize("case", list(_WIDTHS))
+    def test_fit_matches_graph_reference_bits(self, monkeypatch, case):
+        """70 live columns: one full-width epoch for the check, then 200 at
+        the live width. 40 live columns (911,680 multiply-adds per product,
+        OpenBLAS's small-matrix path) and a width above 384 (more than one
+        of its K blocks) keep the full width without a check; so does a
+        slice without a live column. A column of -0.0 is dead."""
+        reps, z = self._reps(512 if case == "width 512" else 256,
+                             40 if case == "40 live" else 70)
+        if case == "all dead":
+            reps[...] = 0.0
+        elif case == "a -0.0 column":
+            reps[:, np.flatnonzero(~reps.any(axis=0))[0]] = -0.0
+        elif case == "all-zero rows":
+            reps[np.random.default_rng(1).random(self.N) < 0.3] = 0.0
+        weight, bias, widths = self._fit(monkeypatch, reps, z, 3)
+        assert widths == self._WIDTHS[case]
+        ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
+            reps, z, 3)
+        assert weight.tobytes() == ref_weight.tobytes()
+        assert bias.tobytes() == ref_bias.tobytes()
+        assert MX.leakage_probe(reps, z, 3) == ref_accuracy
+
+    def test_dead_column_weights_keep_their_initial_values(self, monkeypatch):
+        reps, z = self._reps(256, 70)
+        weight, _, widths = self._fit(monkeypatch, reps, z, 4)
+        assert widths == {256: 1, 70: 201}
+        rng = np.random.default_rng(np.random.SeedSequence([4, 0x9806E]))
+        rng.permutation(self.N)
+        limit = np.sqrt(6.0 / (256 + 2))
+        initial = rng.uniform(-limit, limit, (256, 2))
+        dead = ~reps.any(axis=0)
+        assert weight[dead].tobytes() == initial[dead].tobytes()
+        assert (weight[~dead] != initial[~dead]).all()
+
+    def test_forced_mismatch_falls_back(self, monkeypatch):
+        """A live-width weight gradient one ulp off fails the first epoch's
+        check, and every epoch runs at the full width."""
+        reps, z = self._reps(256, 70)
+        real = MX._gradients
+
+        def off_when_narrow(x, *args):
+            g, weight_grad = real(x, *args)
+            if x.shape[1] < 256:
+                weight_grad[0, 0] = np.nextafter(weight_grad[0, 0], np.inf)
+            return g, weight_grad
+
+        monkeypatch.setattr(MX, "_gradients", off_when_narrow)
+        weight, bias, widths = self._fit(monkeypatch, reps, z, 2)
+        assert widths == {256: 201, 70: 1}
+        ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
+        assert weight.tobytes() == ref_weight.tobytes()
+        assert bias.tobytes() == ref_bias.tobytes()
+
+
 def _failing_probe_half(helper, views, k, c):
     """A helper task for the probe's split that fails in the helper."""
     raise MemoryError("the helper ran out")
@@ -364,6 +455,27 @@ class TestTwoCoreProbe:
         assert tasks == 200 * parallel.forkable()
         assert split == serial
         weight, bias, acc = oracles.graph_leakage_probe(reps, z, 5)
+        assert split == (weight.tobytes(), bias.tobytes(), acc)
+
+    def test_live_slice_matches_serial_and_graph_bits(self, monkeypatch):
+        """16,281 rows of width 256 with 120 live columns: the epochs run on
+        the 11,396 x 120 live slice (``_live_columns``), at least the
+        constant, split for all 200 epochs."""
+        rng = np.random.default_rng(120)
+        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
+        reps[:, rng.permutation(256)[120:]] = 0.0
+        z = rng.integers(0, 2, 16281)
+        assert int(0.7 * 16281) * 120 >= MX.PROBE_SPLIT_MIN_VALUES
+        serial, _ = self._probe(reps, z, 6, 2 ** 62)
+        shapes, halves = set(), MX._halves
+        monkeypatch.setattr(MX, "_halves",
+                            lambda shape: shapes.add(shape) or halves(shape))
+        split, tasks = self._probe(reps, z, 6, MX.PROBE_SPLIT_MIN_VALUES)
+        assert tasks == 200 * parallel.forkable()
+        assert shapes == ({(int(0.7 * 16281), 120)} if parallel.forkable()
+                          else set())
+        assert split == serial
+        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 6)
         assert split == (weight.tobytes(), bias.tobytes(), acc)
 
     @pytest.mark.parametrize("n,d", [(4000, 256), (16281, 64)])
