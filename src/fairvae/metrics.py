@@ -142,9 +142,8 @@ def auc(y_true, scores) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
-PROBE_SPLIT_MIN_VALUES = 1_000_000  # training rows x width: see _fit_probe
 PROBE_LIVE_MAX_WIDTH = 384  # full width of a live-column fit: see _fit_probe
-PROBE_LIVE_MIN_PRODUCT = 1_000_000  # multiply-adds a live product must exceed
+PROBE_MIN_PRODUCT = 1_000_000  # multiply-adds per product: see _fit_probe
 
 
 def _logit_gradients(x, up_log, w, b) -> np.ndarray:
@@ -175,7 +174,7 @@ def _live_columns(x, up_log, w, b):
     n, d = x.shape
     live = np.flatnonzero(x.any(axis=0))
     if (len(live) == d or d > PROBE_LIVE_MAX_WIDTH
-            or 2 * n * len(live) <= PROBE_LIVE_MIN_PRODUCT):
+            or 2 * n * len(live) <= PROBE_MIN_PRODUCT):
         return slice(None)
     full = _gradients(x, up_log, w, b)  # raises the serial error, if any
     narrow = _gradients(x[:, live], up_log, w[live], b)
@@ -191,6 +190,14 @@ def _halves(shape) -> tuple[int, int]:
     before the cut, the helper the rest."""
     n, d = shape
     return n // 2 // 64 * 64, d // 2 // 8 * 8
+
+
+def _splits(shape) -> bool:
+    """Whether each product of a split epoch over an ``n x d`` training
+    slice (``_halves``) exceeds ``PROBE_MIN_PRODUCT`` multiply-adds."""
+    n, d = shape
+    k, c = _halves(shape)  # the caller's halves are the smaller
+    return 2 * min(k * d, n * c) > PROBE_MIN_PRODUCT
 
 
 def _probe_half(helper: parallel.Helper, views, k: int, c: int):
@@ -263,7 +270,7 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     terms keeps every bit only where each logit is one FMA chain over the
     row and both live products run the whole products' kernels: a full
     width of at most ``PROBE_LIVE_MAX_WIDTH`` (one K block of this build's
-    dgemm) and live products of more than ``PROBE_LIVE_MIN_PRODUCT``
+    dgemm) and live products of more than ``PROBE_MIN_PRODUCT``
     multiply-adds (``2 * rows * live``, off OpenBLAS's small-matrix path).
     Outside them the bytes differed: at widths of 385 to 1,024, at 11,396
     rows with 40 or fewer live columns, and at 50 x 16 (scale 1e-3, ReLU
@@ -279,30 +286,25 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     s, against 0.65-0.69 s at the full width serially and 0.40 s split; lr
     and fm representations have no dead column, so only the scan runs.
 
-    Two cores: a training slice of at least ``PROBE_SPLIT_MIN_VALUES``
-    values (rows x live width), in a process that may fork a helper
-    (``parallel.forkable``), splits its epochs with one helper process. Each
-    side computes the logit gradients of its own rows into a logit gradient
-    in the shared mapping, then the weight gradient of its own columns
-    (``_halves``); the caller keeps the bias gradient, over all rows, and
-    the Adam step. Every row's and every column's arithmetic is the serial
-    epoch's, so the bits are the serial ones wherever OpenBLAS runs the same
-    kernels on the halves as on the whole products. It need not: halves of
+    Two cores: in a process that may fork a helper (``parallel.forkable``),
+    a fit splits its epochs with one helper process where every product of
+    a split epoch stays off OpenBLAS's small-matrix path (``_splits``).
+    Each side computes the logit gradients of its own rows into a logit
+    gradient in the shared mapping, then the weight gradient of its own
+    columns (``_halves``); the caller keeps the bias gradient, over all
+    rows, and the Adam step. Every row's and every column's arithmetic is
+    the serial epoch's, so the bits are the serial ones wherever OpenBLAS
+    runs the same kernels on the halves as on the whole products: halves of
     10^6 multiply-adds or fewer under whole products above that (2,800 x
-    256, 11,396 x 64) took its small-matrix path and moved bits. Its choice
-    depends on the shapes alone, which are fixed over the 200 epochs, so
-    the first epoch is computed both ways and compared byte for byte; on a
-    difference, or on any error in the split, the fit finishes serially
-    (and a serial epoch raises the serial error, if there is one). The
-    helper is reaped when the fit returns or raises.
-
-    The constant is where each half's products reach 10^6 multiply-adds.
-    Fit times on a 2-CPU machine, BLAS pinned to one thread (serial /
-    split): 11,396 x 256 training values 0.65 / 0.40 s, 4,200 x 256 0.24 /
-    0.17 s; between 5 x 10^5 and 10^6 values the check falls back and a fit
-    takes about 3% longer than serially (the fork and the second first
-    epoch), and below that, where the whole products take the small-matrix
-    path too, a split saves 10 ms at most."""
+    256, 11,396 x 64, 11,396 x 92) took the small-matrix path and moved
+    bits. OpenBLAS picks its kernels by the shapes alone, which are fixed
+    over the 200 epochs, so the first epoch is computed both ways and
+    compared byte for byte, a guard for other builds; on a difference, or
+    on any error in the split, the fit finishes serially (and a serial
+    epoch raises the serial error, if there is one). The helper is reaped
+    when the fit returns or raises. Fit times on a 2-CPU machine, BLAS
+    pinned to one thread (serial / split): 11,396 x 256 0.65 / 0.40 s,
+    11,396 x 120 0.354 / 0.227 s (0.305 s with a thread as the helper)."""
     from .training import Adam  # deferred: training imports this module
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
@@ -324,8 +326,7 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     weight = ad.Parameter(initial[live], "probe.weight")
     bias = ad.Parameter(np.zeros(2), "probe.bias")
     opt = Adam([weight, bias], lr=0.01)
-    with parallel.session(x.size, PROBE_SPLIT_MIN_VALUES,
-                          x=x, up_log=up_log) as helper:
+    with parallel.session(_splits(x.shape), x=x, up_log=up_log) as helper:
         if helper is not None:
             helper.held["g"] = helper.buffers(2 * n_train, 1)[0].reshape(
                 n_train, 2)
@@ -354,15 +355,15 @@ def leakage_probe(representations, z, seed: int) -> float:
     at lr 0.01 on the 70%, scored on the 30%. The fit runs in plain numpy,
     without an autodiff graph (``_fit_probe``). Where the shapes keep each
     logit one FMA chain on the whole products' kernels
-    (``PROBE_LIVE_MAX_WIDTH``, ``PROBE_LIVE_MIN_PRODUCT``) and the first
-    epoch at the live width gives the full width's bytes, its epochs read
-    only the training slice's live columns, those nonzero in some row, with
-    the full-width fit's bits: a dead column adds exact zeros to the logits
-    and its weights never move. A large slice (at least
-    ``PROBE_SPLIT_MIN_VALUES`` training values) fits on two cores where
-    the process may fork a helper, with the serial fit's bits: its first
-    epoch is checked against the serial one, which suffices because
-    OpenBLAS picks its kernels by shape alone.
+    (``PROBE_LIVE_MAX_WIDTH``, ``PROBE_MIN_PRODUCT``) and the first epoch
+    at the live width gives the full width's bytes, its epochs read only the
+    training slice's live columns, those nonzero in some row, with the
+    full-width fit's bits: a dead column adds exact zeros to the logits and
+    its weights never move. A slice whose split epoch keeps every product
+    above ``PROBE_MIN_PRODUCT`` multiply-adds fits on two cores where the
+    process may fork a helper, with the serial fit's bits: its first epoch
+    is checked against the serial one, which suffices because OpenBLAS
+    picks its kernels by shape alone.
 
     Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
     than 0 or 1, a single group, or a representation row that is not finite.

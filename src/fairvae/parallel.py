@@ -15,15 +15,16 @@ threads, do not share Python's interpreter lock, which held the threaded
 split back. Every trained bit and every exported byte is the serial run's.
 
 ``session`` is the scope of one ``training.train`` call, one probe fit or
-one export. It gets a ``Helper`` when the run's optimizer holds at least
-``SPLIT_MIN_VALUES`` trainable values (the fit's training slice at least
-``metrics.PROBE_SPLIT_MIN_VALUES``, the export at least
-``experiments.EXPORT_SPLIT_MIN_VALUES``) and the process is ``forkable``:
-it can fork, may run on two or more CPUs, runs one thread (BLAS pinned to
-one) and is not a grid's pool worker (``run_serially``: the workers already
-share the CPUs by cells). The ``training``, ``metrics._fit_probe`` and
-``experiments.export_embeddings`` docstrings give the measurements behind
-the constants. Other runs, fits and exports never fork.
+one export. It gets a ``Helper`` when its caller splits it and the process
+is ``forkable``: it can fork, may run on two or more CPUs, runs one thread
+(BLAS pinned to one) and is not a grid's pool worker (``run_serially``: the
+workers already share the CPUs by cells). Each caller decides from its own
+work: training splits every run whose steps have two sides (every method
+but plain), the probe a fit whose split epoch runs every product off
+OpenBLAS's small-matrix path (``metrics._splits``), the export one of at
+least ``experiments.EXPORT_SPLIT_MIN_VALUES`` values. The ``training``,
+``metrics._fit_probe`` and ``experiments.export_embeddings`` docstrings give
+the measurements behind each rule. Other runs, fits and exports never fork.
 
 The helper's one anonymous shared mapping (``mmap.mmap(-1, n)``, inherited
 by the fork; no resource-tracker process) holds the caller's shared arrays
@@ -43,8 +44,6 @@ import contextlib
 import os
 
 import numpy as np
-
-SPLIT_MIN_VALUES = 1_000
 
 _serial = False  # set by run_serially
 
@@ -70,9 +69,9 @@ def forkable() -> bool:
     or more CPUs, is not a pool worker (``run_serially``) and runs one
     thread. Forking beside other threads is unsafe, and a second thread is
     most often BLAS's: its worker threads and the helper's would then share
-    the CPUs, and steps ran slower than serial ones. Set
-    ``OPENBLAS_NUM_THREADS=1`` (or ``OMP_NUM_THREADS=1``) before numpy loads
-    to split them."""
+    the CPUs, and steps ran slower than serial ones. The command line pins
+    BLAS to one thread before numpy loads (``fairvae/__init__.py``); a
+    program that imports fairvae sets ``OPENBLAS_NUM_THREADS=1`` itself."""
     return (not _serial and hasattr(os, "fork") and _cpus() >= 2
             and _one_thread())
 
@@ -85,15 +84,12 @@ def run_serially() -> None:
 
 
 @contextlib.contextmanager
-def session(values: int, minimum: int | None = None, **held):
-    """The scope of one training run over ``values`` trainable values (or
-    of one probe fit or export, ``minimum`` given): yields its ``Helper``,
-    holding ``held`` for its tasks, or None when ``values`` is below
-    ``minimum`` (``SPLIT_MIN_VALUES`` by default) or the process is not
-    ``forkable``. The helper process, if one was forked, has exited when the
-    block is left."""
-    if values < (SPLIT_MIN_VALUES if minimum is None else minimum) \
-            or not forkable():
+def session(split: bool, **held):
+    """The scope of one training run, probe fit or export: yields its
+    ``Helper``, holding ``held`` for its tasks, when the caller's ``split``
+    holds and the process is ``forkable``; else None. The helper process, if
+    one was forked, has exited when the block is left."""
+    if not (split and forkable()):
         yield None
         return
     helper = Helper(held)

@@ -21,30 +21,30 @@ by method. The self-training predictor keeps its own loop: it trains the
 bias-aware encoder and attribute head alone, with its own batch seed and
 selection rule.
 
-Two cores: a run whose bundle holds at least ``parallel.SPLIT_MIN_VALUES``
-(1,000) trainable values, in a process that may fork a helper
-(``parallel.forkable``: two or more CPUs and one thread, so BLAS pinned to
-one), splits its two-sided steps. ``joint_loss`` has the helper process build
-and sweep the unlabeled side while the labeled side is built here,
-``ad.backward`` adds the helper's gradients after the labeled side's, and
-``Adam.step`` has the helper update the second half of its buffers when they
-hold at least ``ADAM_SPLIT_MIN_VALUES`` (12,000) values. Below that the
-pipe's round trip costs more than the half of the update it moves (one step
-alone, in the caller / split: 4,500 values 24 / 37 us, 12,000 values 53 /
-53 us, 23,000 values 96 / 77 us), so lr's optimizers and fm's smaller ones
-update in the caller. plain, whose steps have one side only, never forks,
-nor does the self-training predictor round. Every bit is the serial run's.
-At the default sizes every adv, dadv and fairvae bundle splits: lr holds
-1.1k-4.5k values at input width 28, fm 10k-23k and dnn 74k-151k (197k at
-width 103). Step times on a 2-CPU machine, BLAS pinned to one thread, 128
-labeled and 128 unlabeled rows per step, median of 280 steps, with Adam's
-halves split at every size (split / serial): dnn fairvae at width 103 4.79 /
-8.83 ms; at width 28 fm fairvae 2.50 / 4.65, dadv 1.90 / 3.66, adv 0.93 /
-2.00; lr fairvae 2.28 / 3.85, dadv 1.56 / 2.72, adv (1.1k values) 1.07 /
-1.22, and adv at hidden width 16 (96 values) 0.29 / 0.32. Forking costs a
-run about 3 ms in a 200 MB process and 10 ms in a 570 MB one, which a
-handful of steps does not repay: the constant keeps toy bundles, as the
-tests' are, serial.
+Two cores: a run of adv, dadv or fairvae, in a process that may fork a
+helper (``parallel.forkable``: two or more CPUs and one thread, so BLAS
+pinned to one), splits its two-sided steps, whatever its bundle's size.
+``joint_loss`` has the helper process build and sweep the unlabeled side
+while the labeled side is built here, ``ad.backward`` adds the helper's
+gradients after the labeled side's, and ``Adam.step`` has the helper update
+the second half of its buffers when they hold at least
+``ADAM_SPLIT_MIN_VALUES`` (12,000) values. Below that the pipe's round trip
+costs more than the half of the update it moves (one step alone, in the
+caller / split: 4,500 values 24 / 37 us, 12,000 values 53 / 53 us, 23,000
+values 96 / 77 us), so lr's optimizers and fm's smaller ones update in the
+caller; with every size split, the ladder benchmark trained 164,268 rows/s
+against 167,389 (6 of 6 pairs slower). plain, whose steps have one side
+only, builds no helper, nor does the self-training predictor round. Every
+bit is the serial run's. Step times on a 2-CPU machine, BLAS pinned to one
+thread, 128 labeled and 128 unlabeled rows per step, median of 280 steps,
+with Adam's halves split at every size (split / serial): dnn fairvae at
+width 103 4.79 / 8.83 ms; at width 28 fm fairvae 2.50 / 4.65, dadv 1.90 /
+3.66, adv 0.93 / 2.00; lr fairvae 2.28 / 3.85, dadv 1.56 / 2.72, adv (1.1k
+values) 1.07 / 1.22, and adv at hidden width 16 (96 values) 0.29 / 0.32. So
+even the smallest bundle's steps are faster split, and forking (about 3 ms
+in a 200 MB process, 10 ms in a 570 MB one) is repaid within about a hundred
+of them: the synthetic demo's small runs took 2.51 s split against 3.33 s
+with runs below 1,000 trainable values kept serial, with the same output.
 
 Model selection: the restored checkpoint maximizes validation accuracy minus
 the validation demographic-parity gap, compared over the second half of the
@@ -206,6 +206,7 @@ class TrainingSettings(M.ArchitectureSettings):
         super().__post_init__()
         for key in ("epochs", "batch_size"):
             M.require(self, key, lambda v: v >= 1, ">= 1")
+        M.require(self, "lr", lambda v: 0 < v < np.inf, "a finite number > 0")
         M.require(self, "objective", lambda o: isinstance(o, O.ObjectiveConfig),
                   "an ObjectiveConfig")
 
@@ -290,8 +291,8 @@ def train(spec: MethodSpec, split: DatasetSplit,
         return self_train(spec, split, log_writer=log_writer)
     bundle = _build_bundle(spec, split.feature_dim)
     params = bundle.trainable_parameters()
-    with parallel.session(sum(p.value.size for p in params),
-                          bundle=bundle) as helper:
+    # plain's steps have one side: nothing to split
+    with parallel.session(spec.method != "plain", bundle=bundle) as helper:
         opt = Adam(params, lr=spec.lr, helper=helper)
         return _run_epochs(spec, split, bundle, opt, helper, log_writer)
 

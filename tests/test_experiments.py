@@ -697,6 +697,86 @@ class TestCli:
         assert capsys.readouterr().err == "error: seed must be an int >= 0, got -1\n"
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                "BLIS_NUM_THREADS")
+
+# a sitecustomize module: at exit the process writes its thread variables
+# and parallel.forkable() to a JSON file
+_REPORT_AT_EXIT = """\
+import atexit, json, os
+
+def report():
+    from fairvae import parallel
+    with open({path!r}, "w") as fh:
+        json.dump({{"env": {{v: os.environ.get(v) for v in {names!r}}},
+                   "forkable": parallel.forkable()}}, fh)
+
+atexit.register(report)
+"""
+
+# the console script that pip writes for the fairvae entry point
+_CONSOLE_SCRIPT = """\
+import re
+import sys
+from fairvae.cli import main
+if __name__ == "__main__":
+    sys.argv[0] = re.sub(r"(-script\\.pyw|\\.exe)?$", "", sys.argv[0])
+    sys.exit(main())
+"""
+
+
+class TestCommandLineThreads:
+    """The command line pins BLAS to one thread before numpy loads, each
+    thread variable only where it is unset; ``import fairvae`` and
+    ``cli.main`` called in another program keep that program's settings."""
+
+    @staticmethod
+    def _seen(tmp_path, route, **preset):
+        """What a process started by ``route``, its thread variables unset
+        but for ``preset``, saw at exit."""
+        site, report = tmp_path / "site", tmp_path / "report.json"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(_REPORT_AT_EXIT.format(
+            path=str(report), names=_THREAD_VARS))
+        script = tmp_path / "bin" / "fairvae"
+        script.parent.mkdir()
+        script.write_text(_CONSOLE_SCRIPT)
+        eval_args = ["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--test", str(tmp_path / "missing.csv")]
+        argv = {"module": ["-m", "fairvae.cli", *eval_args],
+                "console script": [str(script), *eval_args],
+                "import": ["-c", "import fairvae"],
+                "cli.main": ["-c", "import sys; from fairvae import cli; "
+                             "sys.exit(cli.main(sys.argv[1:]))", *eval_args]}
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        env.update(preset)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(site), src] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run([sys.executable, *argv[route]], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == (0 if route == "import" else 2), proc.stderr
+        return json.loads(report.read_text())
+
+    @pytest.mark.parametrize("route", ["module", "console script"])
+    def test_command_line_pins_blas(self, tmp_path, route):
+        seen = self._seen(tmp_path, route)
+        assert seen["env"] == dict.fromkeys(_THREAD_VARS, "1")
+        assert seen["forkable"] == (parallel._cpus() >= 2)
+
+    def test_a_set_value_is_kept(self, tmp_path):
+        seen = self._seen(tmp_path, "module", OPENBLAS_NUM_THREADS="2")
+        assert seen["env"] == {**dict.fromkeys(_THREAD_VARS, "1"),
+                               "OPENBLAS_NUM_THREADS": "2"}
+
+    @pytest.mark.parametrize("route", ["import", "cli.main"])
+    def test_library_keeps_the_host_settings(self, tmp_path, route):
+        seen = self._seen(tmp_path, route, OMP_NUM_THREADS="3")
+        assert seen["env"] == {**dict.fromkeys(_THREAD_VARS),
+                               "OMP_NUM_THREADS": "3"}
+
+
 # -- fuzzing the command line's input files ---------------------------------
 
 # values that a replaced cell takes: in an Adult file as text, in a config
@@ -993,14 +1073,27 @@ class TestRunnerPins:
         assert (len(paths), digest.hexdigest()) == CHECKPOINT_PINS[stem]
 
 
+@pytest.fixture
+def nan_steps(monkeypatch):
+    """Every Adam step leaves its parameters NaN: a cell's second step meets
+    a non-finite value in its forward pass and fails."""
+    step = T.Adam.step
+
+    def poisoned(self):
+        step(self)
+        self.values[...] = np.nan
+
+    monkeypatch.setattr(T.Adam, "step", poisoned)
+
+
 class TestFailedGridPoints:
     @pytest.mark.parametrize("axis,key,grid", [
         ("lambda", "grl_lambda", [0.0, 0.4]),
         ("unlabeled_fraction", "unlabeled_fraction", [0.0, 1.0]),
     ])
-    def test_failed_sweep_aggregates_per_grid_point(self, dataset, tmp_path,
-                                                    axis, key, grid):
-        cfg = tiny_config(dataset, tmp_path, lr=float("nan"))
+    def test_failed_sweep_aggregates_per_grid_point(
+            self, dataset, tmp_path, nan_steps, axis, key, grid):
+        cfg = tiny_config(dataset, tmp_path)
         table = X.run_sweep(cfg, axis)
         assert all(r["status"].startswith("FAILED") for r in table.raw_rows)
         assert sorted({r[key] for r in table.raw_rows}) == grid
@@ -1026,8 +1119,9 @@ class TestFailureRecords:
         assert unraisable == []
         assert not (tmp_path / "logs").exists()
 
-    def test_non_finite_step_names_its_step(self, dataset, tmp_path):
-        cfg = tiny_config(dataset, tmp_path, lr=float("nan"))
+    def test_non_finite_step_names_its_step(self, dataset, tmp_path,
+                                            nan_steps):
+        cfg = tiny_config(dataset, tmp_path)
         with pytest.raises(ValueError,
                            match=r"non-finite .*\(method=fairvae epoch=0 step=1\)"
                            ) as info:
@@ -1036,9 +1130,9 @@ class TestFailureRecords:
         assert type(info.value.__cause__) is ValueError
         assert "step=" not in str(info.value.__cause__)
 
-    def test_failures_jsonl_keeps_full_traceback(self, dataset, tmp_path):
-        cfg = tiny_config(dataset, tmp_path, lr=float("nan"),
-                          methods=["plain"], seeds=[0, 1])
+    def test_failures_jsonl_keeps_full_traceback(self, dataset, tmp_path,
+                                                 monkeypatch, nan_steps):
+        cfg = tiny_config(dataset, tmp_path, methods=["plain"], seeds=[0, 1])
         table = X.run_experiments(cfg)
         assert all("(method=plain epoch=0 step=1)" in r["status"]
                    for r in table.raw_rows)
@@ -1052,6 +1146,7 @@ class TestFailureRecords:
             # the innermost frame, where the non-finite value was found
             assert "autodiff.py" in record["traceback"]
             assert "in tensor" in record["traceback"]
+        monkeypatch.undo()  # the steps are finite again
         X.run_experiments(tiny_config(dataset, tmp_path, methods=["plain"]))
         assert (tmp_path / "results_failures.jsonl").read_text() == ""
 
@@ -1103,6 +1198,8 @@ BAD_CONFIGS = [
     ({"objective": {"use_entropy_zhat": "false"}}, "use_entropy_zhat"),
     ({"epochs": "abc"}, "epochs"),
     ({"batch_size": 0}, "batch_size"),
+    ({"lr": -0.01}, "lr"), ({"lr": 0}, "lr"), ({"lr": float("nan")}, "lr"),
+    ({"lr": float("inf")}, "lr"),
     ({"label_ratios": [0.5, 2.0]}, "label_ratios"),
     ({"unlabeled_fractions": [2.0]}, "unlabeled_fractions"),
     ({"val_frac": 1.5}, "val_frac"),
@@ -1278,17 +1375,17 @@ class TestCliGridVerbs:
 class TestTwoCoreCell:
     def test_natural_size_dnn_cell_matches_serial_run(self, dataset, tmp_path,
                                                       monkeypatch):
-        """dnn/fairvae at the default sizes holds 151k trainable values on
-        this width-28 data, so where the process may fork a helper its steps
-        split; its step log and checkpoint are the serial run's bytes."""
+        """dnn/fairvae at the default sizes (151k trainable values on this
+        width-28 data): where the process may fork a helper its steps split,
+        and its step log and checkpoint are the serial run's bytes."""
         calls, submit = [], parallel.Helper.submit
         monkeypatch.setattr(parallel.Helper, "submit",
                             lambda self, *a, **k: calls.append(1)
                             or submit(self, *a, **k))
         files, counts = [], []
-        for min_values in (2 ** 62, parallel.SPLIT_MIN_VALUES):
-            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
-            out = tmp_path / f"min{min_values}"
+        for serial in (True, False):
+            monkeypatch.setattr(parallel, "_serial", serial)
+            out = tmp_path / f"serial{serial}"
             cfg = tiny_config(dataset, out, backbones=["dnn"], epochs=2,
                               hidden_dim=256, latent_dim=32, fm_factors=16,
                               dropout_rate=0.2)
@@ -1309,7 +1406,6 @@ class TestTwoCoreCell:
         code = textwrap.dedent("""
             import sys
             from fairvae import experiments as X, parallel
-            parallel.SPLIT_MIN_VALUES = 0
             forks, fork = [], parallel.Helper._fork
             parallel.Helper._fork = lambda self: forks.append(1) or fork(self)
             X.run_experiments(X.ExperimentConfig.from_file(sys.argv[1]))

@@ -347,7 +347,7 @@ class TestLiveColumnProbe:
         """The serial fit's weight and bias, and how many epochs' gradients
         it computed at each width."""
         widths, gradients = Counter(), MX._gradients
-        monkeypatch.setattr(MX, "PROBE_SPLIT_MIN_VALUES", 2 ** 62)
+        monkeypatch.setattr(MX, "_splits", lambda shape: False)
         monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
             widths.update([x.shape[1]]) or gradients(x, *args)))
         weight, bias, _ = MX._fit_probe(reps, z, seed)
@@ -426,14 +426,15 @@ class TestTwoCoreProbe:
     serial, and the same bytes must come out."""
 
     @staticmethod
-    def _probe(reps, z, seed, min_values):
-        """``leakage_probe``'s weight and bias bytes and accuracy with the
-        split constant at ``min_values``, and the number of tasks it handed
-        to a helper."""
+    def _probe(reps, z, seed, split=None):
+        """``leakage_probe``'s weight and bias bytes and accuracy, its epochs
+        split by ``_splits`` or, with ``split`` given, by that, and the
+        number of tasks it handed to a helper."""
         fits, tasks = [], []
         fit, submit = MX._fit_probe, parallel.Helper.submit
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(MX, "PROBE_SPLIT_MIN_VALUES", min_values)
+            if split is not None:
+                m.setattr(MX, "_splits", lambda shape: split)
             m.setattr(MX, "_fit_probe",
                       lambda *a: fits.append(fit(*a)) or fits[-1])
             m.setattr(parallel.Helper, "submit",
@@ -445,13 +446,13 @@ class TestTwoCoreProbe:
 
     def test_canonical_test_set_matches_serial_and_graph_bits(self):
         """16,281 rows of width 256, the wide benchmark's probe: 11,396 x
-        256 training values, above the constant, split for all 200 epochs."""
+        256 training values, split for all 200 epochs."""
         rng = np.random.default_rng(16281)
         reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
         z = rng.integers(0, 2, 16281)
-        assert int(0.7 * 16281) * 256 >= MX.PROBE_SPLIT_MIN_VALUES
-        serial, _ = self._probe(reps, z, 5, 2 ** 62)
-        split, tasks = self._probe(reps, z, 5, MX.PROBE_SPLIT_MIN_VALUES)
+        assert MX._splits((int(0.7 * 16281), 256))
+        serial, _ = self._probe(reps, z, 5, False)
+        split, tasks = self._probe(reps, z, 5)
         assert tasks == 200 * parallel.forkable()
         assert split == serial
         weight, bias, acc = oracles.graph_leakage_probe(reps, z, 5)
@@ -459,18 +460,22 @@ class TestTwoCoreProbe:
 
     def test_live_slice_matches_serial_and_graph_bits(self, monkeypatch):
         """16,281 rows of width 256 with 120 live columns: the epochs run on
-        the 11,396 x 120 live slice (``_live_columns``), at least the
-        constant, split for all 200 epochs."""
+        the 11,396 x 120 live slice (``_live_columns``), split for all 200
+        epochs."""
         rng = np.random.default_rng(120)
         reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
         reps[:, rng.permutation(256)[120:]] = 0.0
         z = rng.integers(0, 2, 16281)
-        assert int(0.7 * 16281) * 120 >= MX.PROBE_SPLIT_MIN_VALUES
-        serial, _ = self._probe(reps, z, 6, 2 ** 62)
-        shapes, halves = set(), MX._halves
-        monkeypatch.setattr(MX, "_halves",
-                            lambda shape: shapes.add(shape) or halves(shape))
-        split, tasks = self._probe(reps, z, 6, MX.PROBE_SPLIT_MIN_VALUES)
+        assert MX._splits((int(0.7 * 16281), 120))
+        serial, _ = self._probe(reps, z, 6, False)
+        shapes, split_gradients = set(), MX._split_gradients
+
+        def spied(helper, x, *args, **kwargs):
+            shapes.add(x.shape)
+            return split_gradients(helper, x, *args, **kwargs)
+
+        monkeypatch.setattr(MX, "_split_gradients", spied)
+        split, tasks = self._probe(reps, z, 6)
         assert tasks == 200 * parallel.forkable()
         assert shapes == ({(int(0.7 * 16281), 120)} if parallel.forkable()
                           else set())
@@ -483,19 +488,19 @@ class TestTwoCoreProbe:
         """Here the whole products take OpenBLAS's large kernels and the
         halves its small-matrix path (10^6 multiply-adds or fewer): the
         halves move bits, so the first epoch's check finishes the fit
-        serially, with the serial bytes. Forced to split (the constant at 0),
-        the fit hands the helper its first epoch only."""
+        serially, with the serial bytes. Forced to split, the fit hands the
+        helper its first epoch only."""
         rng = np.random.default_rng(d)
         reps, z = rng.standard_normal((n, d)), rng.integers(0, 2, n)
-        serial, _ = self._probe(reps, z, 1, 2 ** 62)
-        assert self._probe(reps, z, 1, 0) == (serial, parallel.forkable())
+        serial, _ = self._probe(reps, z, 1, False)
+        assert self._probe(reps, z, 1, True) == (serial, parallel.forkable())
 
     def test_forced_mismatch_falls_back(self, monkeypatch):
         """Logit gradients that the helper computes one ulp off fail the
         first epoch's check, and the fit finishes serially."""
         rng = np.random.default_rng(3)
         reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 2, 2 ** 62)
+        serial, _ = self._probe(reps, z, 2, False)
         caller, real = os.getpid(), MX._logit_gradients
 
         def off_in_the_helper(*args):
@@ -505,7 +510,7 @@ class TestTwoCoreProbe:
             return g
 
         monkeypatch.setattr(MX, "_logit_gradients", off_in_the_helper)
-        assert self._probe(reps, z, 2, 0) == (serial, parallel.forkable())
+        assert self._probe(reps, z, 2, True) == (serial, parallel.forkable())
 
     def test_split_small_fit_matches_serial_bits(self):
         """Where the whole products and their halves both take the
@@ -513,9 +518,9 @@ class TestTwoCoreProbe:
         serial bytes for all 200 epochs."""
         rng = np.random.default_rng(4)
         reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 2, 2 ** 62)
-        assert self._probe(reps, z, 2, 0) == (serial,
-                                               200 * parallel.forkable())
+        serial, _ = self._probe(reps, z, 2, False)
+        assert self._probe(reps, z, 2, True) == (serial,
+                                                  200 * parallel.forkable())
 
     @pytest.mark.parametrize("side", ["helper", "caller"])
     def test_split_error_is_the_serial_one(self, monkeypatch, side):
@@ -543,8 +548,8 @@ class TestTwoCoreProbe:
 
         monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
         errors = []
-        for min_values in (2 ** 62, 0):
-            monkeypatch.setattr(MX, "PROBE_SPLIT_MIN_VALUES", min_values)
+        for split in (False, True):
+            monkeypatch.setattr(MX, "_splits", lambda shape: split)
             with pytest.raises(Exception) as caught:
                 MX.leakage_probe(reps, z, 0)
             errors.append((type(caught.value), str(caught.value)))
@@ -558,7 +563,7 @@ class TestTwoCoreProbe:
         ends the split: the fit finishes serially, with the serial bytes."""
         rng = np.random.default_rng(6)
         reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 0, 2 ** 62)
+        serial, _ = self._probe(reps, z, 0, False)
         failed, reply = [], parallel.Helper.reply
 
         def spied_reply(self, *args):
@@ -570,25 +575,21 @@ class TestTwoCoreProbe:
 
         monkeypatch.setattr(MX, "_probe_half", _failing_probe_half)
         monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
-        assert self._probe(reps, z, 0, 0) == (serial, parallel.forkable())
+        assert self._probe(reps, z, 0, True) == (serial, parallel.forkable())
         assert failed == ["the helper ran out"] * parallel.forkable()
 
-    @pytest.mark.parametrize("case", ["below-the-constant", "one-cpu",
-                                      "pool-worker", "beside-a-thread"])
+    @pytest.mark.parametrize("case", ["one-cpu", "pool-worker",
+                                      "beside-a-thread"])
     def test_no_fork(self, monkeypatch, case):
-        """No helper is forked for a fit below ``PROBE_SPLIT_MIN_VALUES``,
-        in a process that may use one CPU, in a grid's pool worker, or
-        beside another thread (as BLAS's worker threads are)."""
+        """No helper is forked for a fit forced to split in a process that
+        may use one CPU, in a grid's pool worker, or beside another thread
+        (as BLAS's worker threads are)."""
         rng = np.random.default_rng(7)
         reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 0, 2 ** 62)
+        serial, _ = self._probe(reps, z, 0, False)
         monkeypatch.setattr(parallel.Helper, "_fork",
                             lambda self: pytest.fail("a helper was forked"))
-        min_values = 0
-        if case == "below-the-constant":
-            min_values = MX.PROBE_SPLIT_MIN_VALUES
-            assert int(0.7 * 600) * 16 < min_values
-        elif case == "one-cpu":
+        if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif case == "pool-worker":
             monkeypatch.setattr(parallel, "_serial", True)
@@ -597,11 +598,28 @@ class TestTwoCoreProbe:
         if case == "beside-a-thread":
             other.start()
         try:
-            assert self._probe(reps, z, 0, min_values)[0] == serial
+            assert self._probe(reps, z, 0, True)[0] == serial
         finally:
             done.set()
             if other.is_alive():
                 other.join(timeout=10)
+
+    def test_seed9_live_slice_fits_serially_with_graph_bits(self, monkeypatch):
+        """16,281 rows of width 256 with 92 live columns, as the wide
+        benchmark's seed-9 representation has: the 11,396 x 92 live slice's
+        split epoch would put a 40-column half on OpenBLAS's small-matrix
+        path, so no helper is forked, and the bytes are the graph fit's."""
+        rng = np.random.default_rng(92)
+        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
+        reps[:, rng.permutation(256)[92:]] = 0.0
+        z = rng.integers(0, 2, 16281)
+        assert MX._halves((int(0.7 * 16281), 92)) == (5696, 40)
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: pytest.fail("a helper was forked"))
+        fit, tasks = self._probe(reps, z, 9)
+        assert tasks == 0
+        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 9)
+        assert fit == (weight.tobytes(), bias.tobytes(), acc)
 
 
 class TestFairnessReport:

@@ -264,8 +264,7 @@ class TestGradientsAfterBackward:
 
 class TestTwoCoreGradients:
     """The gradient pins again with the unlabeled side built and swept in a
-    helper process (``SPLIT_MIN_VALUES`` 0), or serially in a process that
-    may use one CPU only."""
+    helper process, or serially in a process that may use one CPU only."""
 
     @staticmethod
     def _split_gradients(backbone, steps=1):
@@ -275,8 +274,7 @@ class TestTwoCoreGradients:
         bundle = M.ModelBundle(tiny_config(backbone=backbone, dropout_rate=0.2))
         params = bundle.trainable_parameters()
         digests = []
-        with parallel.session(sum(p.value.size for p in params),
-                              bundle=bundle) as helper:
+        with parallel.session(True, bundle=bundle) as helper:
             opt = T.Adam(params, helper=helper)
             for _ in range(steps):
                 opt.zero_grad()
@@ -285,17 +283,14 @@ class TestTwoCoreGradients:
         return digests, total
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
-    def test_trainable_gradients_match_golden_digest(self, monkeypatch,
-                                                     backbone):
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+    def test_trainable_gradients_match_golden_digest(self, backbone):
         digests, total = self._split_gradients(backbone)
         assert total.op == ("add_sides" if parallel.forkable() else "add")
         assert digests == [GOLDEN_GRADIENT_DIGESTS[backbone]]
 
-    def test_pins_hold_over_repeated_split_steps(self, monkeypatch):
+    def test_pins_hold_over_repeated_split_steps(self):
         """Twenty steps of one session reuse its helper and exchange area;
         each sweep gives the pinned bits."""
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         digests, _ = self._split_gradients("dnn", steps=20)
         assert digests == [GOLDEN_GRADIENT_DIGESTS["dnn"]] * 20
 

@@ -534,15 +534,13 @@ def submit_calls(monkeypatch):
 
 class TestTwoCoreLadderDigests:
     """The ladder pins again with every two-sided step and every Adam step
-    split over two cores (``SPLIT_MIN_VALUES`` and
-    ``ADAM_SPLIT_MIN_VALUES`` 0). A process that may use one CPU only runs
-    them serially, and must give the same pins."""
+    split over two cores (``ADAM_SPLIT_MIN_VALUES`` 0). A process that may
+    use one CPU only runs them serially, and must give the same pins."""
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     @pytest.mark.parametrize("method", T.METHODS)
     def test_parameters_match_golden_digest(self, monkeypatch, submit_calls,
                                             method, backbone):
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(T, "ADAM_SPLIT_MIN_VALUES", 0)
         assert (_ladder_digest(method, backbone)
                 == GOLDEN_LADDER_DIGESTS[f"{method}/{backbone}"])
@@ -585,29 +583,27 @@ class TestTwoCoreHelper:
                                                     submit_calls):
         """A non-finite value met in the helper process is raised by the step
         with the serial run's type and message."""
-        def error(min_values):
-            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
+        def error(serial):
+            monkeypatch.setattr(parallel, "_serial", serial)
             split = tiny_split()
             split.unl.x[:, 0] = np.inf
             with pytest.raises(ValueError) as caught:
                 T.train(toy_spec("fairvae"), split)
             return type(caught.value), str(caught.value)
 
-        serial = error(2 ** 62)
+        serial = error(True)
         assert serial[1].startswith("non-finite values in const (method=")
-        assert error(0) == serial
+        assert error(False) == serial
         assert ("joint_loss" in submit_calls) == parallel.forkable()
 
-    def test_labeled_side_error_wins(self, monkeypatch, submit_calls):
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
+    def test_labeled_side_error_wins(self, submit_calls):
         bundle = M.ModelBundle(M.BundleConfig(input_dim=6, hidden_dim=4,
                                               latent_dim=2, method="dadv"))
         rng = np.random.default_rng(0)
         x, y, z = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 2, 5), \
             rng.integers(0, 2, 5)
         params = bundle.trainable_parameters()
-        with parallel.session(sum(p.value.size for p in params),
-                              bundle=bundle) as helper:
+        with parallel.session(True, bundle=bundle) as helper:
             T.Adam(params, helper=helper)
             # no attributes on the labeled side, attributes on the unlabeled one
             with pytest.raises(ValueError, match="^labeled loss requires "
@@ -643,8 +639,8 @@ class TestTwoCoreHelper:
         monkeypatch.setattr(parallel.Helper, "_fork",
                             lambda self: forks.append(1) or fork(self))
         errors = []
-        for min_values in (2 ** 62, 0):
-            monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", min_values)
+        for serial in (True, False):
+            monkeypatch.setattr(parallel, "_serial", serial)
             calls.clear()
             with pytest.raises(ValueError) as caught:
                 T.train(toy_spec("fairvae"), tiny_split(n=60))
@@ -657,7 +653,6 @@ class TestTwoCoreHelper:
         """A process running a second thread (as a multi-threaded BLAS
         does) never forks: the helper would compete with that thread, and
         forking beside threads is unsafe."""
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(parallel.Helper, "_fork",
                             lambda self: pytest.fail("a helper was forked"))
         done = threading.Event()
@@ -676,7 +671,6 @@ class TestTwoCoreHelper:
         """A split run whose optimizer holds fewer than
         ``ADAM_SPLIT_MIN_VALUES`` values updates all of it in the caller:
         the helper gets its steps' unlabeled sides only."""
-        monkeypatch.setattr(parallel, "SPLIT_MIN_VALUES", 0)
         spec = toy_spec("fairvae")
         values = sum(p.value.size for p in T._build_bundle(
             spec, tiny_split().feature_dim).trainable_parameters())
@@ -685,27 +679,39 @@ class TestTwoCoreHelper:
         assert ("joint_loss" in submit_calls) == parallel.forkable()
         assert "step" not in submit_calls
 
-    @pytest.mark.parametrize("case", ["one-cpu", "below-the-constant",
-                                      "one-sided"])
+    @pytest.mark.parametrize("case", ["one-cpu", "one-sided"])
     def test_no_helper_for_a_serial_run(self, monkeypatch, case):
-        """No helper is forked in a process that may use one CPU, for a
-        bundle below ``SPLIT_MIN_VALUES``, or for plain, whose steps have one
-        side only (its optimizer alone is not worth a process)."""
+        """No helper, and so no shared mapping, is built in a process that
+        may use one CPU, or for plain, whose steps have one side only (its
+        optimizer alone is not worth a process)."""
         if case == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(parallel.Helper, "_fork",
-                            lambda self: pytest.fail("a helper was forked"))
+        monkeypatch.setattr(parallel.Helper, "__init__", lambda self, held:
+                            pytest.fail("a helper was built"))
         before = set(threading.enumerate())
         samples = separable_samples(60, seed=1, dim=28)
         split = D.split_and_mask(samples, val_frac=0.1, label_ratio=0.5, seed=1)
-        if case == "below-the-constant":
-            spec = toy_spec("fairvae", backbone="lr", epochs=1)
-            values = sum(p.value.size for p in T._build_bundle(
-                spec, 28).trainable_parameters())
-            assert values < parallel.SPLIT_MIN_VALUES
-        else:
-            spec = T.MethodSpec(backbone="dnn", epochs=1, batch_size=16,
-                                method="plain" if case == "one-sided"
-                                else "fairvae")
+        spec = T.MethodSpec(backbone="dnn", epochs=1, batch_size=16,
+                            method="plain" if case == "one-sided"
+                            else "fairvae")
         T.train(spec, split)
         assert set(threading.enumerate()) == before
+
+    def test_small_two_sided_run_splits_with_serial_bits(self, monkeypatch):
+        """A fairvae run whose bundle holds fewer than 1,000 trainable values
+        still splits its steps where the process may fork, and its
+        parameters are the serial run's bytes."""
+        spec = toy_spec("fairvae", backbone="lr", epochs=2)
+        values = sum(p.value.size for p in T._build_bundle(
+            spec, tiny_split().feature_dim).trainable_parameters())
+        assert values < 1_000
+        forks, fork = [], parallel.Helper._fork
+        monkeypatch.setattr(parallel.Helper, "_fork",
+                            lambda self: forks.append(1) or fork(self))
+        states = []
+        for serial in (True, False):
+            monkeypatch.setattr(parallel, "_serial", serial)
+            bundle, _ = T.train(spec, tiny_split(n=60))
+            states.append([p.value.tobytes() for p in bundle.parameters()])
+        assert states[0] == states[1]
+        assert len(forks) == parallel.forkable()
