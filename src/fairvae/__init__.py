@@ -9,9 +9,9 @@ group-fairness evaluation harness.
 The command line, ``fairvae`` or ``python -m fairvae.cli``, pins BLAS to one
 thread before numpy loads, setting each thread variable that is unset to 1:
 a process whose BLAS runs worker threads never forks the helper of a
-two-core step, probe fit or export (``parallel.forkable``). ``import
-fairvae`` from another program, and ``cli.main`` called in it, keep that
-program's settings.
+two-core step or export (``parallel.forkable``). ``import fairvae`` from
+another program, and ``cli.main`` called in it, keep that program's
+settings.
 """
 
 import os as _os

@@ -181,8 +181,8 @@ def _read_adult_file(path) -> Records:
         linenos.append(lineno)
     columns = dict(zip(NAMES, [tuple(map(str.strip, cells)) for cells in zip(*rows)]
                             or [()] * len(NAMES)))
-    # the test file suffixes labels with a period
-    columns[LABEL_COLUMN] = [v.rstrip(".") for v in columns[LABEL_COLUMN]]
+    # the test file suffixes labels with one period
+    columns[LABEL_COLUMN] = [v.removesuffix(".") for v in columns[LABEL_COLUMN]]
     records = Records(columns, path, linenos)
     if bad is not None:  # the lines before the bad byte's were good
         raise ParseError(

@@ -7,7 +7,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import parallel
 
 
 class UndefinedMetric(ValueError):
@@ -146,10 +145,11 @@ PROBE_LIVE_MAX_WIDTH = 384  # full width of a live-column fit: see _fit_probe
 PROBE_MIN_PRODUCT = 1_000_000  # multiply-adds per product: see _fit_probe
 
 
-def _logit_gradients(x, up_log, w, b) -> np.ndarray:
-    """The gradient of the probe's mean cross-entropy with respect to the
-    logits of the rows of ``x``, given ``up_log``, its gradient with respect
-    to their log-probabilities (``_fit_probe``)."""
+def _gradients(x, up_log, w, b):
+    """One epoch's gradients of the probe's mean cross-entropy with respect
+    to the logits of the rows of ``x`` and to the weight ``w``, given
+    ``up_log``, its gradient with respect to their log-probabilities
+    (``_fit_probe``)."""
     logits = x @ w
     logits += b
     e = np.exp(logits - np.maximum(logits[:, :1], logits[:, 1:]))
@@ -157,12 +157,7 @@ def _logit_gradients(x, up_log, w, b) -> np.ndarray:
     inside = (p >= ad.LOG_FLOOR).astype(np.float64)
     g = inside * up_log / np.maximum(p, ad.LOG_FLOOR)
     gp = g * p
-    return p * (g - (gp[:, :1] + gp[:, 1:]))
-
-
-def _gradients(x, up_log, w, b):
-    """One serial epoch's logit and weight gradients."""
-    g = _logit_gradients(x, up_log, w, b)
+    g = p * (g - (gp[:, :1] + gp[:, 1:]))
     return g, (g.T @ x).T
 
 
@@ -176,61 +171,12 @@ def _live_columns(x, up_log, w, b):
     if (len(live) == d or d > PROBE_LIVE_MAX_WIDTH
             or 2 * n * len(live) <= PROBE_MIN_PRODUCT):
         return slice(None)
-    full = _gradients(x, up_log, w, b)  # raises the serial error, if any
+    full = _gradients(x, up_log, w, b)  # raises the full width's error, if any
     narrow = _gradients(x[:, live], up_log, w[live], b)
     if (narrow[0].tobytes() != full[0].tobytes()
             or narrow[1].tobytes() != full[1][live].tobytes()):
         return slice(None)
     return live
-
-
-def _halves(shape) -> tuple[int, int]:
-    """Where a split epoch cuts the rows (a multiple of 64) and the columns
-    (a multiple of 8) of an ``n x d`` training slice: the caller takes those
-    before the cut, the helper the rest."""
-    n, d = shape
-    return n // 2 // 64 * 64, d // 2 // 8 * 8
-
-
-def _splits(shape) -> bool:
-    """Whether each product of a split epoch over an ``n x d`` training
-    slice (``_halves``) exceeds ``PROBE_MIN_PRODUCT`` multiply-adds."""
-    n, d = shape
-    k, c = _halves(shape)  # the caller's halves are the smaller
-    return 2 * min(k * d, n * c) > PROBE_MIN_PRODUCT
-
-
-def _probe_half(helper: parallel.Helper, views, k: int, c: int):
-    """The helper's task in a split epoch (``_split_gradients``): the logit
-    gradients of rows ``k:``, then the weight gradient of columns ``c:``."""
-    w, b = views
-    x, up_log, g = helper.held["x"], helper.held["up_log"], helper.held["g"]
-    g[k:] = _logit_gradients(x[k:], up_log[k:], w, b)
-    yield None
-    helper.wait()  # the caller's rows are in g too
-    yield helper.place([(g.T @ x[:, c:]).T])
-
-
-def _split_gradients(helper: parallel.Helper, x, up_log, w, b, check: bool):
-    """One epoch's gradients computed here and by ``helper``, in the shared
-    logit gradient ``helper.held["g"]``; None if the split failed or, with
-    ``check``, its bytes differ from the serial epoch's."""
-    g = helper.held["g"]
-    k, c = _halves(x.shape)
-    try:
-        task = helper.submit(_probe_half, k, c, arrays=[w, b], replies=2)
-        g[:k] = _logit_gradients(x[:k], up_log[:k], w, b)
-        helper.signal([])
-        helper.reply(task)  # the helper's rows are in g too
-        weight_grad = np.empty((x.shape[1], 2))
-        weight_grad[:c] = (g.T @ x[:, :c]).T
-        weight_grad[c:] = helper.view(helper.reply(task))[0]
-    except Exception:  # the serial epoch raises the serial error, if any
-        return None
-    if check and any(a.tobytes() != s.tobytes() for a, s in zip(
-            (g, weight_grad), _gradients(x, up_log, w, b))):
-        return None
-    return g, weight_grad
 
 
 def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
@@ -282,29 +228,9 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     OpenBLAS 0.3.31 (SkylakeX kernels, BLAS pinned to one thread): the bytes
     matched the full-width fit's on four trained wide representations and
     30 random ReLU-shaped fits (2,000 to 16,281 rows, widths 64 to 384). A
-    trained wide dnn's 11,396 x 55-85 live slice fits serially in 0.19-0.28
-    s, against 0.65-0.69 s at the full width serially and 0.40 s split; lr
-    and fm representations have no dead column, so only the scan runs.
-
-    Two cores: in a process that may fork a helper (``parallel.forkable``),
-    a fit splits its epochs with one helper process where every product of
-    a split epoch stays off OpenBLAS's small-matrix path (``_splits``).
-    Each side computes the logit gradients of its own rows into a logit
-    gradient in the shared mapping, then the weight gradient of its own
-    columns (``_halves``); the caller keeps the bias gradient, over all
-    rows, and the Adam step. Every row's and every column's arithmetic is
-    the serial epoch's, so the bits are the serial ones wherever OpenBLAS
-    runs the same kernels on the halves as on the whole products: halves of
-    10^6 multiply-adds or fewer under whole products above that (2,800 x
-    256, 11,396 x 64, 11,396 x 92) took the small-matrix path and moved
-    bits. OpenBLAS picks its kernels by the shapes alone, which are fixed
-    over the 200 epochs, so the first epoch is computed both ways and
-    compared byte for byte, a guard for other builds; on a difference, or
-    on any error in the split, the fit finishes serially (and a serial
-    epoch raises the serial error, if there is one). The helper is reaped
-    when the fit returns or raises. Fit times on a 2-CPU machine, BLAS
-    pinned to one thread (serial / split): 11,396 x 256 0.65 / 0.40 s,
-    11,396 x 120 0.354 / 0.227 s (0.305 s with a thread as the helper)."""
+    trained wide dnn's 11,396 x 55-85 live slice fits in 0.19-0.28 s,
+    against 0.65-0.69 s at the full width; lr and fm representations have
+    no dead column, so only the scan runs."""
     from .training import Adam  # deferred: training imports this module
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
@@ -326,24 +252,12 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     weight = ad.Parameter(initial[live], "probe.weight")
     bias = ad.Parameter(np.zeros(2), "probe.bias")
     opt = Adam([weight, bias], lr=0.01)
-    with parallel.session(_splits(x.shape), x=x, up_log=up_log) as helper:
-        if helper is not None:
-            helper.held["g"] = helper.buffers(2 * n_train, 1)[0].reshape(
-                n_train, 2)
-        for epoch in range(200):
-            grads = None
-            if helper is not None:
-                grads = _split_gradients(helper, x, up_log, weight.value,
-                                         bias.value, check=epoch == 0)
-                if grads is None:  # finish serially
-                    helper.close()
-                    helper = None
-            g, weight_grad = grads or _gradients(x, up_log, weight.value,
-                                                 bias.value)
-            opt.zero_grad()
-            weight.grad += weight_grad
-            bias.grad += np.add.accumulate(g)[-1]
-            opt.step()  # raises NonFiniteGradient on a non-finite epoch
+    for _ in range(200):
+        g, weight_grad = _gradients(x, up_log, weight.value, bias.value)
+        opt.zero_grad()
+        weight.grad += weight_grad
+        bias.grad += np.add.accumulate(g)[-1]
+        opt.step()  # raises NonFiniteGradient on a non-finite epoch
     initial[live] = weight.value  # a dead column's weights never move
     return initial, bias.value, te
 
@@ -359,11 +273,7 @@ def leakage_probe(representations, z, seed: int) -> float:
     at the live width gives the full width's bytes, its epochs read only the
     training slice's live columns, those nonzero in some row, with the
     full-width fit's bits: a dead column adds exact zeros to the logits and
-    its weights never move. A slice whose split epoch keeps every product
-    above ``PROBE_MIN_PRODUCT`` multiply-adds fits on two cores where the
-    process may fork a helper, with the serial fit's bits: its first epoch
-    is checked against the serial one, which suffices because OpenBLAS
-    picks its kernels by shape alone.
+    its weights never move. The fit runs on one core.
 
     Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
     than 0 or 1, a single group, or a representation row that is not finite.

@@ -1,5 +1,5 @@
-"""A second core for training steps, the leakage probe and the embeddings
-export: one helper process per training run, probe fit or export.
+"""A second core for training steps and the embeddings export: one helper
+process per training run or export.
 
 A step with a labeled and an unlabeled batch splits in two sides that share
 only parameters: ``objectives.joint_loss`` has the helper build and sweep
@@ -7,35 +7,32 @@ the unlabeled side while the caller builds the labeled one,
 ``autodiff.backward`` sweeps the labeled side and then adds the helper's
 gradients into the parameters, and ``training.Adam.step`` has the helper
 update the second half of its flat buffers (at least
-``training.ADAM_SPLIT_MIN_VALUES`` values). A probe fit
-(``metrics._fit_probe``) splits each epoch's rows and columns between the
-caller and the helper. An export (``experiments.export_embeddings``) has
-the helper format the second half of its rows. Two processes, unlike two
-threads, do not share Python's interpreter lock, which held the threaded
-split back. Every trained bit and every exported byte is the serial run's.
+``training.ADAM_SPLIT_MIN_VALUES`` values). An export
+(``experiments.export_embeddings``) has the helper format the second half
+of its rows. Two processes, unlike two threads, do not share Python's
+interpreter lock, which held the threaded split back. Every trained bit and
+every exported byte is the serial run's.
 
-``session`` is the scope of one ``training.train`` call, one probe fit or
-one export. It gets a ``Helper`` when its caller splits it and the process
-is ``forkable``: it can fork, may run on two or more CPUs, runs one thread
-(BLAS pinned to one) and is not a grid's pool worker (``run_serially``: the
-workers already share the CPUs by cells). Each caller decides from its own
-work: training splits every run whose steps have two sides (every method
-but plain), the probe a fit whose split epoch runs every product off
-OpenBLAS's small-matrix path (``metrics._splits``), the export one of at
-least ``experiments.EXPORT_SPLIT_MIN_VALUES`` values. The ``training``,
-``metrics._fit_probe`` and ``experiments.export_embeddings`` docstrings give
-the measurements behind each rule. Other runs, fits and exports never fork.
+``session`` is the scope of one ``training.train`` call or one
+``experiments.export_embeddings`` call, its two callers. It gets a
+``Helper`` when its caller splits it and the process is ``forkable``: it can
+fork, may run on two or more CPUs, runs one thread (BLAS pinned to one) and
+is not a grid's pool worker (``run_serially``: the workers already share the
+CPUs by cells). Each caller decides from its own work: training splits every
+run whose steps have two sides (every method but plain), the export one of
+at least ``experiments.EXPORT_SPLIT_MIN_VALUES`` values. The ``training``
+and ``experiments.export_embeddings`` docstrings give the measurements
+behind each rule. Other runs and exports never fork.
 
 The helper's one anonymous shared mapping (``mmap.mmap(-1, n)``, inherited
 by the fork; no resource-tracker process) holds the caller's shared arrays
-(the optimizer's flat buffers, so both processes see every parameter
-update; the probe's logit gradient) and an exchange area through which each
-task's arrays cross; only small messages go through the pipes, and an
-export, which makes no mapping, sends its text back through them. The
-first task forks the process, which serves the session's tasks one at a
-time and exits at end of file on its pipe. The session closes the pipe and
-reaps the process when the block is left, by a return or an exception, so
-no process outlives a run, a fit or an export.
+(the optimizer's flat buffers, so both processes see every parameter update)
+and an exchange area through which each task's arrays cross; only small
+messages go through the pipes, and an export, which makes no mapping, sends
+its text back through them. The first task forks the process, which serves
+the session's tasks one at a time and exits at end of file on its pipe. The
+session closes the pipe and reaps the process when the block is left, by a
+return or an exception, so no process outlives a run or an export.
 """
 
 from __future__ import annotations
@@ -77,18 +74,19 @@ def forkable() -> bool:
 
 
 def run_serially() -> None:
-    """Never split a step, a probe fit or an export in this process (a
-    grid's pool worker)."""
+    """Never split a step or an export in this process (a grid's pool
+    worker)."""
     global _serial
     _serial = True
 
 
 @contextlib.contextmanager
 def session(split: bool, **held):
-    """The scope of one training run, probe fit or export: yields its
-    ``Helper``, holding ``held`` for its tasks, when the caller's ``split``
-    holds and the process is ``forkable``; else None. The helper process, if
-    one was forked, has exited when the block is left."""
+    """The scope of one training run (``training.train``) or one export
+    (``experiments.export_embeddings``): yields its ``Helper``, holding
+    ``held`` for its tasks, when the caller's ``split`` holds and the
+    process is ``forkable``; else None. The helper process, if one was
+    forked, has exited when the block is left."""
     if not (split and forkable()):
         yield None
         return

@@ -195,6 +195,15 @@ class TestLoadAdult:
                                  rf"{allowed}"):
             D._read_adult_file(p)
 
+    def test_label_with_two_periods_names_cell(self, tmp_path, adult_files):
+        """The test file's labels end in one period, which is stripped; a
+        second one is kept, and the label is not a code."""
+        p = _with_bad_cell(tmp_path, adult_files[0], "income", ">50K..")
+        with pytest.raises(D.ParseError,
+                           match=r"bad.csv:2: column 'income' has '>50K\.', "
+                                 r"expected one of \['<=50K', '>50K'\]$"):
+            D._read_adult_file(p)
+
 
 class TestPreprocess:
     def test_sensitive_column_removed_and_stored(self, loaded):
@@ -586,7 +595,7 @@ class TestSplitAndMask:
         assert split.shadow_reads == before + 1
         assert len(shadow) == split.n_unlabeled
 
-    def test_derived_splits_keep_unlabeled_z_hidden(self, split):
+    def test_each_derived_split_keeps_unlabeled_z_hidden(self, split):
         shadow = split.shadow_unlabeled_attributes()
         adopt = np.arange(split.n_unlabeled) % 3 == 0
         moved = split.with_pseudo_labels(adopt, 1 - shadow[adopt])

@@ -1506,7 +1506,7 @@ class TestTwoCoreExport:
     where the process may fork one; the file holds the per-value writer's
     bytes either way (CI runs these on one CPU too, where none splits)."""
 
-    def test_wide_export_splits_once_with_the_reference_bytes(
+    def test_wide_export_is_split_once_with_the_reference_bytes(
             self, wide_export, tmp_path, monkeypatch):
         submits = _spy(monkeypatch, parallel.Helper, "submit")
         out = tmp_path / "emb.csv"

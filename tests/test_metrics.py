@@ -4,8 +4,6 @@ import re
 import subprocess
 import sys
 import textwrap
-
-import threading
 from collections import Counter
 
 import numpy as np
@@ -329,8 +327,8 @@ class TestLiveColumnProbe:
     """The fit's epochs on the training slice's live columns (those nonzero
     in some training row, ``_live_columns``): the graph fit's bytes where
     they run at that width, and the full width where the shapes or the first
-    epoch's check rule it out. Fits here are serial; ``TestTwoCoreProbe``
-    splits a live slice."""
+    epoch's check rule it out. Every fit runs on one core: none builds a
+    ``parallel.Helper``."""
 
     N = 16_281  # 11,396 training rows, as on the canonical test set
 
@@ -344,30 +342,40 @@ class TestLiveColumnProbe:
 
     @staticmethod
     def _fit(monkeypatch, reps, z, seed):
-        """The serial fit's weight and bias, and how many epochs' gradients
+        """The fit's weight and bias, and how many epochs' gradients
         it computed at each width."""
+
+        def refuse(self, held):
+            raise AssertionError("the probe built a helper")
+
+        monkeypatch.setattr(parallel.Helper, "__init__", refuse)
         widths, gradients = Counter(), MX._gradients
-        monkeypatch.setattr(MX, "_splits", lambda shape: False)
         monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
             widths.update([x.shape[1]]) or gradients(x, *args)))
         weight, bias, _ = MX._fit_probe(reps, z, seed)
         return weight, bias, dict(widths)
 
     # each case's gradient widths, and how many epochs computed each
-    _WIDTHS = {"70 live": {256: 1, 70: 201}, "40 live": {256: 200},
+    _WIDTHS = {"all live": {256: 200}, "120 live": {256: 1, 120: 201},
+               "92 live": {256: 1, 92: 201},
+               "70 live": {256: 1, 70: 201}, "40 live": {256: 200},
                "width 512": {512: 200}, "all dead": {256: 200},
                "a -0.0 column": {256: 1, 70: 201},
                "all-zero rows": {256: 1, 70: 201}}
 
     @pytest.mark.parametrize("case", list(_WIDTHS))
     def test_fit_matches_graph_reference_bits(self, monkeypatch, case):
-        """70 live columns: one full-width epoch for the check, then 200 at
-        the live width. 40 live columns (911,680 multiply-adds per product,
-        OpenBLAS's small-matrix path) and a width above 384 (more than one
-        of its K blocks) keep the full width without a check; so does a
-        slice without a live column. A column of -0.0 is dead."""
-        reps, z = self._reps(512 if case == "width 512" else 256,
-                             40 if case == "40 live" else 70)
+        """Every column live, as in an lr or fm cell's probe and ``eval``'s:
+        every epoch at the full width. 120, 92 and 70 live columns (as the
+        wide benchmark's representations have at seeds 6, 9 and 1): one
+        full-width epoch for the check, then 200 at the live width. 40 live
+        columns (911,680 multiply-adds per product, OpenBLAS's small-matrix
+        path) and a width above 384 (more than one of its K blocks) keep the
+        full width without a check; so does a slice without a live column. A
+        column of -0.0 is dead."""
+        live = {"all live": 256, "120 live": 120, "92 live": 92,
+                "40 live": 40}.get(case, 70)
+        reps, z = self._reps(512 if case == "width 512" else 256, live)
         if case == "all dead":
             reps[...] = 0.0
         elif case == "a -0.0 column":
@@ -412,214 +420,6 @@ class TestLiveColumnProbe:
         ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
         assert weight.tobytes() == ref_weight.tobytes()
         assert bias.tobytes() == ref_bias.tobytes()
-
-
-def _failing_probe_half(helper, views, k, c):
-    """A helper task for the probe's split that fails in the helper."""
-    raise MemoryError("the helper ran out")
-    yield
-
-
-class TestTwoCoreProbe:
-    """The leakage probe's split fit (``_fit_probe``) against its serial
-    fit, byte for byte. In a process that may use one CPU only every fit is
-    serial, and the same bytes must come out."""
-
-    @staticmethod
-    def _probe(reps, z, seed, split=None):
-        """``leakage_probe``'s weight and bias bytes and accuracy, its epochs
-        split by ``_splits`` or, with ``split`` given, by that, and the
-        number of tasks it handed to a helper."""
-        fits, tasks = [], []
-        fit, submit = MX._fit_probe, parallel.Helper.submit
-        with pytest.MonkeyPatch.context() as m:
-            if split is not None:
-                m.setattr(MX, "_splits", lambda shape: split)
-            m.setattr(MX, "_fit_probe",
-                      lambda *a: fits.append(fit(*a)) or fits[-1])
-            m.setattr(parallel.Helper, "submit",
-                      lambda self, *a, **k: tasks.append(1)
-                      or submit(self, *a, **k))
-            acc = MX.leakage_probe(reps, z, seed)
-        weight, bias, _ = fits[-1]
-        return (weight.tobytes(), bias.tobytes(), acc), len(tasks)
-
-    def test_canonical_test_set_matches_serial_and_graph_bits(self):
-        """16,281 rows of width 256, the wide benchmark's probe: 11,396 x
-        256 training values, split for all 200 epochs."""
-        rng = np.random.default_rng(16281)
-        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
-        z = rng.integers(0, 2, 16281)
-        assert MX._splits((int(0.7 * 16281), 256))
-        serial, _ = self._probe(reps, z, 5, False)
-        split, tasks = self._probe(reps, z, 5)
-        assert tasks == 200 * parallel.forkable()
-        assert split == serial
-        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 5)
-        assert split == (weight.tobytes(), bias.tobytes(), acc)
-
-    def test_live_slice_matches_serial_and_graph_bits(self, monkeypatch):
-        """16,281 rows of width 256 with 120 live columns: the epochs run on
-        the 11,396 x 120 live slice (``_live_columns``), split for all 200
-        epochs."""
-        rng = np.random.default_rng(120)
-        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
-        reps[:, rng.permutation(256)[120:]] = 0.0
-        z = rng.integers(0, 2, 16281)
-        assert MX._splits((int(0.7 * 16281), 120))
-        serial, _ = self._probe(reps, z, 6, False)
-        shapes, split_gradients = set(), MX._split_gradients
-
-        def spied(helper, x, *args, **kwargs):
-            shapes.add(x.shape)
-            return split_gradients(helper, x, *args, **kwargs)
-
-        monkeypatch.setattr(MX, "_split_gradients", spied)
-        split, tasks = self._probe(reps, z, 6)
-        assert tasks == 200 * parallel.forkable()
-        assert shapes == ({(int(0.7 * 16281), 120)} if parallel.forkable()
-                          else set())
-        assert split == serial
-        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 6)
-        assert split == (weight.tobytes(), bias.tobytes(), acc)
-
-    @pytest.mark.parametrize("n,d", [(4000, 256), (16281, 64)])
-    def test_first_epoch_check_falls_back_at_crossing_shapes(self, n, d):
-        """Here the whole products take OpenBLAS's large kernels and the
-        halves its small-matrix path (10^6 multiply-adds or fewer): the
-        halves move bits, so the first epoch's check finishes the fit
-        serially, with the serial bytes. Forced to split, the fit hands the
-        helper its first epoch only."""
-        rng = np.random.default_rng(d)
-        reps, z = rng.standard_normal((n, d)), rng.integers(0, 2, n)
-        serial, _ = self._probe(reps, z, 1, False)
-        assert self._probe(reps, z, 1, True) == (serial, parallel.forkable())
-
-    def test_forced_mismatch_falls_back(self, monkeypatch):
-        """Logit gradients that the helper computes one ulp off fail the
-        first epoch's check, and the fit finishes serially."""
-        rng = np.random.default_rng(3)
-        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 2, False)
-        caller, real = os.getpid(), MX._logit_gradients
-
-        def off_in_the_helper(*args):
-            g = real(*args)
-            if os.getpid() != caller:
-                g[0, 0] = np.nextafter(g[0, 0], np.inf)
-            return g
-
-        monkeypatch.setattr(MX, "_logit_gradients", off_in_the_helper)
-        assert self._probe(reps, z, 2, True) == (serial, parallel.forkable())
-
-    def test_split_small_fit_matches_serial_bits(self):
-        """Where the whole products and their halves both take the
-        small-matrix path, a forced split passes the check and keeps the
-        serial bytes for all 200 epochs."""
-        rng = np.random.default_rng(4)
-        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 2, False)
-        assert self._probe(reps, z, 2, True) == (serial,
-                                                  200 * parallel.forkable())
-
-    @pytest.mark.parametrize("side", ["helper", "caller"])
-    def test_split_error_is_the_serial_one(self, monkeypatch, side):
-        """A row that overflows among the helper's (or the caller's) rows
-        raises there the serial fit's warning-turned-error; the split fit
-        raises it with the serial type and message and leaves no process
-        behind (the autouse fixture checks that)."""
-        rng = np.random.default_rng(5)
-        n, d = 600, 64
-        reps, z = rng.standard_normal((n, d)), rng.integers(0, 2, n)
-        perm = np.random.default_rng(
-            np.random.SeedSequence([0, 0x9806E])).permutation(n)
-        tr = perm[:int(0.7 * n)]
-        k, _ = MX._halves((len(tr), d))
-        # finite, but its logits overflow
-        reps[tr[k + 5 if side == "helper" else 5]] = 1e308
-        failed, reply = [], parallel.Helper.reply
-
-        def spied_reply(self, *args):
-            try:
-                return reply(self, *args)
-            except Exception as exc:
-                failed.append(exc)
-                raise
-
-        monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
-        errors = []
-        for split in (False, True):
-            monkeypatch.setattr(MX, "_splits", lambda shape: split)
-            with pytest.raises(Exception) as caught:
-                MX.leakage_probe(reps, z, 0)
-            errors.append((type(caught.value), str(caught.value)))
-        assert errors[0] == errors[1]
-        assert errors[0] == (RuntimeWarning, "overflow encountered in matmul")
-        assert [(type(e), str(e)) for e in failed] == \
-            [errors[0]] * (side == "helper" and parallel.forkable())
-
-    def test_error_only_the_helper_meets_finishes_serially(self, monkeypatch):
-        """An error in the helper's task that the serial fit would not meet
-        ends the split: the fit finishes serially, with the serial bytes."""
-        rng = np.random.default_rng(6)
-        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 0, False)
-        failed, reply = [], parallel.Helper.reply
-
-        def spied_reply(self, *args):
-            try:
-                return reply(self, *args)
-            except MemoryError as exc:
-                failed.append(str(exc))
-                raise
-
-        monkeypatch.setattr(MX, "_probe_half", _failing_probe_half)
-        monkeypatch.setattr(parallel.Helper, "reply", spied_reply)
-        assert self._probe(reps, z, 0, True) == (serial, parallel.forkable())
-        assert failed == ["the helper ran out"] * parallel.forkable()
-
-    @pytest.mark.parametrize("case", ["one-cpu", "pool-worker",
-                                      "beside-a-thread"])
-    def test_no_fork(self, monkeypatch, case):
-        """No helper is forked for a fit forced to split in a process that
-        may use one CPU, in a grid's pool worker, or beside another thread
-        (as BLAS's worker threads are)."""
-        rng = np.random.default_rng(7)
-        reps, z = rng.standard_normal((600, 16)), rng.integers(0, 2, 600)
-        serial, _ = self._probe(reps, z, 0, False)
-        monkeypatch.setattr(parallel.Helper, "_fork",
-                            lambda self: pytest.fail("a helper was forked"))
-        if case == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        elif case == "pool-worker":
-            monkeypatch.setattr(parallel, "_serial", True)
-        done = threading.Event()
-        other = threading.Thread(target=done.wait)
-        if case == "beside-a-thread":
-            other.start()
-        try:
-            assert self._probe(reps, z, 0, True)[0] == serial
-        finally:
-            done.set()
-            if other.is_alive():
-                other.join(timeout=10)
-
-    def test_seed9_live_slice_fits_serially_with_graph_bits(self, monkeypatch):
-        """16,281 rows of width 256 with 92 live columns, as the wide
-        benchmark's seed-9 representation has: the 11,396 x 92 live slice's
-        split epoch would put a 40-column half on OpenBLAS's small-matrix
-        path, so no helper is forked, and the bytes are the graph fit's."""
-        rng = np.random.default_rng(92)
-        reps = np.maximum(rng.standard_normal((16281, 256)), 0.0)
-        reps[:, rng.permutation(256)[92:]] = 0.0
-        z = rng.integers(0, 2, 16281)
-        assert MX._halves((int(0.7 * 16281), 92)) == (5696, 40)
-        monkeypatch.setattr(parallel.Helper, "_fork",
-                            lambda self: pytest.fail("a helper was forked"))
-        fit, tasks = self._probe(reps, z, 9)
-        assert tasks == 0
-        weight, bias, acc = oracles.graph_leakage_probe(reps, z, 9)
-        assert fit == (weight.tobytes(), bias.tobytes(), acc)
 
 
 class TestFairnessReport:

@@ -267,7 +267,7 @@ class TestTwoCoreGradients:
     helper process, or serially in a process that may use one CPU only."""
 
     @staticmethod
-    def _split_gradients(backbone, steps=1):
+    def _two_core_gradients(backbone, steps=1):
         """``_joint_loss_gradients`` in a training session whose optimizer
         holds the bundle: the gradient digest after each of ``steps``
         repetitions, and the last root."""
@@ -284,14 +284,14 @@ class TestTwoCoreGradients:
 
     @pytest.mark.parametrize("backbone", M.BACKBONE_KINDS)
     def test_trainable_gradients_match_golden_digest(self, backbone):
-        digests, total = self._split_gradients(backbone)
+        digests, total = self._two_core_gradients(backbone)
         assert total.op == ("add_sides" if parallel.forkable() else "add")
         assert digests == [GOLDEN_GRADIENT_DIGESTS[backbone]]
 
     def test_pins_hold_over_repeated_split_steps(self):
         """Twenty steps of one session reuse its helper and exchange area;
         each sweep gives the pinned bits."""
-        digests, _ = self._split_gradients("dnn", steps=20)
+        digests, _ = self._two_core_gradients("dnn", steps=20)
         assert digests == [GOLDEN_GRADIENT_DIGESTS["dnn"]] * 20
 
 

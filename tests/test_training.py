@@ -697,7 +697,7 @@ class TestTwoCoreHelper:
         T.train(spec, split)
         assert set(threading.enumerate()) == before
 
-    def test_small_two_sided_run_splits_with_serial_bits(self, monkeypatch):
+    def test_small_two_sided_run_is_split_with_serial_bits(self, monkeypatch):
         """A fairvae run whose bundle holds fewer than 1,000 trainable values
         still splits its steps where the process may fork, and its
         parameters are the serial run's bytes."""
