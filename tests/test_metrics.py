@@ -357,10 +357,9 @@ class TestLiveColumnProbe:
 
     # each case's gradient widths, and how many epochs computed each
     _WIDTHS = {"all live": {256: 200}, "120 live": {256: 1, 120: 201},
-               "92 live": {256: 1, 92: 201},
-               "70 live": {256: 1, 70: 201}, "40 live": {256: 200},
-               "width 512": {512: 200}, "all dead": {256: 200},
-               "a -0.0 column": {256: 1, 70: 201},
+               "92 live": {256: 1, 92: 201}, "70 live": {256: 1, 70: 201},
+               "40 live": {256: 200}, "width 512": {512: 200},
+               "all dead": {256: 200}, "a -0.0 column": {256: 1, 70: 201},
                "all-zero rows": {256: 1, 70: 201}}
 
     @pytest.mark.parametrize("case", list(_WIDTHS))
