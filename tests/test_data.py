@@ -195,13 +195,16 @@ class TestLoadAdult:
                                  rf"{allowed}"):
             D._read_adult_file(p)
 
-    def test_label_with_two_periods_names_cell(self, tmp_path, adult_files):
+    @pytest.mark.parametrize("label", [">50K", "<=50K"])
+    def test_label_with_two_periods_names_cell(self, tmp_path, adult_files,
+                                               label):
         """The test file's labels end in one period, which is stripped; a
         second one is kept, and the label is not a code."""
-        p = _with_bad_cell(tmp_path, adult_files[0], "income", ">50K..")
+        p = _with_bad_cell(tmp_path, adult_files[0], "income", label + "..")
         with pytest.raises(D.ParseError,
-                           match=r"bad.csv:2: column 'income' has '>50K\.', "
-                                 r"expected one of \['<=50K', '>50K'\]$"):
+                           match=rf"bad.csv:2: column 'income' has "
+                                 rf"'{re.escape(label)}\.', expected one of "
+                                 r"\['<=50K', '>50K'\]$"):
             D._read_adult_file(p)
 
 

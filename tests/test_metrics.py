@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 from collections import Counter
 
 import numpy as np
@@ -261,11 +262,14 @@ class TestLeakageProbe:
         self._assert_fit_matches_graph(reps, z, seed)
 
     @pytest.mark.parametrize("n,d,relu", [(3000, 28, False), (3000, 103, True),
-                                          (3000, 256, False)])
+                                          (3000, 256, False), (4000, 256, False),
+                                          (16281, 64, False)])
     def test_large_fit_matches_graph_reference_bits(self, n, d, relu):
         """Fits on 2,100 rows whose weight-gradient products hold 117,600,
         432,600 and 1,075,200 multiply-adds: the last is above the 10^6
-        where OpenBLAS leaves its small-matrix path for another kernel."""
+        where OpenBLAS leaves its small-matrix path for another kernel. At
+        2,800 x 256 and 11,396 x 64 (1,433,600 and 1,458,688) the whole
+        products take the large kernels while half of either would not."""
         rng = np.random.default_rng(n)
         reps = self._representations(rng, n, d, 1.0, relu)
         self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3)
@@ -355,12 +359,20 @@ class TestLiveColumnProbe:
         weight, bias, _ = MX._fit_probe(reps, z, seed)
         return weight, bias, dict(widths)
 
+    def _held_out(self, seed):
+        """The rows ``_fit_probe`` holds out at ``seed``, in its order."""
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
+        return rng.permutation(self.N)[int(0.7 * self.N):]
+
     # each case's gradient widths, and how many epochs computed each
     _WIDTHS = {"all live": {256: 200}, "120 live": {256: 1, 120: 201},
                "92 live": {256: 1, 92: 201}, "70 live": {256: 1, 70: 201},
                "40 live": {256: 200}, "width 512": {512: 200},
                "all dead": {256: 200}, "a -0.0 column": {256: 1, 70: 201},
-               "all-zero rows": {256: 1, 70: 201}}
+               "all-zero rows": {256: 1, 70: 201},
+               "a held-out column": {256: 1, 70: 201},
+               "a one-row column": {256: 1, 71: 201},
+               "a subnormal column": {256: 1, 71: 201}}
 
     @pytest.mark.parametrize("case", list(_WIDTHS))
     def test_fit_matches_graph_reference_bits(self, monkeypatch, case):
@@ -371,7 +383,9 @@ class TestLiveColumnProbe:
         columns (911,680 multiply-adds per product, OpenBLAS's small-matrix
         path) and a width above 384 (more than one of its K blocks) keep the
         full width without a check; so does a slice without a live column. A
-        column of -0.0 is dead."""
+        column of -0.0 is dead, and so is one nonzero in held-out rows only
+        (scored with its initial weights); one nonzero in a single training
+        row, even at 5e-324, is live."""
         live = {"all live": 256, "120 live": 120, "92 live": 92,
                 "40 live": 40}.get(case, 70)
         reps, z = self._reps(512 if case == "width 512" else 256, live)
@@ -381,6 +395,13 @@ class TestLiveColumnProbe:
             reps[:, np.flatnonzero(~reps.any(axis=0))[0]] = -0.0
         elif case == "all-zero rows":
             reps[np.random.default_rng(1).random(self.N) < 0.3] = 0.0
+        elif case in ("a held-out column", "a one-row column",
+                      "a subnormal column"):
+            column = np.flatnonzero(~reps.any(axis=0))[0]
+            held_out = self._held_out(3)
+            row = (held_out[0] if case == "a held-out column"
+                   else np.setdiff1d(np.arange(self.N), held_out)[0])
+            reps[row, column] = 5e-324 if case == "a subnormal column" else 1.0
         weight, bias, widths = self._fit(monkeypatch, reps, z, 3)
         assert widths == self._WIDTHS[case]
         ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
@@ -419,6 +440,34 @@ class TestLiveColumnProbe:
         ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
         assert weight.tobytes() == ref_weight.tobytes()
         assert bias.tobytes() == ref_bias.tobytes()
+
+    @pytest.mark.parametrize("case", ["two-cpus", "one-cpu", "pool-worker",
+                                      "beside-a-thread"])
+    def test_same_fit_in_every_process(self, monkeypatch, case):
+        """The fit at 120 live columns, whose products each hold more than
+        10^6 multiply-adds, builds no helper and gives the same bytes in a
+        process that may use two CPUs or one, in a grid's pool worker, and
+        beside another thread (as BLAS's worker threads are)."""
+        reps, z = self._reps(256, 120)
+        expected = MX._fit_probe(reps, z, 6)
+        if case in ("two-cpus", "one-cpu"):
+            cpus = {0, 1} if case == "two-cpus" else {0}
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        elif case == "pool-worker":
+            monkeypatch.setattr(parallel, "_serial", True)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        if case == "beside-a-thread":
+            other.start()
+        try:
+            weight, bias, widths = self._fit(monkeypatch, reps, z, 6)
+        finally:
+            done.set()
+            if other.is_alive():
+                other.join(timeout=10)
+        assert widths == {256: 1, 120: 201}
+        assert weight.tobytes() == expected[0].tobytes()
+        assert bias.tobytes() == expected[1].tobytes()
 
 
 class TestFairnessReport:
