@@ -53,15 +53,15 @@ def _same_length(who: str, **arrays) -> None:
             f"{name} {length}" for name, length in lengths.items()))
 
 
-def _attribute(z, who: str) -> np.ndarray:
-    """``z`` as an int array, rejecting any value other than 0 or 1 with the
-    first bad row named."""
-    z = np.asarray(z)
-    bad = np.flatnonzero((z != 0) & (z != 1))
+def _binary(values, who: str, what: str = "attribute") -> np.ndarray:
+    """``values`` as an int array, rejecting any value other than 0 or 1 with
+    ``who``, ``what`` they are and the first bad row named."""
+    values = np.asarray(values)
+    bad = np.flatnonzero((values != 0) & (values != 1))
     if len(bad):
         raise UndefinedMetric(
-            f"{who}: attribute in row {bad[0]} is {z[bad[0]]}, not 0 or 1")
-    return z.astype(int)
+            f"{who}: {what} in row {bad[0]} is {values[bad[0]]}, not 0 or 1")
+    return values.astype(int)
 
 
 def _group_positive_rates(y_pred, z):
@@ -76,8 +76,8 @@ def _group_positive_rates(y_pred, z):
 
 def demographic_parity_gap(y_pred, z) -> float:
     """|P(pred=1 | z=0) - P(pred=1 | z=1)|."""
-    y_pred = np.asarray(y_pred)
-    z = _attribute(z, "demographic parity gap")
+    y_pred = _binary(y_pred, "demographic parity gap", "prediction")
+    z = _binary(z, "demographic parity gap")
     _same_length("demographic parity gap", y_pred=y_pred, z=z)
     r0, r1 = _group_positive_rates(y_pred, z)
     return abs(r0 - r1)
@@ -95,9 +95,9 @@ def _group_tprs(y_true, y_pred, z):
 
 def equal_opportunity_gap(y_true, y_pred, z) -> float:
     """|TPR(z=0) - TPR(z=1)| where TPR = P(pred=1 | y=1, group)."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    z = _attribute(z, "equal opportunity gap")
+    y_true = _binary(y_true, "equal opportunity gap", "label")
+    y_pred = _binary(y_pred, "equal opportunity gap", "prediction")
+    z = _binary(z, "equal opportunity gap")
     _same_length("equal opportunity gap", y_true=y_true, y_pred=y_pred, z=z)
     t0, t1 = _group_tprs(y_true, y_pred, z)
     return abs(t0 - t1)
@@ -127,7 +127,7 @@ def auc(y_true, scores) -> float:
     Ranks come from ``_average_ranks`` (a stable sort, then tie groups); a NaN
     score makes the AUC NaN.
     """
-    y_true = np.asarray(y_true)
+    y_true = _binary(y_true, "auc", "label")
     scores = np.asarray(scores, dtype=float)
     _same_length("auc", y_true=y_true, scores=scores)
     n_pos = int((y_true == 1).sum())
@@ -142,7 +142,9 @@ def auc(y_true, scores) -> float:
 
 
 PROBE_LIVE_MAX_WIDTH = 384  # full width of a live-column fit: see _fit_probe
-PROBE_MIN_PRODUCT = 1_000_000  # multiply-adds per product: see _fit_probe
+# multiply-adds per product, above which the fit may read the live slice
+# (_live_columns) and run its epochs transposed (_epochs): see _fit_probe
+PROBE_MIN_PRODUCT = 1_000_000
 
 
 def _gradients(x, up_log, w, b):
@@ -159,6 +161,63 @@ def _gradients(x, up_log, w, b):
     gp = g * p
     g = p * (g - (gp[:, :1] + gp[:, 1:]))
     return g, (g.T @ x).T
+
+
+def _transposed_gradients(x, xT, up, w, b, out):
+    """``_gradients`` in the transposed layout (``_epochs``): the logits are
+    ``w.T @ xT``, the softmax and gradient chain runs on 2 x n rows, and the
+    weight gradient is ``G @ x``, every array written into the buffers
+    ``out``. ``xT`` and ``up`` are C-contiguous copies of ``x.T`` and of
+    ``up_log.T``. Returns the 2 x n logit gradient ``G`` and the weight
+    gradient as a d x 2 view."""
+    logits, p, t, g, row, weight_grad = out
+    np.matmul(w.T, xT, out=logits)
+    np.add(logits, b[:, None], out=logits)
+    np.maximum(logits[0], logits[1], out=row)
+    np.subtract(logits, row, out=logits)
+    np.exp(logits, out=logits)
+    np.add(logits[0], logits[1], out=row)
+    np.divide(logits, row, out=p)
+    np.greater_equal(p, ad.LOG_FLOOR, out=g)  # inside, as 1.0 or 0.0
+    np.multiply(g, up, out=g)
+    np.divide(g, np.maximum(p, ad.LOG_FLOOR, out=t), out=g)
+    np.multiply(g, p, out=t)
+    np.add(t[0], t[1], out=row)
+    np.subtract(g, row, out=g)
+    np.multiply(p, g, out=g)
+    np.matmul(g, x, out=weight_grad)
+    return g, weight_grad.T
+
+
+def _epochs(x, up_log, w, b):
+    """The fit's epoch on the training slice ``x`` at the width that
+    ``_live_columns`` chose: a function of the weight and the bias that
+    returns the bias and weight gradients (``_fit_probe``). Where each
+    product holds more than ``PROBE_MIN_PRODUCT`` multiply-adds and the
+    first epoch in the transposed layout gives ``_gradients``' bytes, every
+    epoch runs transposed in buffers allocated here; else every epoch runs
+    ``_gradients``."""
+
+    def plain(w, b):
+        g, weight_grad = _gradients(x, up_log, w, b)
+        return np.add.accumulate(g)[-1], weight_grad
+
+    n, d = x.shape
+    if 2 * n * d <= PROBE_MIN_PRODUCT:
+        return plain
+    g, weight_grad = _gradients(x, up_log, w, b)  # its error first, if any
+    xT, up = np.ascontiguousarray(x.T), np.ascontiguousarray(up_log.T)
+    out = (*(np.empty((2, n)) for _ in range(4)), np.empty(n), np.empty((2, d)))
+    first = _transposed_gradients(x, xT, up, w, b, out)
+    if (first[0].tobytes() != g.T.tobytes()
+            or first[1].tobytes() != weight_grad.tobytes()):
+        return plain
+
+    def transposed(w, b):
+        g, weight_grad = _transposed_gradients(x, xT, up, w, b, out)
+        return np.add.accumulate(g, axis=1, out=out[0])[:, -1], weight_grad
+
+    return transposed
 
 
 def _live_columns(x, up_log, w, b):
@@ -227,10 +286,30 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     the full width. Measured with
     OpenBLAS 0.3.31 (SkylakeX kernels, BLAS pinned to one thread): the bytes
     matched the full-width fit's on four trained wide representations and
-    30 random ReLU-shaped fits (2,000 to 16,281 rows, widths 64 to 384). A
-    trained wide dnn's 11,396 x 55-85 live slice fits in 0.19-0.28 s,
-    against 0.65-0.69 s at the full width; lr and fm representations have
-    no dead column, so only the scan runs."""
+    30 random ReLU-shaped fits (2,000 to 16,281 rows, widths 64 to 384). lr
+    and fm representations have no dead column, so only the scan runs.
+
+    Layout: where each product at the width the fit reads holds more than
+    ``PROBE_MIN_PRODUCT`` multiply-adds, the epochs run transposed
+    (``_epochs``, ``_transposed_gradients``). The logits are ``w.T @ xT``,
+    with ``xT`` a C-contiguous copy of the slice, in place of ``x @ w``,
+    whose N = 2 was the slowest dgemm layout measured here; the softmax and
+    gradient chain makes the same elementwise calls on contiguous 2 x n
+    rows, written into buffers allocated once; the weight gradient is
+    ``G @ x`` and the bias gradient ``add.accumulate(G, axis=1)[:, -1]``,
+    the same sums in the same order. So no epoch after the first allocates
+    an array of the slice's rows, where ``_gradients`` holds eight n x 2
+    arrays at once. Below the bound the bytes differed: forced into the
+    transposed layout for all 200 epochs, 4 of 25 random ReLU-shaped fits
+    (1,500 to 16,281 rows, widths 64 to 384) differed from ``_gradients``,
+    and those 4 were the ones at or below 10^6 multiply-adds. So small fits,
+    every ladder probe among them, keep ``_gradients``; above the bound the
+    first epoch is computed both ways and compared byte for byte, and on a
+    difference every epoch runs ``_gradients``. Measured with the same
+    build, 16,281 rows of which 11,396 train (median of 3 fresh processes,
+    each the minimum of 3 fits): 55, 70, 85 and 120 live columns fit in
+    0.28, 0.32, 0.41 and 0.46 s transposed, against 0.33, 0.43, 0.48 and
+    0.62 s as ``_gradients``."""
     from .training import Adam  # deferred: training imports this module
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
@@ -252,11 +331,12 @@ def _fit_probe(reps: np.ndarray, z: np.ndarray, seed: int):
     weight = ad.Parameter(initial[live], "probe.weight")
     bias = ad.Parameter(np.zeros(2), "probe.bias")
     opt = Adam([weight, bias], lr=0.01)
+    epoch = _epochs(x, up_log, weight.value, bias.value)
     for _ in range(200):
-        g, weight_grad = _gradients(x, up_log, weight.value, bias.value)
+        bias_grad, weight_grad = epoch(weight.value, bias.value)
         opt.zero_grad()
         weight.grad += weight_grad
-        bias.grad += np.add.accumulate(g)[-1]
+        bias.grad += bias_grad
         opt.step()  # raises NonFiniteGradient on a non-finite epoch
     initial[live] = weight.value  # a dead column's weights never move
     return initial, bias.value, te
@@ -273,13 +353,17 @@ def leakage_probe(representations, z, seed: int) -> float:
     at the live width gives the full width's bytes, its epochs read only the
     training slice's live columns, those nonzero in some row, with the
     full-width fit's bits: a dead column adds exact zeros to the logits and
-    its weights never move. The fit runs on one core.
+    its weights never move. Where the products at the width it reads hold
+    more than ``PROBE_MIN_PRODUCT`` multiply-adds and the first epoch in the
+    transposed layout gives the same bytes, every epoch runs in that layout,
+    in buffers allocated once (``_epochs``), with the same bits. The fit
+    runs on one core.
 
     Raises ``UndefinedMetric`` for fewer than 50 rows, an attribute other
     than 0 or 1, a single group, or a representation row that is not finite.
     """
     reps = np.asarray(representations, dtype=float)
-    z = _attribute(z, "leakage probe")
+    z = _binary(z, "leakage probe")
     n = len(z)
     if reps.ndim != 2 or len(reps) != n:
         raise UndefinedMetric(
@@ -301,10 +385,10 @@ def leakage_probe(representations, z, seed: int) -> float:
 def fairness_report(y_true, y_pred, scores, z, representations,
                     seed: int) -> FairnessReport:
     """Full evaluation bundle for one model on one test set."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
+    y_true = _binary(y_true, "fairness report", "label")
+    y_pred = _binary(y_pred, "fairness report", "prediction")
     scores = np.asarray(scores, dtype=float)
-    z = _attribute(z, "fairness report")
+    z = _binary(z, "fairness report")
     _same_length("fairness report", y_true=y_true, y_pred=y_pred, scores=scores,
                  z=z)
     r0, r1 = _group_positive_rates(y_pred, z)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,19 @@ def auc_bruteforce(y, scores):
         for q in neg:
             wins += 1.0 if p > q else (0.5 if p == q else 0.0)
     return wins / (len(pos) * len(neg))
+
+
+def count_epochs(monkeypatch):
+    """Count the probe's epochs in each form by width: returns the counters
+    of ``_gradients`` calls and of ``_transposed_gradients`` calls, keyed by
+    the training slice's width."""
+    plain, transposed = Counter(), Counter()
+    gradients, transposed_gradients = MX._gradients, MX._transposed_gradients
+    monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
+        plain.update([x.shape[1]]) or gradients(x, *args)))
+    monkeypatch.setattr(MX, "_transposed_gradients", lambda x, *args: (
+        transposed.update([x.shape[1]]) or transposed_gradients(x, *args)))
+    return plain, transposed
 
 
 class TestAccuracy:
@@ -61,6 +75,12 @@ class TestDemographicParity:
                 "demographic parity gap: attribute in row 2 is 2, not 0 or 1")):
             MX.demographic_parity_gap(np.array([1, 0, 1, 1]),
                                       np.array([0, 1, 2, 1]))
+
+    def test_prediction_outside_0_1_names_row(self):
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "demographic parity gap: prediction in row 1 is 2, not 0 or 1")):
+            MX.demographic_parity_gap(np.array([1, 2, 0, 1]),
+                                      np.array([0, 0, 1, 1]))
 
     def test_constant_predictor_gap_is_zero(self):
         rng = np.random.default_rng(0)
@@ -102,6 +122,14 @@ class TestEqualOpportunity:
                 "equal opportunity gap: attribute in row 0 is 0.5, not 0 or 1")):
             MX.equal_opportunity_gap(np.ones(4, dtype=int), np.ones(4, dtype=int),
                                      np.array([0.5, 1, 0, 1]))
+
+    @pytest.mark.parametrize("which", ["label", "prediction"])
+    def test_label_or_prediction_outside_0_1_names_row(self, which):
+        good, bad = np.array([1, 1, 0, 1, 0, 1]), np.array([1, 1, 0, 2, 0, 1])
+        args = (bad, good) if which == "label" else (good, bad)
+        with pytest.raises(MX.UndefinedMetric, match=(
+                f"equal opportunity gap: {which} in row 3 is 2, not 0 or 1")):
+            MX.equal_opportunity_gap(*args, np.array([0, 1, 0, 1, 0, 1]))
 
     def test_perfect_predictor_gap_is_zero(self):
         rng = np.random.default_rng(1)
@@ -152,6 +180,12 @@ class TestAuc:
         scores = np.array(scores, dtype=float)
         assert (MX._average_ranks(scores).tobytes()
                 == rankdata(scores, method="average").tobytes())
+
+    def test_label_outside_0_1_names_row(self):
+        """A label of 2 once read as neither class, and this AUC was 1.5."""
+        with pytest.raises(MX.UndefinedMetric, match=(
+                "auc: label in row 2 is 2, not 0 or 1")):
+            MX.auc([0, 1, 2, 1, 0], [0.1, 0.9, 0.5, 0.8, 0.2])
 
     def test_nan_score_gives_nan(self):
         assert np.isnan(MX.auc([0, 1, 1], [0.2, np.nan, 0.7]))
@@ -235,8 +269,16 @@ class TestLeakageProbe:
             reps[rng.random(n) < 0.25] = reps[0]
         return reps
 
-    def _assert_fit_matches_graph(self, reps, z, seed):
-        weight, bias, _ = MX._fit_probe(reps, z, seed)
+    def _assert_fit_matches_graph(self, reps, z, seed, transposed=False):
+        """The fit's bytes are the graph fit's, and its epochs at the full
+        width ran transposed after one ``_gradients`` epoch for the check, or
+        all as ``_gradients``."""
+        with pytest.MonkeyPatch.context() as mp:
+            plain, flipped = count_epochs(mp)
+            weight, bias, _ = MX._fit_probe(reps, z, seed)
+        d = reps.shape[1]
+        assert (plain, flipped) == (({d: 1}, {d: 201}) if transposed
+                                    else ({d: 200}, {}))
         ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
             reps, z, seed)
         assert weight.tobytes() == ref_weight.tobytes()
@@ -254,25 +296,30 @@ class TestLeakageProbe:
         """The graph-free fit gives the graph-built fit's weights, bias and
         accuracy bit for bit. Imbalanced groups are drawn with ``share``; at
         scale 1e4 one class of nearly every row has p < LOG_FLOOR, where the
-        clipped log passes no gradient."""
+        clipped log passes no gradient. Every epoch of these small fits runs
+        ``_gradients``."""
         rng = np.random.default_rng(data_seed)
         reps = self._representations(rng, n, d, scale, relu)
         z = (rng.random(n) < share).astype(int)
         z[:2] = [0, 1]
         self._assert_fit_matches_graph(reps, z, seed)
 
-    @pytest.mark.parametrize("n,d,relu", [(3000, 28, False), (3000, 103, True),
-                                          (3000, 256, False), (4000, 256, False),
-                                          (16281, 64, False)])
-    def test_large_fit_matches_graph_reference_bits(self, n, d, relu):
-        """Fits on 2,100 rows whose weight-gradient products hold 117,600,
-        432,600 and 1,075,200 multiply-adds: the last is above the 10^6
-        where OpenBLAS leaves its small-matrix path for another kernel. At
-        2,800 x 256 and 11,396 x 64 (1,433,600 and 1,458,688) the whole
-        products take the large kernels while half of either would not."""
+    @pytest.mark.parametrize("n,d,relu,transposed", [
+        (300, 256, False, False), (3000, 28, False, False),
+        (3000, 103, True, False), (2790, 256, False, False),
+        (2792, 256, False, True), (3000, 256, False, True),
+        (4000, 256, False, True), (16281, 64, False, True)])
+    def test_large_fit_matches_graph_reference_bits(self, n, d, relu,
+                                                    transposed):
+        """Fits whose products hold 107,520 (the ladder's 210 x 256),
+        117,600, 432,600, 999,936, 1,000,448, 1,075,200, 1,433,600 and
+        1,458,688 multiply-adds: above 10^6, where OpenBLAS leaves its
+        small-matrix path for another kernel, the epochs run transposed;
+        at or below it, as ``_gradients``."""
         rng = np.random.default_rng(n)
         reps = self._representations(rng, n, d, 1.0, relu)
-        self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3)
+        self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3,
+                                       transposed=transposed)
 
     _edge_values = st.one_of(
         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -332,7 +379,9 @@ class TestLiveColumnProbe:
     in some training row, ``_live_columns``): the graph fit's bytes where
     they run at that width, and the full width where the shapes or the first
     epoch's check rule it out. Every fit runs on one core: none builds a
-    ``parallel.Helper``."""
+    ``parallel.Helper``. Where the live products hold more than 10^6
+    multiply-adds, the epochs run transposed (``_epochs``) after one
+    ``_gradients`` epoch at that width for the check."""
 
     N = 16_281  # 11,396 training rows, as on the canonical test set
 
@@ -346,49 +395,58 @@ class TestLiveColumnProbe:
 
     @staticmethod
     def _fit(monkeypatch, reps, z, seed):
-        """The fit's weight and bias, and how many epochs' gradients
-        it computed at each width."""
+        """The fit's weight and bias, and how many epochs' gradients it
+        computed at each width as ``_gradients`` and transposed."""
 
         def refuse(self, held):
             raise AssertionError("the probe built a helper")
 
         monkeypatch.setattr(parallel.Helper, "__init__", refuse)
-        widths, gradients = Counter(), MX._gradients
-        monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
-            widths.update([x.shape[1]]) or gradients(x, *args)))
+        plain, transposed = count_epochs(monkeypatch)
         weight, bias, _ = MX._fit_probe(reps, z, seed)
-        return weight, bias, dict(widths)
+        return weight, bias, (dict(plain), dict(transposed))
 
     def _held_out(self, seed):
         """The rows ``_fit_probe`` holds out at ``seed``, in its order."""
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
         return rng.permutation(self.N)[int(0.7 * self.N):]
 
-    # each case's gradient widths, and how many epochs computed each
-    _WIDTHS = {"all live": {256: 200}, "120 live": {256: 1, 120: 201},
-               "92 live": {256: 1, 92: 201}, "70 live": {256: 1, 70: 201},
-               "40 live": {256: 200}, "width 512": {512: 200},
-               "all dead": {256: 200}, "a -0.0 column": {256: 1, 70: 201},
-               "all-zero rows": {256: 1, 70: 201},
-               "a held-out column": {256: 1, 70: 201},
-               "a one-row column": {256: 1, 71: 201},
-               "a subnormal column": {256: 1, 71: 201}}
+    # each case's gradient widths, and how many epochs computed each, as
+    # _gradients and transposed
+    _WIDTHS = {
+        "all live": ({256: 1}, {256: 201}),
+        "120 live": ({256: 1, 120: 2}, {120: 201}),
+        "92 live": ({256: 1, 92: 2}, {92: 201}),
+        "70 live": ({256: 1, 70: 2}, {70: 201}),
+        "40 live": ({256: 1}, {256: 201}), "width 512": ({512: 1}, {512: 201}),
+        "width 44": ({44: 1}, {44: 201}), "width 43": ({43: 200}, {}),
+        "all dead": ({256: 1}, {256: 201}),
+        "a -0.0 column": ({256: 1, 70: 2}, {70: 201}),
+        "all-zero rows": ({256: 1, 70: 2}, {70: 201}),
+        "a held-out column": ({256: 1, 70: 2}, {70: 201}),
+        "a one-row column": ({256: 1, 71: 2}, {71: 201}),
+        "a subnormal column": ({256: 1, 71: 2}, {71: 201})}
 
     @pytest.mark.parametrize("case", list(_WIDTHS))
     def test_fit_matches_graph_reference_bits(self, monkeypatch, case):
         """Every column live, as in an lr or fm cell's probe and ``eval``'s:
         every epoch at the full width. 120, 92 and 70 live columns (as the
         wide benchmark's representations have at seeds 6, 9 and 1): one
-        full-width epoch for the check, then 200 at the live width. 40 live
-        columns (911,680 multiply-adds per product, OpenBLAS's small-matrix
-        path) and a width above 384 (more than one of its K blocks) keep the
-        full width without a check; so does a slice without a live column. A
-        column of -0.0 is dead, and so is one nonzero in held-out rows only
-        (scored with its initial weights); one nonzero in a single training
-        row, even at 5e-324, is live."""
+        full-width epoch for the live slice's check, then 200 at the live
+        width. 40 live columns (911,680 multiply-adds per product, OpenBLAS's
+        small-matrix path) and a width above 384 (more than one of its K
+        blocks) keep the full width without a check; so does a slice without
+        a live column. A column of -0.0 is dead, and so is one nonzero in
+        held-out rows only (scored with its initial weights); one nonzero in
+        a single training row, even at 5e-324, is live. Each of these runs
+        its epochs transposed, after one ``_gradients`` epoch at its width
+        for the layout's check; all 44 of 44 columns live (1,002,848
+        multiply-adds per product) run transposed too, and 43 of 43
+        (980,056) run every epoch as ``_gradients``."""
         live = {"all live": 256, "120 live": 120, "92 live": 92,
-                "40 live": 40}.get(case, 70)
-        reps, z = self._reps(512 if case == "width 512" else 256, live)
+                "40 live": 40, "width 44": 44, "width 43": 43}.get(case, 70)
+        width = {"width 512": 512, "width 44": 44, "width 43": 43}.get(case, 256)
+        reps, z = self._reps(width, live)
         if case == "all dead":
             reps[...] = 0.0
         elif case == "a -0.0 column":
@@ -413,7 +471,7 @@ class TestLiveColumnProbe:
     def test_dead_column_weights_keep_their_initial_values(self, monkeypatch):
         reps, z = self._reps(256, 70)
         weight, _, widths = self._fit(monkeypatch, reps, z, 4)
-        assert widths == {256: 1, 70: 201}
+        assert widths == ({256: 1, 70: 2}, {70: 201})
         rng = np.random.default_rng(np.random.SeedSequence([4, 0x9806E]))
         rng.permutation(self.N)
         limit = np.sqrt(6.0 / (256 + 2))
@@ -436,10 +494,57 @@ class TestLiveColumnProbe:
 
         monkeypatch.setattr(MX, "_gradients", off_when_narrow)
         weight, bias, widths = self._fit(monkeypatch, reps, z, 2)
-        assert widths == {256: 201, 70: 1}
+        assert widths == ({256: 2, 70: 1}, {256: 201})
         ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
         assert weight.tobytes() == ref_weight.tobytes()
         assert bias.tobytes() == ref_bias.tobytes()
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["logit", "weight"])
+    def test_forced_transposed_mismatch_falls_back(self, monkeypatch, which):
+        """A transposed first epoch whose logit or weight gradient is one ulp
+        off fails the layout's check, and every epoch runs ``_gradients``
+        at the live width, with the graph fit's bytes."""
+        reps, z = self._reps(256, 70)
+        real = MX._transposed_gradients
+
+        def off_by_one_ulp(*args):
+            grads = real(*args)
+            grads[which][0, 0] = np.nextafter(grads[which][0, 0], np.inf)
+            return grads
+
+        monkeypatch.setattr(MX, "_transposed_gradients", off_by_one_ulp)
+        weight, bias, widths = self._fit(monkeypatch, reps, z, 2)
+        assert widths == ({256: 1, 70: 202}, {70: 1})
+        ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
+        assert weight.tobytes() == ref_weight.tobytes()
+        assert bias.tobytes() == ref_bias.tobytes()
+
+    def test_transposed_epoch_allocates_no_row_sized_array(self, monkeypatch):
+        """After its first epoch, a transposed epoch allocates less than one
+        array of a value per training row at its peak (numpy reports its
+        allocations to ``tracemalloc``); a ``_gradients`` epoch holds eight
+        arrays of two values per row at once."""
+        rng = np.random.default_rng(5)
+        n = 11_396
+        x = np.maximum(rng.standard_normal((n, 70)), 0.0)
+        up_log = np.zeros((n, 2))
+        up_log[np.arange(n), rng.integers(0, 2, n)] = -1.0 / n
+        w, b = rng.uniform(-0.15, 0.15, (70, 2)), np.zeros(2)
+        plain, transposed = count_epochs(monkeypatch)
+        epoch = MX._epochs(x, up_log, w, b)
+        epoch(w, b)
+
+        def peak_bytes(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes(lambda: epoch(w, b)) < 8 * n
+        assert peak_bytes(lambda: MX._gradients(x, up_log, w, b)) > 4 * 16 * n
+        assert (plain, transposed) == ({70: 2}, {70: 3})
 
     @pytest.mark.parametrize("case", ["two-cpus", "one-cpu", "pool-worker",
                                       "beside-a-thread"])
@@ -465,7 +570,7 @@ class TestLiveColumnProbe:
             done.set()
             if other.is_alive():
                 other.join(timeout=10)
-        assert widths == {256: 1, 120: 201}
+        assert widths == ({256: 1, 120: 2}, {120: 201})
         assert weight.tobytes() == expected[0].tobytes()
         assert bias.tobytes() == expected[1].tobytes()
 
@@ -495,6 +600,15 @@ class TestFairnessReport:
             MX.fairness_report(np.array([0, 1] * 50), np.array([1, 0] * 50),
                                np.linspace(0, 1, 100), z, np.zeros((100, 3)),
                                seed=0)
+
+    @pytest.mark.parametrize("which", ["label", "prediction"])
+    def test_label_or_prediction_outside_0_1_names_report_and_row(self, which):
+        y, p = np.array([0, 1] * 50), np.array([1, 0] * 50)
+        (y if which == "label" else p)[7] = 3
+        with pytest.raises(MX.UndefinedMetric, match=(
+                f"fairness report: {which} in row 7 is 3, not 0 or 1")):
+            MX.fairness_report(y, p, np.linspace(0, 1, 100),
+                               np.array([0, 1] * 50), np.zeros((100, 3)), seed=0)
 
     def test_unequal_lengths_named(self):
         with pytest.raises(MX.UndefinedMetric, match=re.escape(
