@@ -9,11 +9,9 @@ what lets finite differences reproduce the gradients the graph claims.
 
 Some references are graph-built. ``elbo_term`` is the single-branch ELBO
 for given decoder slots, which the marginalized unlabeled loss must
-reproduce as a probability-weighted sum of branches. ``graph_leakage_probe``
-fits the leakage probe through the autodiff graph, whose weights the
-graph-free ``metrics._fit_probe`` must reproduce bit for bit. The
-``chain_*`` functions build the cross-entropy, reconstruction and KL terms
-from autodiff primitives, one node per operation; each of those terms in
+reproduce as a probability-weighted sum of branches. The ``chain_*``
+functions build the cross-entropy, reconstruction and KL terms from
+autodiff primitives, one node per operation; each of those terms in
 ``objectives`` is one op whose value and input gradients must have these
 chains' bytes.
 
@@ -338,41 +336,6 @@ def reference_encode(records, stats):
     width = stats.feature_dim
     return (np.array(xs, dtype=float).reshape(len(records), width),
             np.array(ys, dtype=int), np.array(zs, dtype=int))
-
-
-def graph_leakage_probe(representations, z, seed):
-    """The leakage probe fitted through the autodiff graph: the same seeded
-    70/30 split, initialisation and 200 full-batch Adam epochs on
-    ``objectives.cross_entropy`` as ``metrics.leakage_probe``. Returns the
-    fitted weight and bias arrays and the held-out accuracy."""
-    from fairvae import autodiff as ad
-    from fairvae.metrics import accuracy
-    from fairvae.objectives import cross_entropy
-    from fairvae.training import Adam
-
-    reps = np.asarray(representations, dtype=float)
-    z = np.asarray(z, dtype=int)
-    n = len(z)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
-    perm = rng.permutation(n)
-    n_train = int(0.7 * n)
-    tr, te = perm[:n_train], perm[n_train:]
-
-    d = reps.shape[1]
-    limit = np.sqrt(6.0 / (d + 2))
-    weight = ad.Parameter(rng.uniform(-limit, limit, (d, 2)), "probe.weight")
-    bias = ad.Parameter(np.zeros(2), "probe.bias")
-    onehot = np.zeros((len(tr), 2))
-    onehot[np.arange(len(tr)), z[tr]] = 1.0
-    opt = Adam([weight, bias], lr=0.01)
-    x_train, target = ad.as_node(reps[tr]), ad.as_node(onehot)
-    for _ in range(200):
-        loss = cross_entropy(target, ad.softmax(ad.dense(x_train, weight, bias)))
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
-    logits = reps[te] @ weight.value + bias.value
-    return weight.value, bias.value, accuracy(z[te], logits.argmax(axis=1))
 
 
 def reference_export(header, r_f, z, y, labels) -> bytes:

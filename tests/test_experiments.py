@@ -437,6 +437,12 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert "dp_gap" in payload
+        # the verb's probe seed defaults to the cell's: the same fit and floor
+        with open(out / "results_raw.csv", encoding="utf-8") as fh:
+            fh.readline()
+            row = next(csv.DictReader(fh))
+        for key in ("probe_accuracy", "probe_floor"):
+            assert payload[key] == float(row[key])
 
     def test_missing_dataset_exit_code(self, tmp_path, capsys):
         code = cli_main(["run", "--train", str(tmp_path / "none.data"),
@@ -962,37 +968,38 @@ def _digest_after_header(path):
 
 
 # recorded on the tiny lr config (2 seeds) before the three runners shared
-# one grid path
+# one grid path; the raw and aggregate tables re-recorded when the leakage
+# probe became its objective's Newton fit and the raw rows gained probe_floor
 RUNNER_PINS = {
     "results": {
         "results_raw.csv":
-            "060eeaffe24ce2d4dbb5b1808e54beb0096c7602afc0757759ff1f56054298a9",
+            "ec258073266ecdd3a68ecde3982946b2004d52d47ba0e7dcb8fcabed07601bb8",
         "results_agg.csv":
-            "bc17109ff51f765df8aeee170b248883d4eecb0f050a51f354e783cebb84393a",
+            "31ab3c1d2d24a864a9c220241055cea7494d21d1a0e0a392e31f216be020513f",
         "results.txt":
             "324ac83acd8df4eba028e1e173785ee231961c52e948d70a746733204913d848",
     },
     "ablation": {
         "ablation_raw.csv":
-            "d9b76371a35860c0116d0546e20a1423f420042a75aa753149f0b8e9cbe29006",
+            "d40a35cbe2e26f02c9167c34cda4b2adbde84e3ead022b3babe1f2ba98c97f03",
         "ablation_agg.csv":
-            "23dab4216bfd2171de0e2baf89db6bddd049168aed51445f0d5697c74614880f",
+            "7c586f75c13c6302c0010d1b7131c6029036dfd616b4ad9746e287f6d5ec8d91",
         "ablation.txt":
             "d0b31112c9201abc6bfb9f1413a8bfb8784b549d37266195f98b9a7ba160bb47",
     },
     "sweep_lambda": {
         "sweep_lambda_raw.csv":
-            "16c489b066ce27d1e7feb8fbee9405b091b9193f3074169f15b17d9db166b106",
+            "f6aca4227f387928a98697fd2427a80ac93d6dfa98804379809d2d4e5c83d7d2",
         "sweep_lambda_agg.csv":
-            "aad394824b023208816a3c73a3b13fc899ec3c6ff699862ed91cacc697661f57",
+            "57233b27e0ff98e7d01e7ba684d6e2bb9b9e95daa450766a7a28c81e0b15e5e8",
         "sweep_lambda.txt":
             "f44d4744be918f1407c5f6ae09a9c5eb16a15717cff069f5b2792f0839a4dc27",
     },
     "sweep_unlabeled_fraction": {
         "sweep_unlabeled_fraction_raw.csv":
-            "2110c86d41b4caed510e22c70e3f078d658368c336b0461005fe5677e7ada6f6",
+            "30de941ba220b2833256a4ec4098c42cd33057a5a15a43c04159d6ccd612f01a",
         "sweep_unlabeled_fraction_agg.csv":
-            "e87fb23b5da7991138c45a0f8b7aa4b63c29c37b6e0ec63befedf4b329407898",
+            "538bf78f8e26d482d0f58833130eda9048c9c7be85a1944f9f64ea05863d6d24",
         "sweep_unlabeled_fraction.txt":
             "f3f1f788783e5b5d9f8cd24abc0acc491d29df9e1e2a6d8cc3512f51604f3ff3",
     },

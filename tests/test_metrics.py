@@ -5,14 +5,11 @@ import subprocess
 import sys
 import textwrap
 import threading
-import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import oracles
 from fairvae import metrics as MX
 from fairvae import parallel
 
@@ -25,19 +22,6 @@ def auc_bruteforce(y, scores):
         for q in neg:
             wins += 1.0 if p > q else (0.5 if p == q else 0.0)
     return wins / (len(pos) * len(neg))
-
-
-def count_epochs(monkeypatch):
-    """Count the probe's epochs in each form by width: returns the counters
-    of ``_gradients`` calls and of ``_transposed_gradients`` calls, keyed by
-    the training slice's width."""
-    plain, transposed = Counter(), Counter()
-    gradients, transposed_gradients = MX._gradients, MX._transposed_gradients
-    monkeypatch.setattr(MX, "_gradients", lambda x, *args: (
-        plain.update([x.shape[1]]) or gradients(x, *args)))
-    monkeypatch.setattr(MX, "_transposed_gradients", lambda x, *args: (
-        transposed.update([x.shape[1]]) or transposed_gradients(x, *args)))
-    return plain, transposed
 
 
 class TestAccuracy:
@@ -229,6 +213,32 @@ class TestPermutationInvariance:
             assert 0.0 <= MX.equal_opportunity_gap(y, p, z) <= 1.0
 
 
+def probe_gradient(u, y, weight, bias):
+    """The gradient of the probe objective (``leakage_probe``) at ``weight``
+    and ``bias`` on the standardised training columns ``u``, written from
+    its definition: the weight's entries, then the bias's."""
+    p = 1.0 / (1.0 + np.exp(-np.clip(u @ weight + bias, -700, 700)))
+    residual = (p - y) / len(y)
+    return np.r_[u.T @ residual + MX.PROBE_RIDGE * weight, residual.sum()]
+
+
+def probe_fit(reps, z, seed):
+    """The standardised training slice, its targets, and the fitted weight
+    and bias of ``leakage_probe(reps, z, seed)``."""
+    tr, _ = MX._probe_split(len(z), seed)
+    u, _ = MX._standardise(reps[tr])
+    return (u, z[tr], *MX._newton(u, z[tr]))
+
+
+def relu_like(rng, n, d):
+    """Rows shaped like a ReLU encoder's output: exact zeros, dead columns
+    and repeated rows."""
+    reps = np.maximum(rng.standard_normal((n, d)), 0.0)
+    reps[:, rng.random(d) < 0.25] = 0.0
+    reps[rng.random(n) < 0.25] = reps[0]
+    return reps
+
+
 class TestLeakageProbe:
     def test_null_calibration_near_majority_rate(self):
         rng = np.random.default_rng(42)
@@ -239,13 +249,15 @@ class TestLeakageProbe:
         probe = MX.leakage_probe(reps, z, seed=0)
         assert abs(probe - majority) <= 0.05
 
-    def test_copied_attribute_is_fully_recoverable(self):
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_copied_attribute_is_fully_recoverable(self, scale):
+        """Perfectly separable rows, at any scale, without a warning."""
         rng = np.random.default_rng(7)
         n = 600
         z = rng.integers(0, 2, n)
         reps = rng.standard_normal((n, 16))
         reps[:, 3] = 2.0 * z - 1.0
-        assert MX.leakage_probe(reps, z, seed=1) >= 0.99
+        assert MX.leakage_probe(scale * reps, z, seed=1) >= 0.99
 
     def test_deterministic_under_fixed_seed(self):
         rng = np.random.default_rng(9)
@@ -258,96 +270,168 @@ class TestLeakageProbe:
         with pytest.raises(MX.UndefinedMetric, match="50"):
             MX.leakage_probe(np.zeros((10, 4)), np.array([0, 1] * 5), seed=0)
 
-    @staticmethod
-    def _representations(rng, n, d, scale, relu):
-        """Gaussian rows, or rows shaped like a ReLU encoder's output: exact
-        zeros, dead columns and repeated rows."""
-        reps = scale * rng.standard_normal((n, d))
-        if relu:
-            reps = np.maximum(reps, 0.0)
-            reps[:, rng.random(d) < 0.25] = 0.0
-            reps[rng.random(n) < 0.25] = reps[0]
-        return reps
-
-    def _assert_fit_matches_graph(self, reps, z, seed, transposed=False):
-        """The fit's bytes are the graph fit's, and its epochs at the full
-        width ran transposed after one ``_gradients`` epoch for the check, or
-        all as ``_gradients``."""
-        with pytest.MonkeyPatch.context() as mp:
-            plain, flipped = count_epochs(mp)
-            weight, bias, _ = MX._fit_probe(reps, z, seed)
-        d = reps.shape[1]
-        assert (plain, flipped) == (({d: 1}, {d: 201}) if transposed
-                                    else ({d: 200}, {}))
-        ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
-            reps, z, seed)
-        assert weight.tobytes() == ref_weight.tobytes()
-        assert bias.tobytes() == ref_bias.tobytes()
-        assert MX.leakage_probe(reps, z, seed) == ref_accuracy
-
-    @settings(max_examples=50, deadline=None)
-    @given(n=st.integers(50, 600), d=st.integers(1, 64),
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(50, 600), d=st.integers(1, 48),
            share=st.floats(0.02, 0.98),
-           scale=st.sampled_from([1e-3, 1.0, 30.0, 1e4]), relu=st.booleans(),
-           data_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**16))
+           scale=st.sampled_from([1e-300, 1e-3, 1.0, 30.0, 1e4]),
+           relu=st.booleans(), data_seed=st.integers(0, 2**32 - 1),
+           seed=st.integers(0, 2**16))
     @example(n=50, d=16, share=0.5, scale=1e-3, relu=True, data_seed=0, seed=0)
-    def test_fit_matches_graph_reference_bits(self, n, d, share, scale, relu,
-                                              data_seed, seed):
-        """The graph-free fit gives the graph-built fit's weights, bias and
-        accuracy bit for bit. Imbalanced groups are drawn with ``share``; at
-        scale 1e4 one class of nearly every row has p < LOG_FLOOR, where the
-        clipped log passes no gradient. Every epoch of these small fits runs
-        ``_gradients``."""
+    def test_gradient_below_tolerance(self, n, d, share, scale, relu,
+                                      data_seed, seed):
+        """At the returned weight and bias the objective's gradient, computed
+        on every standardised column, has norm at most ``PROBE_TOL``:
+        Gaussian or ReLU-shaped rows (more columns than training rows among
+        them), imbalanced groups, a training slice that may hold one group
+        only, and scales from 1e-300 to 1e4."""
         rng = np.random.default_rng(data_seed)
-        reps = self._representations(rng, n, d, scale, relu)
+        reps = (relu_like(rng, n, d) if relu
+                else rng.standard_normal((n, d))) * scale
         z = (rng.random(n) < share).astype(int)
         z[:2] = [0, 1]
-        self._assert_fit_matches_graph(reps, z, seed)
+        u, y, weight, bias = probe_fit(reps, z, seed)
+        assert np.linalg.norm(probe_gradient(u, y, weight, bias)) \
+            <= MX.PROBE_TOL
+        assert 0.0 <= MX.leakage_probe(reps, z, seed) <= 1.0
 
-    @pytest.mark.parametrize("n,d,relu,transposed", [
-        (300, 256, False, False), (3000, 28, False, False),
-        (3000, 103, True, False), (2790, 256, False, False),
-        (2792, 256, False, True), (3000, 256, False, True),
-        (4000, 256, False, True), (16281, 64, False, True)])
-    def test_large_fit_matches_graph_reference_bits(self, n, d, relu,
-                                                    transposed):
-        """Fits whose products hold 107,520 (the ladder's 210 x 256),
-        117,600, 432,600, 999,936, 1,000,448, 1,075,200, 1,433,600 and
-        1,458,688 multiply-adds: above 10^6, where OpenBLAS leaves its
-        small-matrix path for another kernel, the epochs run transposed;
-        at or below it, as ``_gradients``."""
-        rng = np.random.default_rng(n)
-        reps = self._representations(rng, n, d, 1.0, relu)
-        self._assert_fit_matches_graph(reps, rng.integers(0, 2, n), seed=3,
-                                       transposed=transposed)
+    def test_matches_scipy_lbfgs_optimum(self):
+        """L-BFGS on the same objective, to a gradient of 1e-12, finds the
+        same minimum to 1e-12 and the same weight and bias to 1e-6."""
+        # scipy is the reference only: the test skips without it
+        minimize = pytest.importorskip("scipy.optimize").minimize
+        rng = np.random.default_rng(3)
+        n = 800
+        base = rng.standard_normal((n, 6))
+        reps = np.c_[base @ rng.standard_normal((6, 24)),
+                     relu_like(rng, n, 12)]
+        z = (base[:, 0] + rng.standard_normal(n) > 0).astype(int)
+        u, y, weight, bias = probe_fit(reps, z, seed=2)
+        k = u.shape[1]
 
-    _edge_values = st.one_of(
-        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
-                         745.0, -745.0, 1e4, -1e4]),
-        st.floats(-1e300, 1e300))
+        def objective(theta):
+            t = u @ theta[:k] + theta[k]
+            value = (np.logaddexp(0.0, (1 - 2 * y) * t).mean()
+                     + 0.5 * MX.PROBE_RIDGE * theta[:k] @ theta[:k])
+            return value, probe_gradient(u, y, theta[:k], theta[k])
 
-    @settings(max_examples=300, deadline=None)
-    @given(rows=st.lists(st.tuples(_edge_values, _edge_values), min_size=1,
-                         max_size=300))
-    def test_column_forms_match_axis_reductions_bytes(self, rows):
-        """The fit's two-column arithmetic gives numpy's axis reductions'
-        bits once added into a zero buffer, as the fit's gradients are:
-        signed zeros, subnormals and saturated softmax inputs included. The
-        max feeds ``exp(a - max)``, which is compared as the fit uses it."""
-        a = np.array(rows)
+        ref = minimize(objective, np.zeros(k + 1), jac=True, method="L-BFGS-B",
+                       options=dict(maxiter=20_000, gtol=1e-12, ftol=0.0))
+        assert objective(np.r_[weight, bias])[0] <= ref.fun + 1e-12
+        assert np.allclose(np.r_[weight, bias], ref.x, rtol=0.0, atol=1e-6)
 
-        def into_zeros(v):
-            buf = np.zeros_like(v)
-            buf += v
-            return buf.tobytes()
+    def test_column_order_does_not_change_reading(self):
+        rng = np.random.default_rng(5)
+        reps, z = relu_like(rng, 1500, 40), rng.integers(0, 2, 1500)
+        reps[:, 7] += 0.5 * z
+        order = rng.permutation(40)
+        _, _, weight, bias = probe_fit(reps, z, 1)
+        _, _, moved, moved_bias = probe_fit(reps[:, order], z, 1)
+        live = np.flatnonzero(np.ptp(reps[MX._probe_split(1500, 1)[0]], 0))
+        # the moved fit's weights, in its column order, belong to these
+        # columns of reps; the fit's own, to live in increasing order
+        moved_live = order[np.isin(order, live)]
+        assert np.allclose(moved, weight[np.searchsorted(live, moved_live)],
+                           rtol=0.0, atol=1e-9)
+        assert moved_bias == pytest.approx(bias, abs=1e-9)
+        assert (MX.leakage_probe(reps[:, order], z, 1)
+                == MX.leakage_probe(reps, z, 1))
 
-        col_max = np.maximum(a[:, :1], a[:, 1:])
-        axis_max = a.max(axis=1, keepdims=True)
-        assert into_zeros(col_max) == into_zeros(axis_max)
-        assert np.exp(a - col_max).tobytes() == np.exp(a - axis_max).tobytes()
-        assert (into_zeros(a[:, :1] + a[:, 1:])
-                == into_zeros(a.sum(axis=1, keepdims=True)))
-        assert into_zeros(np.add.accumulate(a)[-1]) == into_zeros(a.sum(axis=0))
+    def test_constant_columns_do_not_change_reading(self):
+        """Columns of 0.0, -0.0 or 3.0 in every row, and one that varies on
+        held-out rows only, drop out: the standardised slice (mean 0 and
+        standard deviation 1 per column), the fit and its reading are
+        unchanged."""
+        rng = np.random.default_rng(6)
+        n = 1200
+        reps, z = rng.standard_normal((n, 12)), rng.integers(0, 2, n)
+        reps[:, 0] += z
+        tr, te = MX._probe_split(n, 4)
+        held_out = np.zeros(n)
+        held_out[te[:5]] = 1e3
+        wide = np.c_[np.zeros(n), reps[:, :6], np.full(n, -0.0),
+                     np.full(n, 3.0), reps[:, 6:], held_out]
+        u, standardise = MX._standardise(wide[tr])
+        assert u.tobytes() == MX._standardise(reps[tr])[0].tobytes()
+        assert np.allclose(u.mean(axis=0), 0.0, atol=1e-12)
+        assert np.allclose(u.std(axis=0), 1.0, rtol=1e-12)
+        assert np.allclose(standardise(wide[tr]), u, rtol=0.0, atol=1e-12)
+        assert MX.leakage_probe(wide, z, 4) == MX.leakage_probe(reps, z, 4)
+
+    @pytest.mark.parametrize("case", ["zeros", "constant", "held-out only",
+                                      "one group in training"])
+    def test_no_varying_column_reads_majority_class(self, case):
+        """With no column varying on the training rows the fit is the bias
+        alone, which predicts the training slice's majority class: the
+        reading is that class's held-out rate. A training slice of one
+        group reads as such a fit does."""
+        n, seed = 200, 3
+        tr, te = MX._probe_split(n, seed)
+        z = (np.random.default_rng(8).random(n) < 0.35).astype(int)
+        reps = np.zeros((n, 5))
+        if case == "constant":
+            reps += 7.5
+        elif case == "held-out only":
+            reps[te] = np.random.default_rng(9).standard_normal((len(te), 5))
+        elif case == "one group in training":
+            z[tr], z[te[0]] = 0, 1
+            reps = np.random.default_rng(9).standard_normal((n, 5))
+        majority = int(z[tr].mean() > 0.5)
+        assert MX.leakage_probe(reps, z, seed) == (z[te] == majority).mean()
+
+    @pytest.mark.parametrize("case", ["subnormal", "tiny then huge",
+                                      "scaled 1e-300"])
+    def test_extreme_scales_fit_without_warnings(self, case):
+        """Subnormal columns, a held-out value 10^600 training standard
+        deviations out (it saturates at 1e100), and a whole ReLU matrix
+        scaled by 1e-300, which reads as the unscaled one does."""
+        rng = np.random.default_rng(10)
+        n = 400
+        reps, z = relu_like(rng, n, 8), rng.integers(0, 2, n)
+        reps[:, 1] += z
+        if case == "subnormal":
+            reps[:, 2] = 5e-324 * z
+            reps[:, 3] = 1e-310 * rng.random(n)
+            assert MX.leakage_probe(reps, z, 0) == 1.0
+        elif case == "tiny then huge":
+            reps[:, 4] = 1e-300 * rng.random(n)
+            tr, te = MX._probe_split(n, 0)
+            reps[te[0], 4] = 1e300
+            standardise = MX._standardise(reps[tr])[1]
+            assert np.abs(standardise(reps[te])).max() == 1e100
+            assert 0.5 <= MX.leakage_probe(reps, z, 0) <= 1.0
+        else:
+            assert (MX.leakage_probe(1e-300 * reps, z, 0)
+                    == MX.leakage_probe(reps, z, 0))
+
+    def test_iteration_cap_returns_last_iterate(self, monkeypatch):
+        """At a cap of 1 the fit returns the first line-searched Newton
+        iterate: below the objective at zero, above the tolerance."""
+        rng = np.random.default_rng(11)
+        reps, z = rng.standard_normal((500, 10)), rng.integers(0, 2, 500)
+        reps[:, 0] += 2 * z
+        monkeypatch.setattr(MX, "PROBE_MAX_ITER", 1)
+        u, y, weight, bias = probe_fit(reps, z, 0)
+        assert np.linalg.norm(probe_gradient(u, y, weight, bias)) \
+            > MX.PROBE_TOL
+        at = lambda w, b: np.logaddexp(0.0, (1 - 2 * y) * (u @ w + b)).mean()
+        assert at(weight, bias) < at(0 * weight, 0.0)
+        assert 0.5 < MX.leakage_probe(reps, z, 0) <= 1.0
+
+    def test_every_step_lowers_the_objective(self, monkeypatch):
+        """Heavy-tailed columns on which the full Newton step from the third
+        iterate raises the objective: the line search shortens it, so the
+        objective at the returned point falls as the cap rises."""
+        rng = np.random.default_rng(36)
+        x = rng.standard_cauchy((60, 3))
+        y = (x[:, 0] + rng.standard_normal(60) > 0).astype(int)
+        u, _ = MX._standardise(x)
+        values = []
+        for cap in range(1, 8):
+            monkeypatch.setattr(MX, "PROBE_MAX_ITER", cap)
+            weight, bias = MX._newton(u, y)
+            values.append(np.logaddexp(0.0, (1 - 2 * y) * (u @ weight + bias))
+                          .mean() + 0.5 * MX.PROBE_RIDGE * weight @ weight)
+        assert all(b < a for a, b in zip(values, values[1:])), values
 
     @pytest.mark.parametrize("row", [0, 199])
     def test_non_finite_representation_names_row(self, row):
@@ -373,188 +457,24 @@ class TestLeakageProbe:
         with pytest.raises(MX.UndefinedMetric, match="one representation row"):
             MX.leakage_probe(np.zeros(shape), np.array([0, 1] * 50), seed=0)
 
-
-class TestLiveColumnProbe:
-    """The fit's epochs on the training slice's live columns (those nonzero
-    in some training row, ``_live_columns``): the graph fit's bytes where
-    they run at that width, and the full width where the shapes or the first
-    epoch's check rule it out. Every fit runs on one core: none builds a
-    ``parallel.Helper``. Where the live products hold more than 10^6
-    multiply-adds, the epochs run transposed (``_epochs``) after one
-    ``_gradients`` epoch at that width for the check."""
-
-    N = 16_281  # 11,396 training rows, as on the canonical test set
-
-    def _reps(self, d, live, seed=0):
-        """ReLU rows of width ``d`` with ``live`` columns nonzero in some
-        row, as a dnn's bias-free representation has."""
-        rng = np.random.default_rng(seed)
-        reps = np.maximum(rng.standard_normal((self.N, d)), 0.0)
-        reps[:, rng.permutation(d)[live:]] = 0.0
-        return reps, rng.integers(0, 2, self.N)
-
-    @staticmethod
-    def _fit(monkeypatch, reps, z, seed):
-        """The fit's weight and bias, and how many epochs' gradients it
-        computed at each width as ``_gradients`` and transposed."""
+    @pytest.mark.parametrize("case", ["two-cpus", "one-cpu", "pool-worker",
+                                      "beside-a-thread"])
+    def test_same_fit_in_every_process(self, monkeypatch, case):
+        """The fit on a canonical-size ReLU representation (16,281 rows, 120
+        of 256 columns live) builds no helper and gives the same bytes in a
+        process that may use two CPUs or one, in a grid's pool worker, and
+        beside another thread (as BLAS's worker threads are)."""
+        rng = np.random.default_rng(0)
+        n = 16_281
+        reps = np.maximum(rng.standard_normal((n, 256)), 0.0)
+        reps[:, rng.permutation(256)[120:]] = 0.0
+        z = rng.integers(0, 2, n)
+        expected = probe_fit(reps, z, 6)[2:]
 
         def refuse(self, held):
             raise AssertionError("the probe built a helper")
 
         monkeypatch.setattr(parallel.Helper, "__init__", refuse)
-        plain, transposed = count_epochs(monkeypatch)
-        weight, bias, _ = MX._fit_probe(reps, z, seed)
-        return weight, bias, (dict(plain), dict(transposed))
-
-    def _held_out(self, seed):
-        """The rows ``_fit_probe`` holds out at ``seed``, in its order."""
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9806E]))
-        return rng.permutation(self.N)[int(0.7 * self.N):]
-
-    # each case's gradient widths, and how many epochs computed each, as
-    # _gradients and transposed
-    _WIDTHS = {
-        "all live": ({256: 1}, {256: 201}),
-        "120 live": ({256: 1, 120: 2}, {120: 201}),
-        "92 live": ({256: 1, 92: 2}, {92: 201}),
-        "70 live": ({256: 1, 70: 2}, {70: 201}),
-        "40 live": ({256: 1}, {256: 201}), "width 512": ({512: 1}, {512: 201}),
-        "width 44": ({44: 1}, {44: 201}), "width 43": ({43: 200}, {}),
-        "all dead": ({256: 1}, {256: 201}),
-        "a -0.0 column": ({256: 1, 70: 2}, {70: 201}),
-        "all-zero rows": ({256: 1, 70: 2}, {70: 201}),
-        "a held-out column": ({256: 1, 70: 2}, {70: 201}),
-        "a one-row column": ({256: 1, 71: 2}, {71: 201}),
-        "a subnormal column": ({256: 1, 71: 2}, {71: 201})}
-
-    @pytest.mark.parametrize("case", list(_WIDTHS))
-    def test_fit_matches_graph_reference_bits(self, monkeypatch, case):
-        """Every column live, as in an lr or fm cell's probe and ``eval``'s:
-        every epoch at the full width. 120, 92 and 70 live columns (as the
-        wide benchmark's representations have at seeds 6, 9 and 1): one
-        full-width epoch for the live slice's check, then 200 at the live
-        width. 40 live columns (911,680 multiply-adds per product, OpenBLAS's
-        small-matrix path) and a width above 384 (more than one of its K
-        blocks) keep the full width without a check; so does a slice without
-        a live column. A column of -0.0 is dead, and so is one nonzero in
-        held-out rows only (scored with its initial weights); one nonzero in
-        a single training row, even at 5e-324, is live. Each of these runs
-        its epochs transposed, after one ``_gradients`` epoch at its width
-        for the layout's check; all 44 of 44 columns live (1,002,848
-        multiply-adds per product) run transposed too, and 43 of 43
-        (980,056) run every epoch as ``_gradients``."""
-        live = {"all live": 256, "120 live": 120, "92 live": 92,
-                "40 live": 40, "width 44": 44, "width 43": 43}.get(case, 70)
-        width = {"width 512": 512, "width 44": 44, "width 43": 43}.get(case, 256)
-        reps, z = self._reps(width, live)
-        if case == "all dead":
-            reps[...] = 0.0
-        elif case == "a -0.0 column":
-            reps[:, np.flatnonzero(~reps.any(axis=0))[0]] = -0.0
-        elif case == "all-zero rows":
-            reps[np.random.default_rng(1).random(self.N) < 0.3] = 0.0
-        elif case in ("a held-out column", "a one-row column",
-                      "a subnormal column"):
-            column = np.flatnonzero(~reps.any(axis=0))[0]
-            held_out = self._held_out(3)
-            row = (held_out[0] if case == "a held-out column"
-                   else np.setdiff1d(np.arange(self.N), held_out)[0])
-            reps[row, column] = 5e-324 if case == "a subnormal column" else 1.0
-        weight, bias, widths = self._fit(monkeypatch, reps, z, 3)
-        assert widths == self._WIDTHS[case]
-        ref_weight, ref_bias, ref_accuracy = oracles.graph_leakage_probe(
-            reps, z, 3)
-        assert weight.tobytes() == ref_weight.tobytes()
-        assert bias.tobytes() == ref_bias.tobytes()
-        assert MX.leakage_probe(reps, z, 3) == ref_accuracy
-
-    def test_dead_column_weights_keep_their_initial_values(self, monkeypatch):
-        reps, z = self._reps(256, 70)
-        weight, _, widths = self._fit(monkeypatch, reps, z, 4)
-        assert widths == ({256: 1, 70: 2}, {70: 201})
-        rng = np.random.default_rng(np.random.SeedSequence([4, 0x9806E]))
-        rng.permutation(self.N)
-        limit = np.sqrt(6.0 / (256 + 2))
-        initial = rng.uniform(-limit, limit, (256, 2))
-        dead = ~reps.any(axis=0)
-        assert weight[dead].tobytes() == initial[dead].tobytes()
-        assert (weight[~dead] != initial[~dead]).all()
-
-    def test_forced_mismatch_falls_back(self, monkeypatch):
-        """A live-width weight gradient one ulp off fails the first epoch's
-        check, and every epoch runs at the full width."""
-        reps, z = self._reps(256, 70)
-        real = MX._gradients
-
-        def off_when_narrow(x, *args):
-            g, weight_grad = real(x, *args)
-            if x.shape[1] < 256:
-                weight_grad[0, 0] = np.nextafter(weight_grad[0, 0], np.inf)
-            return g, weight_grad
-
-        monkeypatch.setattr(MX, "_gradients", off_when_narrow)
-        weight, bias, widths = self._fit(monkeypatch, reps, z, 2)
-        assert widths == ({256: 2, 70: 1}, {256: 201})
-        ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
-        assert weight.tobytes() == ref_weight.tobytes()
-        assert bias.tobytes() == ref_bias.tobytes()
-
-    @pytest.mark.parametrize("which", [0, 1], ids=["logit", "weight"])
-    def test_forced_transposed_mismatch_falls_back(self, monkeypatch, which):
-        """A transposed first epoch whose logit or weight gradient is one ulp
-        off fails the layout's check, and every epoch runs ``_gradients``
-        at the live width, with the graph fit's bytes."""
-        reps, z = self._reps(256, 70)
-        real = MX._transposed_gradients
-
-        def off_by_one_ulp(*args):
-            grads = real(*args)
-            grads[which][0, 0] = np.nextafter(grads[which][0, 0], np.inf)
-            return grads
-
-        monkeypatch.setattr(MX, "_transposed_gradients", off_by_one_ulp)
-        weight, bias, widths = self._fit(monkeypatch, reps, z, 2)
-        assert widths == ({256: 1, 70: 202}, {70: 1})
-        ref_weight, ref_bias, _ = oracles.graph_leakage_probe(reps, z, 2)
-        assert weight.tobytes() == ref_weight.tobytes()
-        assert bias.tobytes() == ref_bias.tobytes()
-
-    def test_transposed_epoch_allocates_no_row_sized_array(self, monkeypatch):
-        """After its first epoch, a transposed epoch allocates less than one
-        array of a value per training row at its peak (numpy reports its
-        allocations to ``tracemalloc``); a ``_gradients`` epoch holds eight
-        arrays of two values per row at once."""
-        rng = np.random.default_rng(5)
-        n = 11_396
-        x = np.maximum(rng.standard_normal((n, 70)), 0.0)
-        up_log = np.zeros((n, 2))
-        up_log[np.arange(n), rng.integers(0, 2, n)] = -1.0 / n
-        w, b = rng.uniform(-0.15, 0.15, (70, 2)), np.zeros(2)
-        plain, transposed = count_epochs(monkeypatch)
-        epoch = MX._epochs(x, up_log, w, b)
-        epoch(w, b)
-
-        def peak_bytes(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak_bytes(lambda: epoch(w, b)) < 8 * n
-        assert peak_bytes(lambda: MX._gradients(x, up_log, w, b)) > 4 * 16 * n
-        assert (plain, transposed) == ({70: 2}, {70: 3})
-
-    @pytest.mark.parametrize("case", ["two-cpus", "one-cpu", "pool-worker",
-                                      "beside-a-thread"])
-    def test_same_fit_in_every_process(self, monkeypatch, case):
-        """The fit at 120 live columns, whose products each hold more than
-        10^6 multiply-adds, builds no helper and gives the same bytes in a
-        process that may use two CPUs or one, in a grid's pool worker, and
-        beside another thread (as BLAS's worker threads are)."""
-        reps, z = self._reps(256, 120)
-        expected = MX._fit_probe(reps, z, 6)
         if case in ("two-cpus", "one-cpu"):
             cpus = {0, 1} if case == "two-cpus" else {0}
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
@@ -565,12 +485,11 @@ class TestLiveColumnProbe:
         if case == "beside-a-thread":
             other.start()
         try:
-            weight, bias, widths = self._fit(monkeypatch, reps, z, 6)
+            weight, bias = probe_fit(reps, z, 6)[2:]
         finally:
             done.set()
             if other.is_alive():
                 other.join(timeout=10)
-        assert widths == ({256: 1, 120: 2}, {120: 201})
         assert weight.tobytes() == expected[0].tobytes()
         assert bias.tobytes() == expected[1].tobytes()
 
@@ -591,6 +510,20 @@ class TestFairnessReport:
         assert report.opp_gap == pytest.approx(
             abs(report.tpr_group0 - report.tpr_group1), abs=1e-12)
         assert report.n_group0 + report.n_group1 == n
+
+    def test_probe_floor_is_held_out_majority_rate(self):
+        """A representation without a varying column reads its floor when
+        the training and held-out slices share a majority group."""
+        rng = np.random.default_rng(13)
+        n = 300
+        z = (rng.random(n) < 0.3).astype(int)
+        y = rng.integers(0, 2, n)
+        y[:4], z[:4] = [1, 1, 0, 0], [0, 1, 0, 1]
+        report = MX.fairness_report(y, y, rng.random(n), z, np.ones((n, 4)),
+                                    seed=2)
+        held_out = z[MX._probe_split(n, 2)[1]]
+        assert report.probe_floor == max(held_out.mean(), 1 - held_out.mean())
+        assert report.probe_accuracy == report.probe_floor
 
     def test_attribute_outside_0_1_names_report_and_row(self):
         z = np.array([0, 1] * 50)
