@@ -230,6 +230,26 @@ def probe_fit(reps, z, seed):
     return (u, z[tr], *MX._newton(u, z[tr]))
 
 
+def assert_matches_lbfgs(u, y, weight, bias):
+    """L-BFGS on the probe objective over every column of ``u``, to a
+    gradient of 1e-12, finds the minimum of ``weight`` and ``bias`` to 1e-12
+    and the same weight and bias to 1e-6."""
+    # scipy is the reference only: the tests skip without it
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    k = u.shape[1]
+
+    def objective(theta):
+        t = u @ theta[:k] + theta[k]
+        value = (np.logaddexp(0.0, (1 - 2 * y) * t).mean()
+                 + 0.5 * MX.PROBE_RIDGE * theta[:k] @ theta[:k])
+        return value, probe_gradient(u, y, theta[:k], theta[k])
+
+    ref = minimize(objective, np.zeros(k + 1), jac=True, method="L-BFGS-B",
+                   options=dict(maxiter=20_000, gtol=1e-12, ftol=0.0))
+    assert objective(np.r_[weight, bias])[0] <= ref.fun + 1e-12
+    assert np.allclose(np.r_[weight, bias], ref.x, rtol=0.0, atol=1e-6)
+
+
 def relu_like(rng, n, d):
     """Rows shaped like a ReLU encoder's output: exact zeros, dead columns
     and repeated rows."""
@@ -237,6 +257,21 @@ def relu_like(rng, n, d):
     reps[:, rng.random(d) < 0.25] = 0.0
     reps[rng.random(n) < 0.25] = reps[0]
     return reps
+
+
+def labelled_rows(rng, kind, n, d):
+    """``n`` rows of ``d`` columns and a 0/1 attribute that shifts column 7:
+    ReLU-shaped, Gaussian, or of rank 6 (a fixed projection of 6 Gaussian
+    coordinates)."""
+    if kind == "relu":
+        reps = relu_like(rng, n, d)
+    elif kind == "gaussian":
+        reps = rng.standard_normal((n, d))
+    else:
+        reps = rng.standard_normal((n, 6)) @ rng.standard_normal((6, d))
+    z = rng.integers(0, 2, n)
+    reps[:, 7] += 0.5 * z
+    return reps, z
 
 
 class TestLeakageProbe:
@@ -297,32 +332,44 @@ class TestLeakageProbe:
     def test_matches_scipy_lbfgs_optimum(self):
         """L-BFGS on the same objective, to a gradient of 1e-12, finds the
         same minimum to 1e-12 and the same weight and bias to 1e-6."""
-        # scipy is the reference only: the test skips without it
-        minimize = pytest.importorskip("scipy.optimize").minimize
         rng = np.random.default_rng(3)
         n = 800
         base = rng.standard_normal((n, 6))
         reps = np.c_[base @ rng.standard_normal((6, 24)),
                      relu_like(rng, n, 12)]
         z = (base[:, 0] + rng.standard_normal(n) > 0).astype(int)
-        u, y, weight, bias = probe_fit(reps, z, seed=2)
-        k = u.shape[1]
+        assert_matches_lbfgs(*probe_fit(reps, z, seed=2))
 
-        def objective(theta):
-            t = u @ theta[:k] + theta[k]
-            value = (np.logaddexp(0.0, (1 - 2 * y) * t).mean()
-                     + 0.5 * MX.PROBE_RIDGE * theta[:k] @ theta[:k])
-            return value, probe_gradient(u, y, theta[:k], theta[k])
+    @pytest.mark.parametrize("rank, n, d", [(19, 300, 256), (32, 300, 256),
+                                            (None, 200, 180)],
+                             ids=["lr ladder", "fm ladder",
+                                  "more columns than rows"])
+    def test_rank_basis_matches_full_width_lbfgs(self, rank, n, d):
+        """The fit in the rank basis is the full-width optimum: rows that
+        are a fixed projection of ``rank`` coordinates (an lr or fm ladder
+        probe's 210 training rows of 256 columns), and Gaussian rows with
+        more columns than training rows, which the probe separates."""
+        rng = np.random.default_rng(4)
+        if rank is None:
+            reps = rng.standard_normal((n, d))
+            z = rng.integers(0, 2, n)
+        else:
+            x = rng.standard_normal((n, rank))
+            reps = (x * rng.uniform(0.5, 2.0, rank)) @ \
+                rng.standard_normal((rank, d))
+            z = (x[:, 0] + rng.standard_normal(n) > 0).astype(int)
+        u, y, weight, bias = probe_fit(reps, z, seed=1)
+        # centred columns: rank at most one below the 70% training rows
+        assert np.linalg.matrix_rank(u) == min(rank or d, len(y) - 1)
+        assert_matches_lbfgs(u, y, weight, bias)
 
-        ref = minimize(objective, np.zeros(k + 1), jac=True, method="L-BFGS-B",
-                       options=dict(maxiter=20_000, gtol=1e-12, ftol=0.0))
-        assert objective(np.r_[weight, bias])[0] <= ref.fun + 1e-12
-        assert np.allclose(np.r_[weight, bias], ref.x, rtol=0.0, atol=1e-6)
-
-    def test_column_order_does_not_change_reading(self):
+    @pytest.mark.parametrize("kind", ["relu", "gaussian", "rank 6"])
+    def test_column_order_does_not_change_reading(self, kind):
+        """Permuted columns give the same weights, moved with their columns,
+        the same bias and the same reading: ReLU-shaped rows with dead
+        columns, Gaussian rows, and rows of rank 6 in 40 columns."""
         rng = np.random.default_rng(5)
-        reps, z = relu_like(rng, 1500, 40), rng.integers(0, 2, 1500)
-        reps[:, 7] += 0.5 * z
+        reps, z = labelled_rows(rng, kind, 1500, 40)
         order = rng.permutation(40)
         _, _, weight, bias = probe_fit(reps, z, 1)
         _, _, moved, moved_bias = probe_fit(reps[:, order], z, 1)
@@ -335,6 +382,41 @@ class TestLeakageProbe:
         assert moved_bias == pytest.approx(bias, abs=1e-9)
         assert (MX.leakage_probe(reps[:, order], z, 1)
                 == MX.leakage_probe(reps, z, 1))
+
+    @pytest.mark.parametrize("change", ["scale", "shift", "negate"])
+    def test_column_affine_maps_do_not_change_reading(self, change):
+        """Standardisation undoes a positive scale (1e-3 to 1e4) or a shift
+        (up to 1e3) of each column: the same fit and reading. Negating
+        columns negates their weights and keeps the reading."""
+        rng = np.random.default_rng(14)
+        reps, z = labelled_rows(rng, "relu", 1000, 24)
+        sign = np.ones(24)
+        if change == "scale":
+            moved = reps * 10.0 ** rng.uniform(-3, 4, 24)
+        elif change == "shift":
+            moved = reps + rng.uniform(-1e3, 1e3, 24)
+        else:
+            sign[rng.permutation(24)[:12]] = -1.0
+            moved = reps * sign
+        _, _, weight, bias = probe_fit(reps, z, 2)
+        _, _, moved_weight, moved_bias = probe_fit(moved, z, 2)
+        live = np.ptp(reps[MX._probe_split(1000, 2)[0]], 0) > 0
+        assert np.allclose(moved_weight, sign[live] * weight, rtol=0.0,
+                           atol=1e-9)
+        assert moved_bias == pytest.approx(bias, abs=1e-9)
+        assert MX.leakage_probe(moved, z, 2) == MX.leakage_probe(reps, z, 2)
+
+    @pytest.mark.parametrize("kind", ["relu", "gaussian"])
+    def test_swapping_groups_keeps_reading(self, kind):
+        """The objective is symmetric in the two groups: swapping them
+        negates the weight and the bias and keeps the reading."""
+        rng = np.random.default_rng(15)
+        reps, z = labelled_rows(rng, kind, 900, 20)
+        _, _, weight, bias = probe_fit(reps, z, 3)
+        _, _, swapped, swapped_bias = probe_fit(reps, 1 - z, 3)
+        assert np.allclose(swapped, -weight, rtol=0.0, atol=1e-12)
+        assert swapped_bias == pytest.approx(-bias, abs=1e-12)
+        assert MX.leakage_probe(reps, 1 - z, 3) == MX.leakage_probe(reps, z, 3)
 
     def test_constant_columns_do_not_change_reading(self):
         """Columns of 0.0, -0.0 or 3.0 in every row, and one that varies on
@@ -357,7 +439,8 @@ class TestLeakageProbe:
         assert np.allclose(standardise(wide[tr]), u, rtol=0.0, atol=1e-12)
         assert MX.leakage_probe(wide, z, 4) == MX.leakage_probe(reps, z, 4)
 
-    @pytest.mark.parametrize("case", ["zeros", "constant", "held-out only",
+    @pytest.mark.parametrize("case", ["zeros", "signed zeros", "constant",
+                                      "subnormal constant", "held-out only",
                                       "one group in training"])
     def test_no_varying_column_reads_majority_class(self, case):
         """With no column varying on the training rows the fit is the bias
@@ -368,8 +451,12 @@ class TestLeakageProbe:
         tr, te = MX._probe_split(n, seed)
         z = (np.random.default_rng(8).random(n) < 0.35).astype(int)
         reps = np.zeros((n, 5))
-        if case == "constant":
+        if case == "signed zeros":
+            reps[np.random.default_rng(9).random((n, 5)) < 0.5] = -0.0
+        elif case == "constant":
             reps += 7.5
+        elif case == "subnormal constant":
+            reps += 5e-324
         elif case == "held-out only":
             reps[te] = np.random.default_rng(9).standard_normal((len(te), 5))
         elif case == "one group in training":
@@ -379,11 +466,13 @@ class TestLeakageProbe:
         assert MX.leakage_probe(reps, z, seed) == (z[te] == majority).mean()
 
     @pytest.mark.parametrize("case", ["subnormal", "tiny then huge",
-                                      "scaled 1e-300"])
+                                      "scaled 1e-300", "scaled 1e300",
+                                      "columns 1e-300 to 1e300"])
     def test_extreme_scales_fit_without_warnings(self, case):
         """Subnormal columns, a held-out value 10^600 training standard
         deviations out (it saturates at 1e100), and a whole ReLU matrix
-        scaled by 1e-300, which reads as the unscaled one does."""
+        scaled by 1e-300 or 1e300, or each column by its own factor from
+        1e-300 to 1e300, which reads as the unscaled one does."""
         rng = np.random.default_rng(10)
         n = 400
         reps, z = relu_like(rng, n, 8), rng.integers(0, 2, n)
@@ -400,7 +489,10 @@ class TestLeakageProbe:
             assert np.abs(standardise(reps[te])).max() == 1e100
             assert 0.5 <= MX.leakage_probe(reps, z, 0) <= 1.0
         else:
-            assert (MX.leakage_probe(1e-300 * reps, z, 0)
+            scale = (10.0 ** rng.uniform(-300, 300, 8)
+                     if case == "columns 1e-300 to 1e300"
+                     else float(case.split()[1]))
+            assert (MX.leakage_probe(scale * reps, z, 0)
                     == MX.leakage_probe(reps, z, 0))
 
     def test_iteration_cap_returns_last_iterate(self, monkeypatch):
